@@ -10,12 +10,14 @@ Layout (little-endian throughout):
     blob*            u16 name length, name, u8 ndim, u32 dims..., f32 data
 
 Parameter blobs are float32, which is also the training dtype, so a save
-and reload round trip is bit-exact.
+and reload round trip is bit-exact. ``save_container`` replaces the target
+atomically, so an interrupted save never corrupts an existing checkpoint.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -33,21 +35,31 @@ def save_container(path, kind: str, header: dict, blobs: dict[str, np.ndarray]) 
     header_bytes = json.dumps(payload, sort_keys=True).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(blobs)))
-        for name, arr in blobs.items():
-            data = np.asarray(arr, dtype="<f4", order="C")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(data.tobytes())
+    # Write a sibling temp file, make it durable, then rename it over the
+    # target: a crash at any point leaves the previous checkpoint intact.
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(struct.pack("<I", len(blobs)))
+            for name, arr in blobs.items():
+                data = np.asarray(arr, dtype="<f4", order="C")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", data.ndim))
+                for dim in data.shape:
+                    fh.write(struct.pack("<I", dim))
+                fh.write(data.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:

@@ -19,7 +19,7 @@ from ..audio.wavio import DEFAULT_SAMPLE_RATE, Waveform
 from ..errors import ConfigError, DataError
 from ..numerics import ops
 from ..numerics.optim import ParamSet, uniform_fan_in
-from ..numerics.tensor import Tensor
+from ..numerics.tensor import Tensor, no_grad
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,14 @@ class IdNet:
         return ops.mul(total, ops.const(1.0 / count, dtype=wave.dtype))
 
     def embed_utterance(self, wave: Waveform) -> SpeakerEmbedding:
-        """Frozen-path embedding of a whole utterance (no graph kept)."""
-        emb = self.embed_segments_graph(Tensor(np.asarray(wave.samples, dtype=np.float32)))
+        """Embedding of a whole utterance; no graph is recorded."""
+        with no_grad():
+            emb = self.embed_segments_graph(Tensor(np.asarray(wave.samples, dtype=np.float32)))
         return SpeakerEmbedding(values=np.asarray(emb.data, dtype=np.float64))
 
     def classify_segment(self, segment_samples: np.ndarray) -> int:
-        logits, _ = self.forward(Tensor(np.asarray(segment_samples, dtype=np.float32)))
+        with no_grad():
+            logits, _ = self.forward(Tensor(np.asarray(segment_samples, dtype=np.float32)))
         return int(np.argmax(logits.data))
 
 

@@ -1,9 +1,10 @@
 """Differentiable primitives.
 
-Every function takes Tensors, returns a Tensor, and installs an exact
-analytic backward closure. Shape validation raises ConfigError naming the
-op and the offending dimensions. The finite-difference suite in
-``gradcheck`` verifies every op here.
+Every function takes Tensors, returns a Tensor, and, when the graph is
+recording (``tensor.is_recording``), installs an exact analytic backward
+closure. Shape validation raises ConfigError naming the op and the
+offending dimensions. The finite-difference suite in ``gradcheck``
+verifies every op here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from ..errors import ConfigError
-from .tensor import Tensor
+from .tensor import Tensor, is_recording
 
 LAYER_NORM_VAR_FLOOR = 1e-12
 
@@ -435,16 +436,17 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_ih: Tensor, w_hh: Ten
     return out
 
 
-def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, reverse: bool):
-    """Run one LSTM direction over (B, T, D). Returns hidden states and a BPTT cache."""
+def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, reverse: bool, keep_cache: bool):
+    """Run one LSTM direction over (B, T, D). Returns hidden states and a BPTT cache (None unless keep_cache)."""
     batch, steps, _ = x.shape
     hidden = w_hh.shape[1]
     xz = x.reshape(batch * steps, -1) @ w_ih.T
     xz = xz.reshape(batch, steps, 4 * hidden) + b
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     hs = np.empty((batch, steps, hidden), dtype=x.dtype)
-    cs = np.empty((batch, steps, hidden), dtype=x.dtype)
-    gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
+    if keep_cache:
+        cs = np.empty((batch, steps, hidden), dtype=x.dtype)
+        gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
     h = np.zeros((batch, hidden), dtype=x.dtype)
     c = np.zeros((batch, hidden), dtype=x.dtype)
     for t in order:
@@ -452,13 +454,14 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
         i, f, g, o = _lstm_gates(z, hidden)
         c = f * c + i * g
         h = o * np.tanh(c)
-        gates[:, t, :hidden] = i
-        gates[:, t, hidden : 2 * hidden] = f
-        gates[:, t, 2 * hidden : 3 * hidden] = g
-        gates[:, t, 3 * hidden :] = o
-        cs[:, t] = c
+        if keep_cache:
+            gates[:, t, :hidden] = i
+            gates[:, t, hidden : 2 * hidden] = f
+            gates[:, t, 2 * hidden : 3 * hidden] = g
+            gates[:, t, 3 * hidden :] = o
+            cs[:, t] = c
         hs[:, t] = h
-    return hs, (x, gates, cs, hs, list(order))
+    return hs, ((x, gates, cs, hs, list(order)) if keep_cache else None)
 
 
 def _lstm_grad(cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
@@ -519,11 +522,11 @@ def bilstm_layer(
         raise ConfigError(
             f"bilstm_layer: input dim {x.shape[2]} incompatible with weights {w_ih_f.shape}, {w_ih_b.shape}"
         )
-    hs_f, cache_f = _lstm_run(x.data, w_ih_f.data, w_hh_f.data, b_f.data, reverse=False)
-    hs_b, cache_b = _lstm_run(x.data, w_ih_b.data, w_hh_b.data, b_b.data, reverse=True)
-    out = Tensor._from_op(
-        np.concatenate([hs_f, hs_b], axis=2), (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b)
-    )
+    parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b)
+    record = is_recording(parents)
+    hs_f, cache_f = _lstm_run(x.data, w_ih_f.data, w_hh_f.data, b_f.data, reverse=False, keep_cache=record)
+    hs_b, cache_b = _lstm_run(x.data, w_ih_b.data, w_hh_b.data, b_b.data, reverse=True, keep_cache=record)
+    out = Tensor._from_op(np.concatenate([hs_f, hs_b], axis=2), parents)
     if out.requires_grad:
 
         def backward():

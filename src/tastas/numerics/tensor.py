@@ -5,15 +5,58 @@ A Tensor wraps one ndarray and remembers how it was produced. Calling
 topological order and accumulates gradients into every tensor that was
 created with ``requires_grad=True``. Forward ops never mutate their
 inputs, so repeated evaluation of the same graph is bit-identical.
+
+Graph lifetime. An op records a node (parent links plus a backward
+closure that holds whatever the gradient needs) only when
+``is_recording`` says so: some input requires grad and the thread is not
+inside ``no_grad()``. Under ``no_grad()`` every op returns a plain
+``requires_grad=False`` tensor, so a forward keeps nothing but its
+values; the block nests, restores the previous mode on exit (also on an
+exception), and is per thread. A recorded graph is freed by ``backward()``
+as it goes: once a node's closure has run, the node drops the closure,
+its parents and (unless it is the root) its gradient, so reference
+counting reclaims the graph behind the walk. Leaves keep their
+gradients. A spent graph cannot be walked again: a second ``backward()``
+through it raises ConfigError instead of reusing stale gradients.
 """
 
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import ConfigError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad():
+    """Run the block without recording a graph (per thread; nests)."""
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
+def is_recording(inputs) -> bool:
+    """Whether an op over these input tensors records a graph node."""
+    return _grad_mode.enabled and any(t.requires_grad for t in inputs)
+
+
+def _spent_backward() -> None:
+    raise ConfigError("backward() through a graph that backward() already consumed; run the forward again")
 
 
 def _coerce(data, dtype=None) -> np.ndarray:
@@ -29,8 +72,9 @@ class Tensor:
     """A value in the computation graph.
 
     data is row-major real storage, shape is its dimension list, and
-    requires_grad marks leaves that should receive gradients. Non-leaf
-    tensors carry a backward closure installed by the op that made them.
+    requires_grad marks leaves that should receive gradients. Recorded
+    non-leaf tensors carry a backward closure installed by the op that made
+    them, until ``backward()`` consumes it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -49,7 +93,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = is_recording(parents)
         out._parents = parents if out.requires_grad else ()
         out._backward = None
         return out
@@ -97,6 +141,8 @@ class Tensor:
         """Backpropagate from this tensor.
 
         seed defaults to ones (for a scalar loss this is d loss/d loss = 1).
+        The walk consumes the graph: each interior node is released once its
+        closure has run, and a second call through it raises ConfigError.
         """
         if not self.requires_grad:
             raise ConfigError("backward() on a tensor that does not require grad")
@@ -110,9 +156,17 @@ class Tensor:
                 )
         order = _topo_order(self)
         self._accum_grad(seed)
-        for node in order:
-            if node._backward is not None:
-                node._backward()
+        while order:
+            node = order.pop()
+            if node._backward is None:  # a leaf
+                continue
+            node._backward()
+            # The closure held this node's inputs and saved arrays; dropping
+            # it and the parent links lets refcounting free the graph behind us.
+            node._backward = _spent_backward
+            node._parents = ()
+            if node is not self:
+                node.grad = None
 
     # -- operator sugar (implementations live in ops.py) ----------------------
 
@@ -187,7 +241,7 @@ class Tensor:
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Reverse topological order, iterative so deep graphs cannot overflow."""
+    """Topological order, parents first and root last; iterative so deep graphs cannot overflow."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -203,5 +257,4 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         for parent in node._parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    order.reverse()
     return order

@@ -27,7 +27,7 @@ from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
 from ..numerics import ops
 from ..numerics.optim import AdamState, LrPolicy, ParamSet, adam_step, clip_global_norm, lr_for_epoch
-from ..numerics.tensor import Tensor
+from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
 from .config import TrainConfig
@@ -210,25 +210,18 @@ class SepTrainer:
             self.rng = np.random.default_rng(config.seed)
 
         if self.idnet is not None:
-            self._target_embeddings = [
+            self._target_embeddings = self._embed_targets(self.train_set)
+            self._dev_target_embeddings = self._embed_targets(self.dev_set)
+
+    def _embed_targets(self, examples: list[LoadedExample]) -> list[list[np.ndarray]]:
+        """Speaker-network embedding of every reference source, per example."""
+        with no_grad():
+            return [
                 [
-                    np.asarray(
-                        self.idnet.embed_segments_graph(Tensor(t.astype(np.float32))).data,
-                        dtype=np.float32,
-                    )
+                    np.asarray(self.idnet.embed_segments_graph(Tensor(t.astype(np.float32))).data, dtype=np.float32)
                     for t in ex.targets
                 ]
-                for ex in self.train_set
-            ]
-            self._dev_target_embeddings = [
-                [
-                    np.asarray(
-                        self.idnet.embed_segments_graph(Tensor(t.astype(np.float32))).data,
-                        dtype=np.float32,
-                    )
-                    for t in ex.targets
-                ]
-                for ex in self.dev_set
+                for ex in examples
             ]
 
     # -- loss of one example ------------------------------------------------
@@ -251,7 +244,8 @@ class SepTrainer:
         losses, sisdris = [], []
         for i, ex in enumerate(self.dev_set):
             embeddings = self._dev_target_embeddings[i] if self.idnet is not None else None
-            outs, loss, breakdown, _ = self._example_loss(ex, embeddings)
+            with no_grad():
+                outs, loss, breakdown, _ = self._example_loss(ex, embeddings)
             losses.append(float(loss.data))
             estimates = [np.asarray(t.data, dtype=np.float64) for t in outs[-1]]
             perm = breakdown.per_stage_perms[-1].perm

@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..numerics import ops
 from ..numerics.optim import ParamSet, uniform_fan_in
-from ..numerics.tensor import Tensor
+from ..numerics.tensor import Tensor, no_grad
 from .config import ModelConfig, StageConfig
 
 
@@ -190,5 +190,6 @@ class TasTasModel:
         return outputs
 
     def separate(self, mixture_samples: np.ndarray) -> list[np.ndarray]:
-        """Final-stage estimates as plain arrays."""
-        return [np.asarray(t.data, dtype=np.float64) for t in self.forward(mixture_samples)[-1]]
+        """Final-stage estimates as plain arrays; no graph is recorded."""
+        with no_grad():
+            return [np.asarray(t.data, dtype=np.float64) for t in self.forward(mixture_samples)[-1]]

@@ -15,7 +15,7 @@ import numpy as np
 from . import objectives
 from .numerics.gradcheck import relative_error
 from .numerics.optim import ParamSet
-from .numerics.tensor import Tensor
+from .numerics.tensor import Tensor, no_grad
 from .sepnet import ModelConfig, TasTasModel
 
 TINY_CONFIG = ModelConfig(stage_blocks=(1,), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4)
@@ -49,7 +49,8 @@ def tiny_model_check(
 
     def loss_value(params: ParamSet) -> float:
         probe = TasTasModel(config, params, dtype=np.float64)
-        total, _ = objectives.multi_stage_loss_graph(probe.forward(mixture), targets)
+        with no_grad():
+            total, _ = objectives.multi_stage_loss_graph(probe.forward(mixture), targets)
         return float(total.data)
 
     loss, _ = objectives.multi_stage_loss_graph(model.forward(mixture), targets)
@@ -99,8 +100,9 @@ def input_gradient_check(
         xp, xm = x.copy(), x.copy()
         xp[j] += step
         xm[j] -= step
-        fp = float(np.sum(forward(Tensor(xp)).data * proj))
-        fm = float(np.sum(forward(Tensor(xm)).data * proj))
+        with no_grad():
+            fp = float(np.sum(forward(Tensor(xp)).data * proj))
+            fm = float(np.sum(forward(Tensor(xm)).data * proj))
         numeric = (fp - fm) / (2.0 * step)
         worst = max(worst, relative_error(float(analytic[j]), numeric))
     return worst, worst < tolerance

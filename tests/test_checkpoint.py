@@ -94,3 +94,17 @@ def test_idnet_checkpoint_round_trip_with_labels(tmp_path):
     assert net2.params.checksum() == net.params.checksum()
     labels = (tmp_path / "id.ckpt.labels").read_text().strip().splitlines()
     assert labels == ["alice\t0", "bob\t1", "eve\t2"]
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path):
+    path = tmp_path / "best.ckpt"
+    old = {"param.a": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    save_container(path, "sepnet", {"extras": {"epoch": 1}}, old)
+    # the second blob cannot be converted, so the write fails after the first
+    broken = {"param.a": np.zeros((2, 3), dtype=np.float32), "param.b": np.array(["not a number"])}
+    with pytest.raises(ValueError):
+        save_container(path, "sepnet", {"extras": {"epoch": 2}}, broken)
+    kind, header, blobs = load_container(path)
+    assert header["extras"] == {"epoch": 1}
+    assert np.array_equal(blobs["param.a"], old["param.a"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from tastas.errors import ConfigError
 from tastas.numerics import ops
 from tastas.numerics.tensor import Tensor
+from tastas.pipeline.data import synth_mixture_corpus
+from tastas.pipeline.evaluate import evaluate
 from tastas.sepnet import ModelConfig, StageConfig, TasTasModel, parse_preset
 from tastas.sepnet.model import dual_path_block, encode, estimate_masks, init_params
 
@@ -191,3 +194,39 @@ def test_separate_returns_final_stage_arrays():
     ests = model.separate(np.random.default_rng(1).uniform(-1, 1, 400))
     assert len(ests) == 2
     assert all(e.dtype == np.float64 for e in ests)
+
+
+def test_separate_equals_recorded_final_stage():
+    model = TasTasModel.initialize(_tiny_two_stage(), seed=3, dtype=np.float32)
+    mix = np.random.default_rng(4).uniform(-1, 1, 500)
+    recorded = model.forward(mix)[-1]
+    assert recorded[0].requires_grad
+    for est, ref in zip(model.separate(mix), recorded):
+        assert np.array_equal(est, np.asarray(ref.data, dtype=np.float64))
+
+
+def test_separate_keeps_no_graph_in_memory():
+    model = TasTasModel.initialize(_tiny_two_stage(), seed=0, dtype=np.float32)
+    mix = np.random.default_rng(2).uniform(-1, 1, 16000)  # 2 s at 8 kHz
+    tracemalloc.start()
+    try:
+        model.separate(mix)
+        separate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        outs = model.forward(mix)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outs[-1][0].requires_grad
+    assert separate_peak <= forward_peak / 2
+
+
+def test_evaluate_rows_do_not_depend_on_thread_count(tmp_path, monkeypatch):
+    records = synth_mixture_corpus(tmp_path, "test", 3, 4, 0.5, 0, 5, seed=8)
+    model = TasTasModel.initialize(TINY, seed=0)
+    monkeypatch.delenv("TASTAS_THREADS", raising=False)
+    serial = evaluate(model, records).table("tiny")
+    monkeypatch.setenv("TASTAS_THREADS", "2")
+    threaded = evaluate(model, records).table("tiny")
+    assert serial == threaded
+    assert "ERROR" not in serial

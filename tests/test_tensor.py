@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from tastas.errors import ConfigError
 from tastas.numerics import ops
-from tastas.numerics.tensor import Tensor
+from tastas.numerics.tensor import Tensor, is_recording, no_grad
 
 
 def test_forward_purity_bit_identical():
@@ -76,3 +78,89 @@ def test_detach_cuts_graph():
     x = Tensor(np.ones(3), requires_grad=True)
     d = ops.tanh(x).detach()
     assert not d.requires_grad
+
+
+# -- graph lifetime ------------------------------------------------------------------
+
+
+def test_no_grad_ops_record_nothing():
+    x = Tensor(np.linspace(-1, 1, 6), requires_grad=True)
+    w = Tensor(np.ones((2, 6)), requires_grad=True)
+    with no_grad():
+        outs = [ops.tanh(x), ops.mul(x, x), ops.linear(w, x), ops.getitem(x, (slice(1, 3),))]
+    for out in outs:
+        assert not out.requires_grad
+        assert out._backward is None
+        assert out._parents == ()
+    assert ops.tanh(x).requires_grad
+
+
+def test_no_grad_restores_mode_after_nesting_and_errors():
+    x = Tensor(np.ones(3), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert not is_recording((x,))
+        assert not is_recording((x,))
+    assert is_recording((x,))
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("boom")
+    assert is_recording((x,))
+    assert not is_recording((Tensor(np.ones(3)),))
+
+
+def test_no_grad_is_per_thread():
+    x = Tensor(np.ones(3), requires_grad=True)
+    seen = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append(ops.tanh(x).requires_grad))
+        worker.start()
+        worker.join()
+        assert not ops.tanh(x).requires_grad
+    assert seen == [True]
+
+
+def _bilstm_inputs(rng):
+    hidden, dim = 3, 4
+    x = Tensor(rng.uniform(-1, 1, (2, 5, dim)), requires_grad=True)
+    weights = []
+    for _ in range(2):
+        weights += [
+            Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, dim)), requires_grad=True),
+            Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, hidden)), requires_grad=True),
+            Tensor(rng.uniform(-0.5, 0.5, 4 * hidden), requires_grad=True),
+        ]
+    return x, weights
+
+
+def test_bilstm_layer_same_output_with_and_without_recording():
+    x, weights = _bilstm_inputs(np.random.default_rng(0))
+    recorded = ops.bilstm_layer(x, *weights)
+    with no_grad():
+        plain = ops.bilstm_layer(x, *weights)
+    assert recorded._backward is not None
+    assert plain._backward is None
+    assert np.array_equal(recorded.data, plain.data)
+
+
+def test_backward_releases_interior_nodes():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    a = ops.tanh(x)
+    b = ops.mul(a, a)
+    y = ops.tsum(b)
+    y.backward()
+    assert np.allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+    for node in (a, b):
+        assert node._parents == ()
+        assert node.grad is None
+    assert y.grad is not None
+    with pytest.raises(ConfigError, match="already consumed"):
+        y.backward()
+
+
+def test_second_backward_through_shared_subgraph_errors():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    shared = ops.mul(x, x)
+    ops.tsum(shared).backward()
+    with pytest.raises(ConfigError, match="already consumed"):
+        ops.tsum(ops.mul(shared, ops.const(3.0))).backward()
