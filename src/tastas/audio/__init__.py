@@ -2,7 +2,7 @@
 
 from .wavio import DEFAULT_SAMPLE_RATE, Waveform, wav_read, wav_write
 from .stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, Spectrogram, hann_window, istft, stft
-from .mix import MixtureSpec, measure_snr_db, mix_at_snr
+from .mix import measure_snr_db, mix_at_snr
 from .synth import f0_band, synth_speaker_source
 from .irm import irm_masks, irm_separate
 
@@ -17,7 +17,6 @@ __all__ = [
     "hann_window",
     "istft",
     "stft",
-    "MixtureSpec",
     "mix_at_snr",
     "measure_snr_db",
     "f0_band",

@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import DataError
 from .wavio import Waveform
 
 _SILENCE_POWER = 1e-10
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Provenance of one synthetic mixture."""
-
-    source_a: Waveform
-    source_b: Waveform
-    snr_db: float
-    seed: int
 
 
 def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> tuple[Waveform, Waveform, Waveform]:

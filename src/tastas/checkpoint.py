@@ -9,9 +9,11 @@ Layout (little-endian throughout):
     count   u32      number of named blobs
     blob*            u16 name length, name, u8 ndim, u32 dims..., f32 data
 
-Parameter blobs are float32, which is also the training dtype, so a save
-and reload round trip is bit-exact. ``save_container`` replaces the target
-atomically, so an interrupted save never corrupts an existing checkpoint.
+The "model" header holds ``asdict`` of the network's config dataclass,
+and ``config_from_header`` is its inverse. Parameter blobs are float32,
+which is also the training dtype, so a save and reload round trip is
+bit-exact. ``save_container`` replaces the target atomically, so an
+interrupted save never corrupts an existing checkpoint.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -97,3 +100,15 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             raw = _read_exact(fh, 4 * size, f"blob '{name}' data")
             blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
         return kind, header, blobs
+
+
+def config_from_header(cls, values, path):
+    """Rebuild a config dataclass from the ``asdict`` a header holds; JSON lists become tuples."""
+    names = {f.name for f in fields(cls)}
+    keys = set(values) if isinstance(values, dict) else set()
+    if keys != names:
+        raise CheckpointError(
+            f"{path}: model header does not match {cls.__name__}: "
+            f"missing {sorted(names - keys)}, unexpected {sorted(keys - names)}"
+        )
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(1)
+
+
+def _train_parser(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """A training command. Each flag's dest is the TrainConfig field it sets;
+    a flag left out is absent from the namespace, so the config file or the
+    field's default holds."""
+    p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    p.add_argument("--config", default="", help="key=value file of TrainConfig fields; flags override it")
+    p.add_argument("--train-manifest")
+    p.add_argument("--out-dir")
+    p.add_argument("--epochs-max", type=int)
+    p.add_argument("--seed", type=int)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,33 +56,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-mixes", type=int, default=0)
     p.add_argument("--from-wavs", default="", help="slice labeled WAV subfolders instead of toy speakers")
 
-    p = sub.add_parser("train-idnet", help="train and freeze the speaker classifier")
-    p.add_argument("--config", default="")
-    p.add_argument("--train-manifest", default="")
-    p.add_argument("--out-dir", default="")
-    p.add_argument("--speakers", type=int, default=0)
-    p.add_argument("--epochs-max", type=int, default=0)
-    p.add_argument("--seed", type=int, default=-1)
+    p = _train_parser(sub, "train-idnet", "train and freeze the speaker classifier")
+    p.add_argument("--speakers", dest="num_speakers", type=int)
 
     for name, phase in (("train-sep", "sep"), ("finetune", "finetune")):
-        p = sub.add_parser(name, help=f"run the {phase} training phase")
-        p.add_argument("--config", default="")
-        p.add_argument("--train-manifest", default="")
-        p.add_argument("--dev-manifest", default="")
-        p.add_argument("--out-dir", default="")
-        p.add_argument("--model", default="", help="preset such as tastas-6, tastas-6-6, tastas-i-6-6, tastas-8-9")
-        p.add_argument("--epochs-max", type=int, default=0)
-        p.add_argument("--batch-size", type=int, default=0)
-        p.add_argument("--seed", type=int, default=-1)
-        p.add_argument("--initial-lr", type=float, default=0.0)
-        p.add_argument("--num-filters", type=int, default=0)
-        p.add_argument("--hidden-size", type=int, default=0)
-        p.add_argument("--chunk-len", type=int, default=0)
+        p = _train_parser(sub, name, f"run the {phase} training phase")
+        p.add_argument("--dev-manifest")
+        p.add_argument("--batch-size", type=int)
+        p.add_argument("--initial-lr", type=float)
         p.add_argument("--resume", default="")
-        if phase == "finetune":
-            p.add_argument("--sep-ckpt", default="")
-            p.add_argument("--idnet-ckpt", default="")
-            p.add_argument("--id-weight", type=float, default=-1.0)
+        if phase == "sep":
+            p.add_argument("--model", help="preset such as tastas-6, tastas-6-6, tastas-i-6-6, tastas-8-9")
+            p.add_argument("--num-filters", type=int)
+            p.add_argument("--hidden-size", type=int)
+            p.add_argument("--chunk-len", type=int)
+        else:  # the architecture comes from --sep-ckpt
+            p.add_argument("--sep-ckpt")
+            p.add_argument("--idnet-ckpt")
+            p.add_argument("--id-weight", type=float)
 
     p = sub.add_parser("separate", help="separate one mixture WAV with a trained model")
     p.add_argument("--ckpt", required=True)
@@ -129,35 +134,8 @@ def _cmd_synth_data(args) -> int:
 
 
 def _load_config(args, phase: str) -> TrainConfig:
-    overrides: dict = {"phase": phase}
-    mapping = {
-        "train_manifest": getattr(args, "train_manifest", ""),
-        "dev_manifest": getattr(args, "dev_manifest", ""),
-        "out_dir": getattr(args, "out_dir", ""),
-        "model": getattr(args, "model", ""),
-        "sep_ckpt": getattr(args, "sep_ckpt", ""),
-        "idnet_ckpt": getattr(args, "idnet_ckpt", ""),
-    }
-    for key, value in mapping.items():
-        if value:
-            overrides[key] = value
-    numeric = {
-        "epochs_max": getattr(args, "epochs_max", 0),
-        "batch_size": getattr(args, "batch_size", 0),
-        "num_filters": getattr(args, "num_filters", 0),
-        "hidden_size": getattr(args, "hidden_size", 0),
-        "chunk_len": getattr(args, "chunk_len", 0),
-        "num_speakers": getattr(args, "speakers", 0),
-    }
-    for key, value in numeric.items():
-        if value:
-            overrides[key] = value
-    if getattr(args, "seed", -1) >= 0:
-        overrides["seed"] = args.seed
-    if getattr(args, "initial_lr", 0.0):
-        overrides["initial_lr"] = args.initial_lr
-    if getattr(args, "id_weight", -1.0) >= 0:
-        overrides["id_weight"] = args.id_weight
+    overrides = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)}
+    overrides["phase"] = phase
     if args.config:
         return load_train_config(args.config, overrides)
     return TrainConfig(**overrides)

@@ -55,9 +55,6 @@ class SpeakerEmbedding:
             raise DataError("embedding contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    def distance(self, other: "SpeakerEmbedding") -> float:
-        return float(np.mean((self.values - other.values) ** 2))
-
 
 def init_idnet_params(config: IdNetConfig, seed: int, dtype=np.float32) -> ParamSet:
     rng = np.random.default_rng(seed)

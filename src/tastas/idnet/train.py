@@ -4,13 +4,13 @@ then freeze, keeping the best held-out parameters."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..audio.wavio import Waveform
-from ..checkpoint import load_container, save_container
+from ..checkpoint import config_from_header, load_container, save_container
 from ..errors import CheckpointError, DataError
 from ..numerics import ops
 from ..numerics.optim import AdamState, ParamSet, adam_step, clip_global_norm
@@ -137,15 +137,7 @@ def train_idnet(
 
 def save_idnet(path, net: IdNet, extras: dict | None = None, label_map: dict[str, int] | None = None) -> None:
     header = {
-        "model": {
-            "num_speakers": net.config.num_speakers,
-            "segment_s": net.config.segment_s,
-            "window_len": net.config.window_len,
-            "hop": net.config.hop,
-            "conv_channels": list(net.config.conv_channels),
-            "embedding_dim": net.config.embedding_dim,
-            "sample_rate_hz": net.config.sample_rate_hz,
-        },
+        "model": asdict(net.config),
         "extras": dict(extras or {}),
         "frozen": net.frozen,
     }
@@ -161,16 +153,7 @@ def load_idnet(path) -> IdNet:
     kind, header, blobs = load_container(path)
     if kind != "idnet":
         raise CheckpointError(f"{path}: container holds '{kind}', expected 'idnet'")
-    m = header["model"]
-    config = IdNetConfig(
-        num_speakers=int(m["num_speakers"]),
-        segment_s=float(m["segment_s"]),
-        window_len=int(m["window_len"]),
-        hop=int(m["hop"]),
-        conv_channels=tuple(int(c) for c in m["conv_channels"]),
-        embedding_dim=int(m["embedding_dim"]),
-        sample_rate_hz=int(m["sample_rate_hz"]),
-    )
+    config = config_from_header(IdNetConfig, header.get("model"), path)
     params = ParamSet()
     for name, arr in blobs.items():
         if name.startswith("param."):

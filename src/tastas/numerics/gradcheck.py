@@ -164,19 +164,9 @@ def _build_log(rng):
     return [x], lambda ts: ops.log(ts[0])
 
 
-def _build_exp(rng):
-    x = _u(rng, 6)
-    return [x], lambda ts: ops.exp(ts[0])
-
-
 def _build_sqrt(rng):
     x = Tensor(rng.uniform(0.5, 2.0, size=(6,)))
     return [x], lambda ts: ops.sqrt(ts[0])
-
-
-def _build_sigmoid(rng):
-    x = _u(rng, 7, lo=-2.0, hi=2.0)
-    return [x], lambda ts: ops.sigmoid(ts[0])
 
 
 def _build_tanh(rng):
@@ -217,17 +207,6 @@ def _build_max_pool2d(rng):
     grid = np.linspace(-1.0, 1.0, 60) + rng.uniform(0.0, 0.01, size=60)
     x = Tensor(rng.permutation(grid).reshape(2, 5, 6))
     return [x], lambda ts: ops.max_pool2d(ts[0], 2)
-
-
-def _build_lstm_cell(rng):
-    batch, dim, hidden = 2, 3, 4
-    x = _u(rng, batch, dim)
-    h = _u(rng, batch, hidden)
-    c = _u(rng, batch, hidden)
-    w_ih = _u(rng, 4 * hidden, dim)
-    w_hh = _u(rng, 4 * hidden, hidden)
-    b = _u(rng, 4 * hidden)
-    return [x, h, c, w_ih, w_hh, b], lambda ts: ops.lstm_cell(*ts)
 
 
 def _build_bilstm_layer(rng):
@@ -319,16 +298,13 @@ BUILDERS: dict[str, Builder] = {
     "sum": _build_sum,
     "mean": _build_mean,
     "log": _build_log,
-    "exp": _build_exp,
     "sqrt": _build_sqrt,
-    "sigmoid": _build_sigmoid,
     "tanh": _build_tanh,
     "prelu": _build_prelu,
     "linear": _build_linear,
     "conv1d": _build_conv1d,
     "conv2d": _build_conv2d,
     "max_pool2d": _build_max_pool2d,
-    "lstm_cell": _build_lstm_cell,
     "bilstm_layer": _build_bilstm_layer,
     "layer_norm": _build_layer_norm,
     "softmax": _build_softmax,

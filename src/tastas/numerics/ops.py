@@ -19,12 +19,6 @@ from .tensor import Tensor, is_recording
 LAYER_NORM_VAR_FLOOR = 1e-12
 
 
-def as_tensor(value, dtype=None) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype), requires_grad=False)
-
-
 def const(value, dtype=None) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype), requires_grad=False)
 
@@ -113,19 +107,6 @@ def neg(x: Tensor) -> Tensor:
     return out
 
 
-def pow_const(x: Tensor, p) -> Tensor:
-    if not isinstance(p, (int, float)):
-        raise ConfigError("pow_const exponent must be a python number")
-    out = Tensor._from_op(x.data**p, (x,))
-    if out.requires_grad:
-
-        def backward():
-            x._accum_grad(out.grad * p * x.data ** (p - 1))
-
-        out._backward = backward
-    return out
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -171,18 +152,6 @@ def log(x: Tensor) -> Tensor:
     return out
 
 
-def exp(x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
-
-        def backward():
-            x._accum_grad(out.grad * out_data)
-
-        out._backward = backward
-    return out
-
-
 def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
     out = Tensor._from_op(out_data, (x,))
@@ -190,18 +159,6 @@ def sqrt(x: Tensor) -> Tensor:
 
         def backward():
             x._accum_grad(out.grad * 0.5 / out_data)
-
-        out._backward = backward
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out_data = _sigmoid(x.data)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
-
-        def backward():
-            x._accum_grad(out.grad * out_data * (1.0 - out_data))
 
         out._backward = backward
     return out
@@ -385,55 +342,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _lstm_gates(z: np.ndarray, hidden: int):
+    """Split (B, 4H) pre-activations; the gate layout is input, forget, cell, output."""
     i_f = _sigmoid(z[:, : 2 * hidden])
     g = np.tanh(z[:, 2 * hidden : 3 * hidden])
     o = _sigmoid(z[:, 3 * hidden :])
     return i_f[:, :hidden], i_f[:, hidden:], g, o
-
-
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> Tensor:
-    """One gated-recurrence step. Returns (B, 2H): new hidden and new cell, concatenated.
-
-    Gate layout along the 4H axis is input, forget, cell, output.
-    """
-    batch, _ = x.shape
-    hidden = w_hh.shape[1]
-    if w_ih.shape != (4 * hidden, x.shape[1]) or w_hh.shape != (4 * hidden, hidden):
-        raise ConfigError(
-            f"lstm_cell: weight shapes {w_ih.shape}/{w_hh.shape} incompatible with input {x.shape}, hidden {hidden}"
-        )
-    z = x.data @ w_ih.data.T + h_prev.data @ w_hh.data.T + bias.data
-    i, f, g, o = _lstm_gates(z, hidden)
-    c_new = f * c_prev.data + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    out = Tensor._from_op(np.concatenate([h_new, c_new], axis=1), (x, h_prev, c_prev, w_ih, w_hh, bias))
-    if out.requires_grad:
-
-        def backward():
-            gh = out.grad[:, :hidden]
-            gc_up = out.grad[:, hidden:]
-            dc = gh * o * (1.0 - tanh_c * tanh_c) + gc_up
-            dz = np.empty_like(z)
-            dz[:, :hidden] = dc * g * i * (1.0 - i)
-            dz[:, hidden : 2 * hidden] = dc * c_prev.data * f * (1.0 - f)
-            dz[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-            dz[:, 3 * hidden :] = gh * tanh_c * o * (1.0 - o)
-            if x.requires_grad:
-                x._accum_grad(dz @ w_ih.data)
-            if h_prev.requires_grad:
-                h_prev._accum_grad(dz @ w_hh.data)
-            if c_prev.requires_grad:
-                c_prev._accum_grad(dc * f)
-            if w_ih.requires_grad:
-                w_ih._accum_grad(dz.T @ x.data)
-            if w_hh.requires_grad:
-                w_hh._accum_grad(dz.T @ h_prev.data)
-            if bias.requires_grad:
-                bias._accum_grad(dz.sum(axis=0))
-
-        out._backward = backward
-    return out
 
 
 def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, reverse: bool, keep_cache: bool):

@@ -116,9 +116,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
 
@@ -133,9 +130,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             np.add(self.grad, g, out=self.grad)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate from this tensor.
@@ -167,77 +161,6 @@ class Tensor:
             node._parents = ()
             if node is not self:
                 node.grad = None
-
-    # -- operator sugar (implementations live in ops.py) ----------------------
-
-    def __add__(self, other):
-        from . import ops
-
-        return ops.add(self, ops.as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from . import ops
-
-        return ops.sub(self, ops.as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        from . import ops
-
-        return ops.sub(ops.as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        from . import ops
-
-        return ops.mul(self, ops.as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from . import ops
-
-        return ops.div(self, ops.as_tensor(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        from . import ops
-
-        return ops.div(ops.as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        from . import ops
-
-        return ops.neg(self)
-
-    def __pow__(self, p):
-        from . import ops
-
-        return ops.pow_const(self, p)
-
-    def __getitem__(self, key):
-        from . import ops
-
-        return ops.getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        from . import ops
-
-        return ops.tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from . import ops
-
-        return ops.tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        from . import ops
-
-        return ops.reshape(self, shape)
-
-    def transpose(self, axes):
-        from . import ops
-
-        return ops.transpose(self, axes)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -25,14 +25,12 @@ class TrainConfig:
     seed: int = 0
     train_manifest: str = ""
     dev_manifest: str = ""
-    test_manifest: str = ""
-    model: str = "tastas-6-6"
-    num_filters: int = 64
-    kernel_len: int = 16
-    chunk_len: int = 50
-    hidden_size: int = 64
-    num_speakers: int = 2
-    use_id_loss: bool = False
+    model: str = "tastas-6-6"  # preset; its 'i' turns on the identity loss
+    num_filters: int = ModelConfig.num_filters
+    kernel_len: int = ModelConfig.kernel_len
+    chunk_len: int = ModelConfig.chunk_len
+    hidden_size: int = ModelConfig.hidden_size
+    num_speakers: int = ModelConfig.num_speakers
     sep_ckpt: str = ""
     idnet_ckpt: str = ""
     out_dir: str = "runs"
@@ -49,39 +47,14 @@ class TrainConfig:
             raise ConfigError("finetune phase requires idnet_ckpt (a frozen speaker network)")
 
     def model_config(self) -> ModelConfig:
-        cfg = parse_preset(
-            self.model,
-            num_filters=self.num_filters,
-            kernel_len=self.kernel_len,
-            chunk_len=self.chunk_len,
-            hidden_size=self.hidden_size,
-            num_speakers=self.num_speakers,
-        )
-        if self.use_id_loss and not cfg.use_id_loss:
-            cfg = replace(cfg, use_id_loss=True)
-        return cfg
-
-
-_BOOL_STRINGS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
-def _convert(raw: str, target_type):
-    raw = raw.strip()
-    if target_type is bool:
-        if raw.lower() not in _BOOL_STRINGS:
-            raise ConfigError(f"expected a boolean, got '{raw}'")
-        return _BOOL_STRINGS[raw.lower()]
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
+        """The preset, with the widths of every ModelConfig field this config shares."""
+        widths = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if hasattr(self, f.name)}
+        return parse_preset(self.model, **widths)
 
 
 def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
     """Parse `key=value` lines (UTF-8, '#' comments); every field is addressable."""
-    known = {f.name: f.type for f in fields(TrainConfig)}
-    types = {f.name: type(getattr(TrainConfig(), f.name)) for f in fields(TrainConfig)}
+    types = {f.name: type(f.default) for f in fields(TrainConfig)}  # int, float or str
     values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -92,11 +65,11 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got '{stripped}'")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
-            values[key] = _convert(raw, types[key])
-        except (ValueError, ConfigError) as exc:
+            values[key] = types[key](raw.strip())
+        except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
     if overrides:
         values.update(overrides)

@@ -14,14 +14,13 @@ after `max_restarts` such reloads the next trigger stops the run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import objectives
-from ..checkpoint import save_container
-from ..checkpoint import load_container
+from ..checkpoint import config_from_header, load_container, save_container
 from ..errors import CheckpointError, ConfigError
 from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
@@ -80,15 +79,7 @@ def write_report(path, rows: list[EpochReport]) -> None:
 
 def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict) -> None:
     header = {
-        "model": {
-            "stage_blocks": list(model.config.stage_blocks),
-            "num_filters": model.config.num_filters,
-            "kernel_len": model.config.kernel_len,
-            "chunk_len": model.config.chunk_len,
-            "hidden_size": model.config.hidden_size,
-            "num_speakers": model.config.num_speakers,
-            "use_id_loss": model.config.use_id_loss,
-        },
+        "model": asdict(model.config),
         "adam": {"step": adam.step, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
         "extras": extras,
     }
@@ -106,16 +97,7 @@ def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
     kind, header, blobs = load_container(path)
     if kind != "sepnet":
         raise CheckpointError(f"{path}: container holds '{kind}', expected 'sepnet'")
-    m = header["model"]
-    config = ModelConfig(
-        stage_blocks=tuple(int(b) for b in m["stage_blocks"]),
-        num_filters=int(m["num_filters"]),
-        kernel_len=int(m["kernel_len"]),
-        chunk_len=int(m["chunk_len"]),
-        hidden_size=int(m["hidden_size"]),
-        num_speakers=int(m["num_speakers"]),
-        use_id_loss=bool(m["use_id_loss"]),
-    )
+    config = config_from_header(ModelConfig, header.get("model"), path)
     params = ParamSet()
     adam_m: dict[str, np.ndarray] = {}
     adam_v: dict[str, np.ndarray] = {}
@@ -194,6 +176,8 @@ class SepTrainer:
         else:
             if config.phase == "finetune":
                 self.model, self.adam, _ = load_sep_checkpoint(config.sep_ckpt)
+                # the identity loss is what makes the fine-tuned model TasTas(I, ...)
+                self.model.config = replace(self.model.config, use_id_loss=True)
             else:
                 self.model = TasTasModel.initialize(config.model_config(), seed=config.seed, dtype=np.float32)
                 self.adam = AdamState.for_params(self.model.params)
@@ -317,14 +301,13 @@ class SepTrainer:
                     restarts=self.restarts,
                 )
             )
-            self._save("last.ckpt")
 
             if self.config.early_stop_dev_si_sdri and dev_si_sdri >= self.config.early_stop_dev_si_sdri:
-                break
-
-            action = restart_decision(
-                self.worse_streak, self.config.patience, self.restarts, self.config.max_restarts
-            )
+                action = STOP
+            else:
+                action = restart_decision(
+                    self.worse_streak, self.config.patience, self.restarts, self.config.max_restarts
+                )
             if action == RESTART:
                 self.restarts += 1
                 self._reload_best()
@@ -336,10 +319,13 @@ class SepTrainer:
                 )
                 self.epoch_in_restart = 0
                 self.worse_streak = 0
-            elif action == STOP:
+            # saved after the restart is applied, so a resume continues exactly
+            self._save("last.ckpt")
+            if action == STOP:
                 break
 
-        final = self._save("last.ckpt")
+        # no epoch ran (say, resuming a finished run): last.ckpt still names the state
+        final = self._save("last.ckpt") if not reports else self.out_dir / "last.ckpt"
         write_report(self.out_dir / "train_report.tsv", reports)
         return final, reports
 

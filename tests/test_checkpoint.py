@@ -3,12 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from tastas.checkpoint import MAGIC, load_container, save_container
+from tastas.checkpoint import MAGIC, config_from_header, load_container, save_container
 from tastas.errors import CheckpointError
 from tastas.idnet import IdNet, IdNetConfig, load_idnet, save_idnet
 from tastas.numerics.optim import AdamState
 from tastas.pipeline.train import load_sep_checkpoint, save_sep_checkpoint
-from tastas.sepnet import ModelConfig, TasTasModel
+from tastas.sepnet import ModelConfig, TasTasModel, parse_preset
 
 
 def test_container_round_trip(tmp_path):
@@ -108,3 +108,61 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path):
     assert header["extras"] == {"epoch": 1}
     assert np.array_equal(blobs["param.a"], old["param.a"])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+
+
+# -- model headers ----------------------------------------------------------------
+
+
+def test_sep_header_layout_and_round_trip(tmp_path):
+    config = parse_preset("tastas-i-1-2", num_filters=8, kernel_len=8, chunk_len=6, hidden_size=4, num_speakers=3)
+    model = TasTasModel.initialize(config, seed=0)
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    _, header, _ = load_container(path)
+    # the layout every existing checkpoint was written with
+    assert header["model"] == {
+        "stage_blocks": [1, 2],
+        "num_filters": 8,
+        "kernel_len": 8,
+        "chunk_len": 6,
+        "hidden_size": 4,
+        "num_speakers": 3,
+        "use_id_loss": True,
+    }
+    assert config_from_header(ModelConfig, header["model"], path) == config
+    assert load_sep_checkpoint(path)[0].config == config
+
+
+def test_idnet_header_layout_and_round_trip(tmp_path):
+    config = IdNetConfig(num_speakers=3, window_len=64, hop=16, segment_s=0.05,
+                         conv_channels=(4, 8), embedding_dim=16, sample_rate_hz=8000)
+    path = tmp_path / "id.ckpt"
+    save_idnet(path, IdNet.initialize(config, seed=0))
+    _, header, _ = load_container(path)
+    assert header["model"] == {
+        "num_speakers": 3,
+        "segment_s": 0.05,
+        "window_len": 64,
+        "hop": 16,
+        "conv_channels": [4, 8],
+        "embedding_dim": 16,
+        "sample_rate_hz": 8000,
+    }
+    assert config_from_header(IdNetConfig, header["model"], path) == config
+
+
+@pytest.mark.parametrize("edit", ["missing", "extra", "absent"])
+def test_model_header_must_match_config_fields(tmp_path, edit):
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=4, chunk_len=4, hidden_size=4), seed=0)
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    kind, header, blobs = load_container(path)
+    if edit == "missing":
+        del header["model"]["hidden_size"]
+    elif edit == "extra":
+        header["model"]["dropout"] = 0.1
+    else:
+        del header["model"]
+    save_container(path, kind, header, blobs)
+    with pytest.raises(CheckpointError, match="ModelConfig"):
+        load_sep_checkpoint(path)

@@ -69,7 +69,7 @@ def test_grad_check_command_passes(capsys):
     assert main(["grad-check", "--trials", "2", "--seed", "1", "--skip-model"]) == 0
     out = capsys.readouterr().out
     assert "gradient suite: PASS" in out
-    assert "lstm_cell" in out
+    assert "bilstm_layer" in out
 
 
 def test_grad_check_impossible_tolerance_fails(capsys):
@@ -185,12 +185,12 @@ def test_full_recipe_with_speaker_network(tmp_path):
     idnet_ckpt = tmp_path / "idnet" / "idnet.ckpt"
     assert load_idnet(idnet_ckpt).frozen
 
-    tiny = ["--model", "tastas-1", "--num-filters", "8", "--hidden-size", "8", "--chunk-len", "10",
-            "--epochs-max", "1", "--seed", "0",
-            "--train-manifest", str(corpus / "train.tsv"), "--dev-manifest", str(corpus / "dev.tsv")]
-    assert main(["train-sep", *tiny, "--out-dir", str(tmp_path / "sep")]) == 0
+    common = ["--epochs-max", "1", "--seed", "0",
+              "--train-manifest", str(corpus / "train.tsv"), "--dev-manifest", str(corpus / "dev.tsv")]
+    tiny = ["--model", "tastas-1", "--num-filters", "8", "--hidden-size", "8", "--chunk-len", "10"]
+    assert main(["train-sep", *common, *tiny, "--out-dir", str(tmp_path / "sep")]) == 0
     assert main([
-        "finetune", *tiny, "--out-dir", str(tmp_path / "ft"),
+        "finetune", *common, "--out-dir", str(tmp_path / "ft"),
         "--sep-ckpt", str(tmp_path / "sep" / "last.ckpt"), "--idnet-ckpt", str(idnet_ckpt),
     ]) == 0
     assert (tmp_path / "ft" / "last.ckpt").exists()
@@ -201,6 +201,32 @@ def test_full_recipe_with_speaker_network(tmp_path):
         "--manifest", str(corpus / "test.tsv"), "--out", str(report),
         "--idnet-ckpt", str(idnet_ckpt),
     ]) == 0
-    row = report.read_text().splitlines()[1].split("\t")
+    lines = report.read_text().splitlines()
+    row = lines[1].split("\t")
     assert row[0] == "test_00000_mix"
     assert np.isfinite(float(row[4]))  # id_loss column is filled from the speaker network
+    # fine-tuning adds the identity loss, so the model is labelled TasTas(I, ...)
+    assert "TasTas(I, 1) (mean)" in [line.split("\t")[0] for line in lines]
+
+
+def test_finetune_rejects_model_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["finetune", "--idnet-ckpt", "x", "--num-filters", "8"])
+    assert exc.value.code == 1
+
+
+def test_train_flags_set_train_config_fields():
+    """Every training flag names the TrainConfig field it sets, so flags cannot drift from the config."""
+    import argparse
+    from dataclasses import fields
+
+    from tastas.cli import build_parser
+    from tastas.pipeline import TrainConfig
+
+    names = {f.name for f in fields(TrainConfig)}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("train-idnet", "train-sep", "finetune"):
+        for action in subparsers.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction) or action.dest in ("config", "resume"):
+                continue
+            assert action.dest in names, f"{command} {action.option_strings} sets '{action.dest}'"

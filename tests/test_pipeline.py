@@ -64,8 +64,7 @@ batch_size=2
 initial_lr=0.002
 decay_factor=0.99
 id_weight=0.25   # inline comment
-model=tastas-2-2
-use_id_loss=true
+model=tastas-i-2-2
 train_manifest=a.tsv
 dev_manifest=b.tsv
 seed=11
@@ -78,8 +77,8 @@ seed=11
     assert cfg.batch_size == 2
     assert cfg.initial_lr == pytest.approx(0.002)
     assert cfg.id_weight == pytest.approx(0.25)
-    assert cfg.use_id_loss is True
-    assert cfg.model == "tastas-2-2"
+    assert cfg.model == "tastas-i-2-2"
+    assert cfg.model_config().use_id_loss is True
     assert cfg.seed == 11
 
 
@@ -209,7 +208,6 @@ def _tiny_train_config(root, out_dir, **kw):
         seed=3,
         train_manifest=str(root / "train.tsv"),
         dev_manifest=str(root / "dev.tsv"),
-        test_manifest=str(root / "test.tsv"),
         out_dir=str(out_dir),
     )
     defaults.update(kw)
@@ -254,6 +252,30 @@ def test_checkpoint_resume_is_bit_exact(tiny_corpus, tmp_path):
     full_tail = [(r.train_loss, r.dev_loss) for r in full_rows[2:]]
     resumed_tail = [(r.train_loss, r.dev_loss) for r in resumed_rows]
     assert full_tail == resumed_tail
+
+
+def test_one_epoch_run_writes_each_checkpoint_once(tiny_corpus, tmp_path, monkeypatch):
+    from tastas.pipeline import train
+
+    written = []
+    save = train.save_sep_checkpoint
+
+    def counting_save(path, *args):
+        written.append(path.name)
+        save(path, *args)
+
+    monkeypatch.setattr(train, "save_sep_checkpoint", counting_save)
+    run_phase(_tiny_train_config(tiny_corpus, tmp_path / "once", epochs_max=1))
+    assert written == ["best.ckpt", "last.ckpt"]
+
+
+def test_finished_run_resumes_to_the_same_last_checkpoint(tiny_corpus, tmp_path):
+    done_ckpt, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "done", epochs_max=1))
+    again_ckpt, rows = run_phase(
+        _tiny_train_config(tiny_corpus, tmp_path / "again", epochs_max=1), resume_from=str(done_ckpt)
+    )
+    assert rows == []
+    assert again_ckpt.read_bytes() == done_ckpt.read_bytes()
 
 
 def test_trainer_loss_matches_objectives_module(tiny_corpus, tmp_path):
