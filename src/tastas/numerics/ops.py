@@ -334,82 +334,119 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # ---------------------------------------------------------------------------
 # recurrent cells
 # ---------------------------------------------------------------------------
+#
+# Kernel layout. The stored weights keep their gate rows in (i, f, g, o) order:
+# input, forget, cell candidate, output. Each call works on a copy reordered to
+# (i, f, o, g) whose three sigmoid blocks are halved. Since
+# sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, and halving is exact in binary floating
+# point, one np.tanh over all 4H pre-activations, then 0.5 * t + 0.5 on the
+# first 3H, gives all four gates.
+#
+# The recurrence is time-major with the batch on the last axis: the gate buffer
+# is (T, 4H, B) and the cell and hidden states are (T, H, B), so step t works on
+# contiguous blocks and each gate is a contiguous (H, B) slab of gates[t]. The
+# gate buffer starts as the input projection, holds the activated gates once
+# step t has run, and is the BPTT cache. The input is kept as (D, T, B), which
+# is how the dual-path block's intra-chunk input already lies in memory. The
+# right-to-left pass is the same kernel run on the time-flipped input.
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp argument clamped so float32 never overflows; sigmoid(+-80) is 0/1 anyway
-    return 1.0 / (1.0 + np.exp(np.minimum(-z, 80.0)))
+def _gate_order(hidden: int) -> np.ndarray:
+    """Row permutation between (i, f, g, o) and (i, f, o, g); it is its own inverse."""
+    return np.r_[0 : 2 * hidden, 3 * hidden : 4 * hidden, 2 * hidden : 3 * hidden]
 
 
-def _lstm_gates(z: np.ndarray, hidden: int):
-    """Split (B, 4H) pre-activations; the gate layout is input, forget, cell, output."""
-    i_f = _sigmoid(z[:, : 2 * hidden])
-    g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-    o = _sigmoid(z[:, 3 * hidden :])
-    return i_f[:, :hidden], i_f[:, hidden:], g, o
+def _kernel_weights(w: np.ndarray, hidden: int) -> np.ndarray:
+    """w (or a bias) in kernel layout: rows in (i, f, o, g) order, sigmoid rows halved."""
+    k = w[_gate_order(hidden)]
+    k[: 3 * hidden] *= 0.5
+    return k
 
 
-def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, reverse: bool, keep_cache: bool):
-    """Run one LSTM direction over (B, T, D). Returns hidden states and a BPTT cache (None unless keep_cache)."""
-    batch, steps, _ = x.shape
+def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, keep_cache: bool):
+    """Run one LSTM direction over x (D, T, B), first step first.
+
+    Returns the hidden states (T, H, B) and a BPTT cache (None unless
+    keep_cache): the activated gates (T, 4H, B), the cell states and the
+    hidden states.
+    """
+    _, steps, batch = x.shape
     hidden = w_hh.shape[1]
-    xz = x.reshape(batch * steps, -1) @ w_ih.T
-    xz = xz.reshape(batch, steps, 4 * hidden) + b
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    hs = np.empty((batch, steps, hidden), dtype=x.dtype)
-    if keep_cache:
-        cs = np.empty((batch, steps, hidden), dtype=x.dtype)
-        gates = np.empty((batch, steps, 4 * hidden), dtype=x.dtype)
-    h = np.zeros((batch, hidden), dtype=x.dtype)
-    c = np.zeros((batch, hidden), dtype=x.dtype)
-    for t in order:
-        z = xz[:, t] + h @ w_hh.T
-        i, f, g, o = _lstm_gates(z, hidden)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        if keep_cache:
-            gates[:, t, :hidden] = i
-            gates[:, t, hidden : 2 * hidden] = f
-            gates[:, t, 2 * hidden : 3 * hidden] = g
-            gates[:, t, 3 * hidden :] = o
-            cs[:, t] = c
-        hs[:, t] = h
-    return hs, ((x, gates, cs, hs, list(order)) if keep_cache else None)
+    w_hh_k = _kernel_weights(w_hh, hidden)
+    gates = np.matmul(_kernel_weights(w_ih, hidden), x.transpose(1, 0, 2))
+    gates += _kernel_weights(b, hidden)[:, None]
+    hs = np.empty((steps, hidden, batch), dtype=x.dtype)
+    # without a cache, one cell-state slab is overwritten in place at every step
+    cs = np.empty((steps if keep_cache else 1, hidden, batch), dtype=x.dtype)
+    recurrent = np.empty((4 * hidden, batch), dtype=x.dtype)
+    i_g = np.empty((hidden, batch), dtype=x.dtype)
+    h = c = np.zeros((hidden, batch), dtype=x.dtype)
+    for t in range(steps):
+        z = gates[t]
+        np.matmul(w_hh_k, h, out=recurrent)
+        z += recurrent
+        np.tanh(z, out=z)
+        sig = z[: 3 * hidden]
+        sig *= 0.5
+        sig += 0.5
+        i, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
+        np.multiply(i, g, out=i_g)
+        c_next = cs[t % len(cs)]
+        np.multiply(f, c, out=c_next)
+        c_next += i_g
+        c, h = c_next, hs[t]
+        np.tanh(c, out=h)
+        h *= o
+    return hs, ((gates, cs, hs) if keep_cache else None)
 
 
-def _lstm_grad(cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
-    """BPTT through one direction; g_h is the upstream grad of the hidden states."""
-    x, gates, cs, hs, order = cache
-    batch, steps, _ = x.shape
-    hidden = w_hh.shape[1]
+def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
+    """BPTT through one direction that _lstm_run ran over x (D, T, B).
+
+    g_h is the upstream grad of the hidden states (T, H, B). Returns dx
+    (D, T, B) and the grads of w_ih, w_hh and b in their stored gate order.
+    """
+    gates, cs, hs = cache
+    steps, hidden, batch = hs.shape
+    order = _gate_order(hidden)
+    w_hh_t = np.ascontiguousarray(w_hh[order].T)
     dzs = np.empty_like(gates)
-    h_prev_all = np.empty_like(hs)
-    dh_carry = np.zeros((batch, hidden), dtype=x.dtype)
-    dc_carry = np.zeros((batch, hidden), dtype=x.dtype)
-    for step_idx in range(len(order) - 1, -1, -1):
-        t = order[step_idx]
-        i = gates[:, t, :hidden]
-        f = gates[:, t, hidden : 2 * hidden]
-        g = gates[:, t, 2 * hidden : 3 * hidden]
-        o = gates[:, t, 3 * hidden :]
-        c_prev = cs[:, order[step_idx - 1]] if step_idx > 0 else np.zeros((batch, hidden), dtype=x.dtype)
-        h_prev = hs[:, order[step_idx - 1]] if step_idx > 0 else np.zeros((batch, hidden), dtype=x.dtype)
-        h_prev_all[:, t] = h_prev
-        tanh_c = np.tanh(cs[:, t])
-        dh = g_h[:, t] + dh_carry
-        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
-        dz = dzs[:, t]
-        dz[:, :hidden] = dc * g * i * (1.0 - i)
-        dz[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
-        dz[:, 2 * hidden : 3 * hidden] = dc * i * (1.0 - g * g)
-        dz[:, 3 * hidden :] = dh * tanh_c * o * (1.0 - o)
-        dh_carry = dz @ w_hh
-        dc_carry = dc * f
-    flat_dz = dzs.reshape(batch * steps, 4 * hidden)
-    dw_ih = flat_dz.T @ x.reshape(batch * steps, -1)
-    dw_hh = flat_dz.T @ h_prev_all.reshape(batch * steps, hidden)
-    db = flat_dz.sum(axis=0)
-    dx = (flat_dz @ w_ih).reshape(x.shape)
+    zeros = np.zeros((hidden, batch), dtype=gates.dtype)
+    dh_carry, dc_carry = zeros.copy(), zeros.copy()
+    dh, dc, tanh_c, tmp = (np.empty_like(zeros) for _ in range(4))
+    sig_slope = np.empty((3 * hidden, batch), dtype=gates.dtype)
+    for t in range(steps - 1, -1, -1):
+        z, dz = gates[t], dzs[t]
+        i, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
+        np.add(g_h[t], dh_carry, out=dh)
+        np.tanh(cs[t], out=tanh_c)
+        # dc = dh * o * (1 - tanh(c)^2) + dc_carry
+        np.multiply(tanh_c, tanh_c, out=dc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        dc += dc_carry
+        # sigmoid gates: the grad of the gate times s * (1 - s)
+        np.multiply(dc, g, out=dz[:hidden])
+        np.multiply(dc, cs[t - 1] if t else zeros, out=dz[hidden : 2 * hidden])
+        np.multiply(dh, tanh_c, out=dz[2 * hidden : 3 * hidden])
+        np.subtract(1.0, z[: 3 * hidden], out=sig_slope)
+        sig_slope *= z[: 3 * hidden]
+        dz[: 3 * hidden] *= sig_slope
+        # cell candidate: dc * i * (1 - g^2)
+        np.multiply(g, g, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= i
+        np.multiply(dc, tmp, out=dz[3 * hidden :])
+        np.matmul(w_hh_t, dz, out=dh_carry)
+        np.multiply(dc, f, out=dc_carry)
+    # one (4H, T*B) copy turns the weight grads and dx into single matrix products
+    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
+    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)
+    dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
+    dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
+    dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
+    db = dz_flat.sum(axis=1)[order]
     return dx, dw_ih, dw_hh, db
 
 
@@ -437,18 +474,25 @@ def bilstm_layer(
         )
     parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b)
     record = is_recording(parents)
-    hs_f, cache_f = _lstm_run(x.data, w_ih_f.data, w_hh_f.data, b_f.data, reverse=False, keep_cache=record)
-    hs_b, cache_b = _lstm_run(x.data, w_ih_b.data, w_hh_b.data, b_b.data, reverse=True, keep_cache=record)
-    out = Tensor._from_op(np.concatenate([hs_f, hs_b], axis=2), parents)
+    x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+    hs_f, cache_f = _lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=record)
+    hs_b, cache_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
+    data = np.empty((x.shape[0], x.shape[1], 2 * hidden), dtype=hs_f.dtype)
+    data[:, :, :hidden] = hs_f.transpose(2, 0, 1)
+    data[:, :, hidden:] = hs_b[::-1].transpose(2, 0, 1)
+    out = Tensor._from_op(data, parents)
     if out.requires_grad:
 
         def backward():
-            g_f = out.grad[:, :, :hidden]
-            g_b = out.grad[:, :, hidden:]
-            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(cache_f, w_ih_f.data, w_hh_f.data, g_f)
-            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(cache_b, w_ih_b.data, w_hh_b.data, g_b)
+            x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+            g_thb = np.ascontiguousarray(out.grad.transpose(1, 2, 0))
+            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, cache_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
+                x_dtb[:, ::-1], cache_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
+            )
             if x.requires_grad:
-                x._accum_grad(dx_f + dx_b)
+                dx_f += dx_b[:, ::-1]
+                x._accum_grad(dx_f.transpose(2, 1, 0))
             for tensor, grad in (
                 (w_ih_f, dwi_f),
                 (w_hh_f, dwh_f),

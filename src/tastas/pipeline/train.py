@@ -14,14 +14,16 @@ after `max_restarts` such reloads the next trigger stops the run.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+import os
+import time
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import objectives
 from ..checkpoint import config_from_header, load_container, save_container
-from ..errors import CheckpointError, ConfigError
+from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
 from ..numerics import ops
@@ -48,28 +50,72 @@ def restart_decision(worse_streak: int, patience: int, restarts_done: int, max_r
 
 @dataclass
 class EpochReport:
+    """One row of train_report.tsv.
+
+    The telemetry after `restarts`: the epoch's wall seconds, train examples
+    per second of its training pass, the mean and max global gradient norm
+    before clipping, the fraction of optimizer steps that clipping scaled
+    down, and the mean identity-consistency term over the training examples
+    (before id_weight; 0 outside finetune).
+    """
+
     epoch: int
     lr: float
     train_loss: float
     dev_loss: float
     dev_si_sdri: float
     restarts: int
+    epoch_s: float
+    examples_per_s: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_rate: float
+    id_loss: float
 
-    HEADER = "epoch\tlr\ttrain_loss\tdev_loss\tdev_si_sdri\trestarts"
+    HEADER = (
+        "epoch\tlr\ttrain_loss\tdev_loss\tdev_si_sdri\trestarts"
+        "\tepoch_s\texamples_per_s\tgrad_norm_mean\tgrad_norm_max\tclip_rate\tid_loss"
+    )
 
     def row(self) -> str:
         return (
             f"{self.epoch}\t{self.lr:.8f}\t{self.train_loss:.6f}\t{self.dev_loss:.6f}"
             f"\t{self.dev_si_sdri:.4f}\t{self.restarts}"
+            f"\t{self.epoch_s:.3f}\t{self.examples_per_s:.4f}\t{self.grad_norm_mean:.6f}"
+            f"\t{self.grad_norm_max:.6f}\t{self.clip_rate:.4f}\t{self.id_loss:.6f}"
         )
+
+    @classmethod
+    def parse(cls, line: str) -> "EpochReport":
+        values = line.split("\t")
+        # the field types are the strings "int" and "float" under postponed annotations
+        return cls(*(int(v) if f.type == "int" else float(v) for f, v in zip(fields(cls), values, strict=True)))
 
 
 def write_report(path, rows: list[EpochReport]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        EpochReport.HEADER + "\n" + "".join(r.row() + "\n" for r in rows), encoding="utf-8"
-    )
+    # renamed into place, so a run killed mid-write leaves the previous report for its resume
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(EpochReport.HEADER + "\n" + "".join(r.row() + "\n" for r in rows), encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def read_report(path) -> list[EpochReport]:
+    """Rows of a train_report.tsv; none if the file is absent or has another header."""
+    path = Path(path)
+    if not path.exists():
+        return []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != EpochReport.HEADER:
+        return []
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(EpochReport.parse(line))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed report row: {exc}") from exc
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +308,20 @@ class SepTrainer:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> tuple[Path, list[EpochReport]]:
+        """Train to epochs_max (or a stop); returns last.ckpt and this call's report rows.
+
+        train_report.tsv is rewritten after every epoch. It keeps the rows
+        already in it for epochs up to the one this call starts from, so a
+        run resumed into its own directory reports every epoch.
+        """
+        report_path = self.out_dir / "train_report.tsv"
+        earlier = [r for r in read_report(report_path) if r.epoch <= self.epoch]
         reports: list[EpochReport] = []
         while self.epoch < self.config.epochs_max:
+            epoch_start = time.perf_counter()
             lr = lr_for_epoch(self.policy, self.epoch_in_restart)
             order = self.rng.permutation(len(self.train_set))
-            train_losses = []
+            train_losses, id_terms, grad_norms = [], [], []
             for start in range(0, len(order), self.config.batch_size):
                 batch = order[start : start + self.config.batch_size]
                 self.model.params.zero_grads()
@@ -274,11 +329,14 @@ class SepTrainer:
                 for idx in batch:
                     ex = self.train_set[idx]
                     embeddings = self._target_embeddings[idx] if self.idnet is not None else None
-                    _, loss, _, _ = self._example_loss(ex, embeddings)
+                    _, loss, _, id_term = self._example_loss(ex, embeddings)
                     train_losses.append(float(loss.data))
+                    id_terms.append(id_term)
                     loss.backward(seed=np.asarray(scale, dtype=loss.dtype))
-                grads, _ = clip_global_norm(self.model.params.grads(), GRAD_CLIP)
+                grads, norm = clip_global_norm(self.model.params.grads(), GRAD_CLIP)
+                grad_norms.append(norm)
                 self.model.params, self.adam = adam_step(self.model.params, grads, self.adam, lr)
+            train_s = time.perf_counter() - epoch_start
 
             dev_loss, dev_si_sdri = self._dev_metrics()
             self.epoch += 1
@@ -299,6 +357,12 @@ class SepTrainer:
                     dev_loss=dev_loss,
                     dev_si_sdri=dev_si_sdri,
                     restarts=self.restarts,
+                    epoch_s=time.perf_counter() - epoch_start,
+                    examples_per_s=len(order) / train_s,
+                    grad_norm_mean=float(np.mean(grad_norms)),
+                    grad_norm_max=float(np.max(grad_norms)),
+                    clip_rate=float(np.mean([n > GRAD_CLIP for n in grad_norms])),
+                    id_loss=float(np.mean(id_terms)),
                 )
             )
 
@@ -321,13 +385,15 @@ class SepTrainer:
                 self.worse_streak = 0
             # saved after the restart is applied, so a resume continues exactly
             self._save("last.ckpt")
+            write_report(report_path, earlier + reports)
             if action == STOP:
                 break
 
-        # no epoch ran (say, resuming a finished run): last.ckpt still names the state
-        final = self._save("last.ckpt") if not reports else self.out_dir / "last.ckpt"
-        write_report(self.out_dir / "train_report.tsv", reports)
-        return final, reports
+        if not reports:
+            # no epoch ran (say, resuming a finished run): last.ckpt still names the state
+            self._save("last.ckpt")
+            write_report(report_path, earlier)
+        return self.out_dir / "last.ckpt", reports
 
 
 # ---------------------------------------------------------------------------

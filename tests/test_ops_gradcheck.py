@@ -146,3 +146,115 @@ def test_segment_chunk_layout_rules():
     assert ops.chunk_layout(8, 4, 2) == (3, 8)  # T=8, K=4: three chunks, no pad
     assert ops.chunk_layout(4, 4, 2) == (2, 6)  # T=K: padded to K + hop, two chunks
     assert ops.chunk_layout(3, 4, 2) == (2, 6)  # T<K: same minimum layout
+
+
+
+# -- the BiLSTM kernel against a plain per-step reference ------------------------
+
+
+def _ref_sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_lstm(x, w_ih, w_hh, b, g_h, reverse):
+    """One direction over (B, T, D), a step at a time, gates in stored (i, f, g, o) order.
+
+    Returns the hidden states and the grads of x, w_ih, w_hh and b for the
+    upstream hidden-state grad g_h.
+    """
+    batch, steps, _ = x.shape
+    hidden = w_hh.shape[1]
+    order = list(range(steps - 1, -1, -1)) if reverse else list(range(steps))
+    h = np.zeros((batch, hidden))
+    c = np.zeros((batch, hidden))
+    hs = np.zeros((batch, steps, hidden))
+    saved = []
+    for t in order:
+        z = x[:, t] @ w_ih.T + h @ w_hh.T + b
+        i = _ref_sigmoid(z[:, :hidden])
+        f = _ref_sigmoid(z[:, hidden : 2 * hidden])
+        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
+        o = _ref_sigmoid(z[:, 3 * hidden :])
+        c_prev, h_prev = c, h
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[:, t] = h
+        saved.append((t, i, f, g, o, c_prev, h_prev, c))
+
+    dx = np.zeros_like(x)
+    dw_ih, dw_hh, db = np.zeros_like(w_ih), np.zeros_like(w_hh), np.zeros_like(b)
+    dh_carry = np.zeros((batch, hidden))
+    dc_carry = np.zeros((batch, hidden))
+    for t, i, f, g, o, c_prev, h_prev, c in reversed(saved):
+        tanh_c = np.tanh(c)
+        dh = g_h[:, t] + dh_carry
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
+        dz = np.concatenate(
+            [dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f), dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)],
+            axis=1,
+        )
+        dx[:, t] = dz @ w_ih
+        dw_ih += dz.T @ x[:, t]
+        dw_hh += dz.T @ h_prev
+        db += dz.sum(axis=0)
+        dh_carry = dz @ w_hh
+        dc_carry = dc * f
+    return hs, (dx, dw_ih, dw_hh, db)
+
+
+def _ref_bilstm(x, weights, g_out):
+    """Output and the 7 gradients (x, then w_ih, w_hh, b of each direction)."""
+    hidden = weights[1].shape[1]
+    hs_f, (dx_f, *grads_f) = _ref_lstm(x, *weights[:3], g_out[:, :, :hidden], reverse=False)
+    hs_b, (dx_b, *grads_b) = _ref_lstm(x, *weights[3:], g_out[:, :, hidden:], reverse=True)
+    return np.concatenate([hs_f, hs_b], axis=2), [dx_f + dx_b, *grads_f, *grads_b]
+
+
+def _bilstm_case(rng, batch, steps, dim, hidden, dtype=np.float64, scale=1.0):
+    x = rng.standard_normal((batch, steps, dim))
+    k = scale / np.sqrt(hidden)
+    weights = []
+    for _ in range(2):
+        weights += [
+            rng.uniform(-k, k, (4 * hidden, dim)),
+            rng.uniform(-k, k, (4 * hidden, hidden)),
+            rng.uniform(-k, k, 4 * hidden),
+        ]
+    g_out = rng.standard_normal((batch, steps, 2 * hidden))
+    return [a.astype(dtype) for a in (x, *weights)], g_out.astype(dtype)
+
+
+def _bilstm_with_grads(arrays, g_out):
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = ops.bilstm_layer(*tensors)
+    out.backward(seed=g_out)
+    return out.data, [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("batch,steps,dim,hidden", [(3, 1, 4, 5), (1, 6, 4, 5), (4, 7, 3, 5)])
+def test_bilstm_matches_per_step_reference(batch, steps, dim, hidden):
+    # T=1 leaves the recurrent-weight grad an empty product; B=1 a single sequence
+    arrays, g_out = _bilstm_case(np.random.default_rng(batch * 100 + steps), batch, steps, dim, hidden, scale=2.0)
+    out, grads = _bilstm_with_grads(arrays, g_out)
+    ref_out, ref_grads = _ref_bilstm(arrays[0], arrays[1:], g_out)
+    np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+    assert len(grads) == len(ref_grads) == 7
+    for grad, ref in zip(grads, ref_grads):
+        np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+
+
+def test_bilstm_float32_tracks_float64_at_model_widths():
+    arrays, _ = _bilstm_case(np.random.default_rng(41), batch=41, steps=50, dim=64, hidden=64)
+    wide = ops.bilstm_layer(*[Tensor(a) for a in arrays]).data
+    narrow = ops.bilstm_layer(*[Tensor(a.astype(np.float32)) for a in arrays]).data
+    assert narrow.dtype == np.float32
+    assert np.max(np.abs(narrow - wide)) <= 1e-5 * np.max(np.abs(wide))
+
+
+def test_bilstm_large_weights_stay_finite():
+    arrays, g_out = _bilstm_case(np.random.default_rng(7), batch=3, steps=9, dim=4, hidden=5, scale=1e3)
+    for dtype in (np.float32, np.float64):
+        out, grads = _bilstm_with_grads([a.astype(dtype) for a in arrays], g_out.astype(dtype))
+        assert np.all(np.isfinite(out))
+        for grad in grads:
+            assert np.all(np.isfinite(grad))

@@ -21,7 +21,7 @@ from tastas.pipeline import (
 )
 from tastas.pipeline.data import load_examples
 from tastas.pipeline.evaluate import evaluate
-from tastas.pipeline.train import EpochReport
+from tastas.pipeline.train import EpochReport, read_report
 
 
 # -- restart controller -----------------------------------------------------------
@@ -276,6 +276,70 @@ def test_finished_run_resumes_to_the_same_last_checkpoint(tiny_corpus, tmp_path)
     )
     assert rows == []
     assert again_ckpt.read_bytes() == done_ckpt.read_bytes()
+
+
+def test_resumed_run_keeps_earlier_report_rows(tiny_corpus, tmp_path):
+    out = tmp_path / "resumed_in_place"
+    _, first_rows = run_phase(_tiny_train_config(tiny_corpus, out, epochs_max=2))
+    _, later_rows = run_phase(_tiny_train_config(tiny_corpus, out, epochs_max=4), resume_from=str(out / "last.ckpt"))
+    assert [r.epoch for r in later_rows] == [3, 4]
+    lines = (out / "train_report.tsv").read_text().splitlines()
+    assert lines[1:] == [r.row() for r in first_rows + later_rows]
+    assert [r.epoch for r in read_report(out / "train_report.tsv")] == [1, 2, 3, 4]
+
+
+def test_fresh_run_replaces_an_old_report(tiny_corpus, tmp_path):
+    out = tmp_path / "rerun"
+    run_phase(_tiny_train_config(tiny_corpus, out, epochs_max=2))
+    run_phase(_tiny_train_config(tiny_corpus, out, epochs_max=1))
+    assert [r.epoch for r in read_report(out / "train_report.tsv")] == [1]
+
+
+def test_malformed_report_row_is_a_data_error(tmp_path):
+    path = tmp_path / "train_report.tsv"
+    path.write_text(EpochReport.HEADER + "\n1\t0.001\tnot-a-number\n", encoding="utf-8")
+    with pytest.raises(DataError, match="train_report.tsv:2"):
+        read_report(path)
+
+
+def test_report_carries_epoch_telemetry(tiny_corpus, tmp_path):
+    _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "telemetry", epochs_max=1))
+    row = rows[0]
+    assert row.epoch_s > 0 and row.examples_per_s > 0
+    assert 0 < row.grad_norm_mean <= row.grad_norm_max
+    assert 0.0 <= row.clip_rate <= 1.0
+    assert row.id_loss == 0.0  # no speaker network outside finetune
+    (parsed,) = read_report(tmp_path / "telemetry" / "train_report.tsv")
+    assert parsed.row() == row.row()
+
+
+def test_clip_rate_is_one_when_every_step_clips(tiny_corpus, tmp_path, monkeypatch):
+    from tastas.pipeline import train
+
+    monkeypatch.setattr(train, "GRAD_CLIP", 1e-9)
+    _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "clipped", epochs_max=1))
+    assert rows[0].clip_rate == 1.0
+    assert rows[0].grad_norm_max > 1e-9
+
+
+def test_finetune_reports_the_identity_term(tiny_corpus, tmp_path):
+    from tastas.idnet.model import IdNet, IdNetConfig
+    from tastas.idnet.train import save_idnet
+
+    idnet_ckpt = tmp_path / "idnet.ckpt"
+    save_idnet(idnet_ckpt, IdNet.initialize(IdNetConfig(num_speakers=4, embedding_dim=16), seed=0).freeze())
+    sep_ckpt, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "sep", epochs_max=1))
+    config = _tiny_train_config(
+        tiny_corpus,
+        tmp_path / "ft",
+        phase="finetune",
+        epochs_max=1,
+        sep_ckpt=str(sep_ckpt),
+        idnet_ckpt=str(idnet_ckpt),
+    )
+    _, rows = run_phase(config)
+    assert rows[0].id_loss > 0.0
+    assert read_report(tmp_path / "ft" / "train_report.tsv")[0].id_loss > 0.0
 
 
 def test_trainer_loss_matches_objectives_module(tiny_corpus, tmp_path):
