@@ -3,6 +3,7 @@ then freeze, keeping the best held-out parameters."""
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,10 +24,34 @@ MIN_SEGMENTS_PER_SPEAKER = 20
 
 @dataclass
 class IdNetTrainReport:
+    """Per-epoch lists, one entry per epoch run.
+
+    Beside the loss and held-out accuracy: the epoch's wall seconds, train
+    segments per second of its training pass, the mean and max global
+    gradient norm before clipping, and the fraction of optimizer steps that
+    clipping scaled down.
+    """
+
     epochs_run: int = 0
     train_loss: list[float] = field(default_factory=list)
     holdout_accuracy: list[float] = field(default_factory=list)
     best_accuracy: float = 0.0
+    epoch_s: list[float] = field(default_factory=list)
+    examples_per_s: list[float] = field(default_factory=list)
+    grad_norm_mean: list[float] = field(default_factory=list)
+    grad_norm_max: list[float] = field(default_factory=list)
+    clip_rate: list[float] = field(default_factory=list)
+
+    HEADER = "epoch\ttrain_loss\tholdout_accuracy\tepoch_s\texamples_per_s\tgrad_norm_mean\tgrad_norm_max\tclip_rate"
+
+    def rows(self) -> list[str]:
+        """idnet_report.tsv rows, one per epoch."""
+        return [
+            f"{e + 1}\t{self.train_loss[e]:.6f}\t{self.holdout_accuracy[e]:.4f}\t{self.epoch_s[e]:.3f}"
+            f"\t{self.examples_per_s[e]:.4f}\t{self.grad_norm_mean[e]:.6f}\t{self.grad_norm_max[e]:.6f}"
+            f"\t{self.clip_rate[e]:.4f}"
+            for e in range(self.epochs_run)
+        ]
 
 
 def _segment_corpus(utterances, config: IdNetConfig):
@@ -100,8 +125,10 @@ def train_idnet(
 
     order = np.array(train_idx)
     for epoch in range(epochs_max):
+        epoch_start = time.perf_counter()
         rng.shuffle(order)
         epoch_loss = 0.0
+        grad_norms = []
         for start in range(0, len(order), batch_size):
             batch = order[start : start + batch_size]
             net.params.zero_grads()
@@ -113,11 +140,18 @@ def train_idnet(
                 loss = ops.mul(nll, ops.const(scale, dtype=logits.dtype))
                 loss.backward()
                 epoch_loss += float(nll.data)
-            grads, _ = clip_global_norm(net.params.grads(), GRAD_CLIP)
+            grads, norm = clip_global_norm(net.params.grads(), GRAD_CLIP)
+            grad_norms.append(norm)
             net.params, state = adam_step(net.params, grads, state, lr)
+        train_s = time.perf_counter() - epoch_start
         report.train_loss.append(epoch_loss / len(order))
         accuracy = _accuracy(net, segments, hold_idx)
         report.holdout_accuracy.append(accuracy)
+        report.epoch_s.append(time.perf_counter() - epoch_start)
+        report.examples_per_s.append(len(order) / train_s)
+        report.grad_norm_mean.append(float(np.mean(grad_norms)))
+        report.grad_norm_max.append(float(np.max(grad_norms)))
+        report.clip_rate.append(float(np.mean([n > GRAD_CLIP for n in grad_norms])))
         report.epochs_run = epoch + 1
         if accuracy > report.best_accuracy:
             report.best_accuracy = accuracy

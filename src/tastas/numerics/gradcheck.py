@@ -149,6 +149,11 @@ def _build_div(rng):
     return [a, b], lambda ts: ops.div(ts[0], ts[1])
 
 
+def _build_neg(rng):
+    x = _u(rng, 5)
+    return [x], lambda ts: ops.neg(ts[0])
+
+
 def _build_sum(rng):
     x = _u(rng, 3, 4)
     return [x], lambda ts: ops.tsum(ts[0], axis=1)
@@ -224,8 +229,13 @@ def _build_bilstm_layer(rng):
 
 
 def _build_layer_norm(rng):
-    x = _u(rng, 3, 4, 2)
-    return [x], lambda ts: ops.layer_norm(ts[0], axes=(0, 1))
+    x, gain, bias = _u(rng, 3, 4, 2), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1)
+    return [x, gain, bias], lambda ts: ops.layer_norm(ts[0], (0, 1), ts[1], ts[2])
+
+
+def _build_layer_norm_residual(rng):
+    x, gain, bias, residual = _u(rng, 3, 2, 4), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1), _u(rng, 3, 2, 4)
+    return [x, gain, bias, residual], lambda ts: ops.layer_norm(ts[0], (0, 2), ts[1], ts[2], residual=ts[3])
 
 
 def _build_softmax(rng):
@@ -295,6 +305,7 @@ BUILDERS: dict[str, Builder] = {
     "sub": _build_sub,
     "elementwise_mul": _build_elementwise_mul,
     "div": _build_div,
+    "neg": _build_neg,
     "sum": _build_sum,
     "mean": _build_mean,
     "log": _build_log,
@@ -307,6 +318,7 @@ BUILDERS: dict[str, Builder] = {
     "max_pool2d": _build_max_pool2d,
     "bilstm_layer": _build_bilstm_layer,
     "layer_norm": _build_layer_norm,
+    "layer_norm_residual": _build_layer_norm_residual,
     "softmax": _build_softmax,
     "log_softmax": _build_log_softmax,
     "softmax_logloss": _build_softmax_logloss,

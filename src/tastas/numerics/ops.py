@@ -345,10 +345,13 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # The recurrence is time-major with the batch on the last axis: the gate buffer
 # is (T, 4H, B) and the cell and hidden states are (T, H, B), so step t works on
 # contiguous blocks and each gate is a contiguous (H, B) slab of gates[t]. The
-# gate buffer starts as the input projection, holds the activated gates once
-# step t has run, and is the BPTT cache. The input is kept as (D, T, B), which
-# is how the dual-path block's intra-chunk input already lies in memory. The
-# right-to-left pass is the same kernel run on the time-flipped input.
+# gate buffer starts as the input projection and holds the activated gates once
+# step t has run. The BPTT cache is the gates plus the cell states, 5H values
+# per step and sequence; the hidden states are a transient forward buffer, and
+# backward reads h(t-1) back from the layer's own output, which its node keeps
+# anyway. The input is kept as (D, T, B), which is how the dual-path block's
+# intra-chunk input already lies in memory. The right-to-left pass is the same
+# kernel run on the time-flipped input.
 
 
 def _gate_order(hidden: int) -> np.ndarray:
@@ -367,8 +370,7 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
     """Run one LSTM direction over x (D, T, B), first step first.
 
     Returns the hidden states (T, H, B) and a BPTT cache (None unless
-    keep_cache): the activated gates (T, 4H, B), the cell states and the
-    hidden states.
+    keep_cache): the activated gates (T, 4H, B) and the cell states (T, H, B).
     """
     _, steps, batch = x.shape
     hidden = w_hh.shape[1]
@@ -397,17 +399,18 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
         c, h = c_next, hs[t]
         np.tanh(c, out=h)
         h *= o
-    return hs, ((gates, cs, hs) if keep_cache else None)
+    return hs, ((gates, cs) if keep_cache else None)
 
 
-def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
+def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray, h_prev: np.ndarray):
     """BPTT through one direction that _lstm_run ran over x (D, T, B).
 
-    g_h is the upstream grad of the hidden states (T, H, B). Returns dx
-    (D, T, B) and the grads of w_ih, w_hh and b in their stored gate order.
+    g_h is the upstream grad of the hidden states (T, H, B) and h_prev the
+    hidden states of steps 0..T-2 as (H, T-1, B). Returns dx (D, T, B) and
+    the grads of w_ih, w_hh and b in their stored gate order.
     """
-    gates, cs, hs = cache
-    steps, hidden, batch = hs.shape
+    gates, cs = cache
+    steps, hidden, batch = cs.shape
     order = _gate_order(hidden)
     w_hh_t = np.ascontiguousarray(w_hh[order].T)
     dzs = np.empty_like(gates)
@@ -442,7 +445,7 @@ def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np
         np.multiply(dc, f, out=dc_carry)
     # one (4H, T*B) copy turns the weight grads and dx into single matrix products
     dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
-    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)
+    h_prev = np.ascontiguousarray(h_prev).reshape(hidden, -1)
     dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
     dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
     dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
@@ -486,9 +489,14 @@ def bilstm_layer(
         def backward():
             x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
             g_thb = np.ascontiguousarray(out.grad.transpose(1, 2, 0))
-            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, cache_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            # h(t-1) of each direction, in its own step order, read from the output
+            h_prev_f = out.data[:, :-1, :hidden].transpose(2, 1, 0)
+            h_prev_b = out.data[:, :0:-1, hidden:].transpose(2, 1, 0)
+            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(
+                x_dtb, cache_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden], h_prev_f
+            )
             dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
-                x_dtb[:, ::-1], cache_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
+                x_dtb[:, ::-1], cache_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:], h_prev_b
             )
             if x.requires_grad:
                 dx_f += dx_b[:, ::-1]
@@ -513,27 +521,45 @@ def bilstm_layer(
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, axes) -> Tensor:
-    """Normalize to zero mean, unit variance over the given axes (no affine).
+def layer_norm(x: Tensor, axes, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
+    """residual + (normalized * gain + bias) as one node; residual is optional.
 
-    Slices whose variance falls below LAYER_NORM_VAR_FLOOR are mapped to
-    zeros (and pass zero gradient), so constant inputs cannot blow up.
+    normalized is x at zero mean and unit variance over the given axes;
+    gain and bias broadcast against x, and residual has x's shape. Slices
+    whose variance falls below LAYER_NORM_VAR_FLOOR normalize to zeros (and
+    pass zero gradient to x), so constant inputs cannot blow up. The node
+    keeps only the per-slice mean and inverse std: backward re-forms the
+    normalized values from x, which the graph holds anyway.
     """
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    if residual is not None and residual.shape != x.shape:
+        raise ConfigError(f"layer_norm: residual {residual.shape} != input {x.shape}")
     mu = x.data.mean(axis=axes, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)
     degenerate = var < LAYER_NORM_VAR_FLOOR
     inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
-    out_data = centered * inv_std
-    out = Tensor._from_op(out_data, (x,))
+    out_data = centered * inv_std * gain.data + bias.data
+    if residual is not None:
+        out_data = residual.data + out_data
+    parents = (x, gain, bias) if residual is None else (x, gain, bias, residual)
+    out = Tensor._from_op(out_data, parents)
     if out.requires_grad:
 
         def backward():
             g = out.grad
-            g_mean = g.mean(axis=axes, keepdims=True)
-            gy_mean = (g * out_data).mean(axis=axes, keepdims=True)
-            x._accum_grad(inv_std * (g - g_mean - out_data * gy_mean))
+            if residual is not None and residual.requires_grad:
+                residual._accum_grad(g)
+            if bias.requires_grad:
+                bias._accum_grad(_unbroadcast(g, bias.shape))
+            normalized = (x.data - mu) * inv_std
+            if gain.requires_grad:
+                gain._accum_grad(_unbroadcast(g * normalized, gain.shape))
+            if x.requires_grad:
+                g = g * gain.data
+                g_mean = g.mean(axis=axes, keepdims=True)
+                gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
+                x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
 
         out._backward = backward
     return out

@@ -9,10 +9,16 @@ inputs, so repeated evaluation of the same graph is bit-identical.
 Graph lifetime. An op records a node (parent links plus a backward
 closure that holds whatever the gradient needs) only when
 ``is_recording`` says so: some input requires grad and the thread is not
-inside ``no_grad()``. Under ``no_grad()`` every op returns a plain
-``requires_grad=False`` tensor, so a forward keeps nothing but its
-values; the block nests, restores the previous mode on exit (also on an
-exception), and is per thread. A recorded graph is freed by ``backward()``
+inside ``no_grad()``. A node keeps what its backward reads and no more:
+its output, its parents (whose values the graph holds anyway), and the
+saved arrays that cannot be re-formed from those. ``layer_norm`` saves
+only its per-slice mean and inverse std, and re-forms the normalized
+values from its input; ``bilstm_layer`` saves its gates and cell states,
+and reads the previous hidden states from its output. Under
+``no_grad()`` every op returns a plain ``requires_grad=False`` tensor, so
+a forward keeps nothing but its values; the block nests, restores the
+previous mode on exit (also on an exception), and is per thread. A
+recorded graph is freed by ``backward()``
 as it goes: once a node's closure has run, the node drops the closure,
 its parents and (unless it is the root) its gradient, so reference
 counting reclaims the graph behind the walk. Leaves keep their

@@ -153,16 +153,14 @@ def pit_loss_graph(targets, estimates: list[Tensor]) -> tuple[Tensor, Permutatio
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Stage losses plus the identity term; total = mean(stages) + weight * id."""
+    """Per-stage PIT losses and assignments; total is their mean."""
 
     per_stage_neg_si_sdr: np.ndarray
     per_stage_perms: tuple[PermutationResult, ...]
-    id_loss: float
-    id_weight: float
 
     @property
     def total(self) -> float:
-        return float(np.mean(self.per_stage_neg_si_sdr)) + self.id_weight * self.id_loss
+        return float(np.mean(self.per_stage_neg_si_sdr))
 
 
 def multi_stage_loss(stage_outputs, targets) -> tuple[float, LossBreakdown]:
@@ -174,12 +172,7 @@ def multi_stage_loss(stage_outputs, targets) -> tuple[float, LossBreakdown]:
         loss, perm = pit_loss(targets, estimates)
         losses.append(loss)
         perms.append(perm)
-    breakdown = LossBreakdown(
-        per_stage_neg_si_sdr=np.array(losses),
-        per_stage_perms=tuple(perms),
-        id_loss=0.0,
-        id_weight=0.0,
-    )
+    breakdown = LossBreakdown(per_stage_neg_si_sdr=np.array(losses), per_stage_perms=tuple(perms))
     return breakdown.total, breakdown
 
 
@@ -197,12 +190,7 @@ def multi_stage_loss_graph(stage_outputs: list[list[Tensor]], targets) -> tuple[
     for extra in loss_tensors[1:]:
         total = ops.add(total, extra)
     total = ops.mul(total, ops.const(1.0 / len(loss_tensors), dtype=total.dtype))
-    breakdown = LossBreakdown(
-        per_stage_neg_si_sdr=np.array(losses),
-        per_stage_perms=tuple(perms),
-        id_loss=0.0,
-        id_weight=0.0,
-    )
+    breakdown = LossBreakdown(per_stage_neg_si_sdr=np.array(losses), per_stage_perms=tuple(perms))
     return total, breakdown
 
 

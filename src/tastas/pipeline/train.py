@@ -433,12 +433,9 @@ def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
         extras={"best_accuracy": report.best_accuracy, "epochs": report.epochs_run},
         label_map=label_map,
     )
-    rows = [
-        f"{e + 1}\t{loss:.6f}\t{acc:.4f}"
-        for e, (loss, acc) in enumerate(zip(report.train_loss, report.holdout_accuracy))
-    ]
+    rows = report.rows()
     (out_dir / "idnet_report.tsv").write_text(
-        "epoch\ttrain_loss\tholdout_accuracy\n" + "".join(r + "\n" for r in rows),
+        report.HEADER + "\n" + "".join(r + "\n" for r in rows),
         encoding="utf-8",
     )
     return path, rows

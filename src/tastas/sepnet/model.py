@@ -102,16 +102,16 @@ def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
     intra_in = ops.transpose(chunks, (2, 1, 0))  # (C, K, F)
     intra = half("intra", intra_in)  # (F, C, K)
     intra = ops.transpose(intra, (0, 2, 1))  # (F, K, C)
-    intra = ops.layer_norm(intra, axes=(0, 1))
-    intra = ops.add(ops.mul(intra, params[f"{base}.intra.norm.gain"]), params[f"{base}.intra.norm.bias"])
-    chunks = ops.add(chunks, intra)
+    chunks = ops.layer_norm(
+        intra, (0, 1), params[f"{base}.intra.norm.gain"], params[f"{base}.intra.norm.bias"], residual=chunks
+    )
 
     # inter: recur across chunks at each intra position
     inter_in = ops.transpose(chunks, (1, 2, 0))  # (K, C, F)
     inter = half("inter", inter_in)  # (F, K, C)
-    inter = ops.layer_norm(inter, axes=(0, 2))
-    inter = ops.add(ops.mul(inter, params[f"{base}.inter.norm.gain"]), params[f"{base}.inter.norm.bias"])
-    return ops.add(chunks, inter)
+    return ops.layer_norm(
+        inter, (0, 2), params[f"{base}.inter.norm.gain"], params[f"{base}.inter.norm.bias"], residual=chunks
+    )
 
 
 def estimate_masks(params: ParamSet, cfg: StageConfig, stage_index: int, rep: Tensor) -> Tensor:
@@ -122,10 +122,8 @@ def estimate_masks(params: ParamSet, cfg: StageConfig, stage_index: int, rep: Te
     """
     width, frames = rep.shape
     prefix = f"stage{stage_index}"
-    y = ops.layer_norm(rep, axes=(0, 1))
-    y = ops.add(
-        ops.mul(y, params[f"{prefix}.separator.input_norm.gain"]),
-        params[f"{prefix}.separator.input_norm.bias"],
+    y = ops.layer_norm(
+        rep, (0, 1), params[f"{prefix}.separator.input_norm.gain"], params[f"{prefix}.separator.input_norm.bias"]
     )
     y = ops.linear(params[f"{prefix}.separator.bottleneck.weight"], y)  # (N, T)
     chunks, pad = ops.segment_chunks(y, cfg.chunk_len, cfg.chunk_hop)

@@ -184,6 +184,9 @@ def test_full_recipe_with_speaker_network(tmp_path):
     ]) == 0
     idnet_ckpt = tmp_path / "idnet" / "idnet.ckpt"
     assert load_idnet(idnet_ckpt).frozen
+    header, row = (tmp_path / "idnet" / "idnet_report.tsv").read_text(encoding="utf-8").splitlines()
+    assert header.split("\t")[3:] == ["epoch_s", "examples_per_s", "grad_norm_mean", "grad_norm_max", "clip_rate"]
+    assert len(row.split("\t")) == 8
 
     common = ["--epochs-max", "1", "--seed", "0",
               "--train-manifest", str(corpus / "train.tsv"), "--dev-manifest", str(corpus / "dev.tsv")]

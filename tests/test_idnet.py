@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,30 @@ def test_train_rejects_out_of_range_label():
     wave = synth_speaker_source(0, 1.0, seed=0)
     with pytest.raises(DataError):
         train_idnet([(wave, 0), (wave, 5)], IdNetConfig(num_speakers=2), epochs_max=1)
+
+
+def _two_speaker_corpus():
+    # 2 s per speaker slices into 34 segments of 0.06 s, above the recommended 20
+    return [(synth_speaker_source(spk, 2.0, seed=spk), spk) for spk in range(2)]
+
+
+def test_train_reports_epoch_telemetry():
+    _, report = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=2, target_accuracy=1.1)
+    assert report.epochs_run == 2
+    for column in (report.epoch_s, report.examples_per_s, report.grad_norm_mean, report.grad_norm_max):
+        assert len(column) == 2 and all(v > 0 for v in column)
+    assert all(0 < m <= x for m, x in zip(report.grad_norm_mean, report.grad_norm_max))
+    assert all(0.0 <= r <= 1.0 for r in report.clip_rate)
+    rows = report.rows()
+    assert len(rows) == 2
+    assert [len(r.split("\t")) for r in rows] == [len(report.HEADER.split("\t"))] * 2
+    assert rows[1].startswith("2\t")
+
+
+def test_idnet_clip_rate_is_one_when_every_step_clips(monkeypatch):
+    from tastas.idnet import train
+
+    monkeypatch.setattr(train, "GRAD_CLIP", 1e-9)
+    _, report = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=1)
+    assert report.clip_rate == [1.0]
+    assert report.grad_norm_max[0] > 1e-9

@@ -163,12 +163,7 @@ def test_two_stage_mean():
 
 def test_stage_mean_of_known_losses():
     # per-stage losses -10 and -14 average to -12
-    b = obj.LossBreakdown(
-        per_stage_neg_si_sdr=np.array([-10.0, -14.0]),
-        per_stage_perms=(),
-        id_loss=0.0,
-        id_weight=0.0,
-    )
+    b = obj.LossBreakdown(per_stage_neg_si_sdr=np.array([-10.0, -14.0]), per_stage_perms=())
     assert b.total == pytest.approx(-12.0)
 
 

@@ -1,6 +1,9 @@
 """Analytic backward passes against the central finite-difference oracle,
 plus the handful of closed-form cases checkable by eye."""
 
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +36,23 @@ def test_kind_matches_finite_differences(kind):
 def test_spec_kinds_all_registered():
     for kind in SPEC_KINDS:
         assert kind in BUILDERS
+
+
+# Public functions of ops that build no graph node, and the BUILDERS kind of
+# each op whose kind is named otherwise.
+NOT_GRAPH_OPS = {"const", "chunk_layout", "frame_count", "reflect_index_map"}
+BUILDER_KIND = {"mul": "elementwise_mul", "getitem": "slice", "tsum": "sum", "tmean": "mean", "stft_ri": "stft"}
+
+
+def test_every_graph_op_has_a_gradcheck_builder():
+    public = [
+        name
+        for name, fn in vars(ops).items()
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == ops.__name__
+    ]
+    assert {"add", "bilstm_layer", "layer_norm"} <= set(public)
+    missing = [name for name in public if name not in NOT_GRAPH_OPS and BUILDER_KIND.get(name, name) not in BUILDERS]
+    assert not missing, f"ops without a gradcheck builder: {missing}"
 
 
 def test_conv1d_stride2_20_trials():
@@ -74,14 +94,14 @@ def test_prelu_definition():
 
 
 def test_layer_norm_constant_vector_maps_to_zero():
-    out = ops.layer_norm(Tensor(np.array([5.0, 5.0, 5.0, 5.0])), axes=0)
+    out = ops.layer_norm(Tensor(np.array([5.0, 5.0, 5.0, 5.0])), 0, Tensor(np.ones(1)), Tensor(np.zeros(1)))
     assert np.array_equal(out.data, np.zeros(4))
 
 
 def test_layer_norm_normalizes():
     rng = np.random.default_rng(1)
     x = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-    out = ops.layer_norm(x, axes=(0, 1)).data
+    out = ops.layer_norm(x, (0, 1), Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1)))).data
     assert abs(out.mean()) < 1e-12
     assert abs(out.std() - 1.0) < 1e-9
 
@@ -258,3 +278,91 @@ def test_bilstm_large_weights_stay_finite():
         assert np.all(np.isfinite(out))
         for grad in grads:
             assert np.all(np.isfinite(grad))
+
+
+def test_bilstm_graph_keeps_gates_and_cell_states_only():
+    # per direction the cache is the gates (4H) and cell states (H) of every
+    # step; the hidden states live once, in the (B, T, 2H) output
+    batch, steps, dim, hidden = 8, 16, 16, 16
+    arrays, _ = _bilstm_case(np.random.default_rng(0), batch, steps, dim, hidden)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    tracemalloc.start()
+    try:
+        out = ops.bilstm_layer(*tensors)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    expected = (2 * 5 * hidden * steps * batch + 2 * hidden * steps * batch) * 8
+    assert held <= 1.05 * expected, f"{held} bytes held, {held / expected:.3f}x the gates, cells and output"
+
+
+# -- the fused affine layer norm -------------------------------------------------
+
+
+def _layer_norm_composition(x, axes, gain, bias, residual, g):
+    """The unfused graph in numpy: normalize -> * gain -> + bias -> residual +.
+
+    Returns the output and the grads of x, gain, bias and residual for the
+    upstream grad g, each formed the way those four nodes form them.
+    """
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    degenerate = var < ops.LAYER_NORM_VAR_FLOOR
+    inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
+    y = centered * inv_std
+    out = residual + (y * gain + bias)
+    reduce = tuple(i for i, n in enumerate(gain.shape) if n == 1)
+    g_y = g * gain
+    g_mean = g_y.mean(axis=axes, keepdims=True)
+    gy_mean = (g_y * y).mean(axis=axes, keepdims=True)
+    g_x = inv_std * (g_y - g_mean - y * gy_mean)
+    g_gain = (g * y).sum(axis=reduce, keepdims=True)
+    g_bias = g.sum(axis=reduce, keepdims=True)
+    return out, (g_x, g_gain, g_bias, g.copy())
+
+
+@pytest.mark.parametrize("transposed,axes", [(True, (0, 1)), (False, (0, 2))], ids=["view-0-1", "0-2"])
+def test_layer_norm_is_bit_identical_to_the_composition(transposed, axes):
+    rng = np.random.default_rng(64)
+    shape = (64, 50, 41)
+    x = rng.standard_normal((64, 41, 50)).astype(np.float32).transpose(0, 2, 1) if transposed else (
+        rng.standard_normal(shape).astype(np.float32)
+    )
+    gain = rng.uniform(0.5, 1.5, (64, 1, 1)).astype(np.float32)
+    bias = rng.uniform(-0.5, 0.5, (64, 1, 1)).astype(np.float32)
+    residual = rng.standard_normal(shape).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    tensors = [Tensor(a, requires_grad=True) for a in (x, gain, bias, residual)]
+    out = ops.layer_norm(tensors[0], axes, *tensors[1:3], residual=tensors[3])
+    out.backward(seed=g)
+    ref_out, ref_grads = _layer_norm_composition(x, axes, gain, bias, residual, g)
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, ref_out)
+    for tensor, ref in zip(tensors, ref_grads):
+        assert tensor.grad.dtype == np.float32
+        assert np.array_equal(tensor.grad, ref)
+
+
+def test_layer_norm_residual_shape_must_match():
+    x = Tensor(np.ones((2, 3)))
+    with pytest.raises(ConfigError, match="residual"):
+        ops.layer_norm(x, (0, 1), Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 1))), residual=Tensor(np.ones((3, 2))))
+
+
+def test_recorded_layer_norm_keeps_no_input_sized_array():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.standard_normal((64, 50, 41)), requires_grad=True)
+    gain = Tensor(np.ones((64, 1, 1)), requires_grad=True)
+    bias = Tensor(np.zeros((64, 1, 1)), requires_grad=True)
+    residual = Tensor(rng.standard_normal(x.shape), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = ops.layer_norm(x, (0, 2), gain, bias, residual=residual)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # the output itself plus per-slice statistics and bookkeeping, well under another x
+    assert held < out.data.nbytes + x.data.nbytes // 4

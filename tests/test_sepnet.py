@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tastas.errors import ConfigError
+from tastas.objectives import multi_stage_loss_graph
 from tastas.numerics import ops
 from tastas.numerics.tensor import Tensor
 from tastas.pipeline.data import synth_mixture_corpus
@@ -142,6 +143,57 @@ def test_zero_weight_block_is_identity():
     x = Tensor(np.random.default_rng(3).uniform(-1, 1, (8, 6, 4)))
     out = dual_path_block(params, "stage0.block0", x)
     assert np.abs(out.data - x.data).max() == 0.0
+
+
+def _unfused_layer_norm(x, axes, gain, bias, residual=None):
+    """The norm sites as separate nodes: plain layer norm -> mul -> add -> add."""
+    mu = x.data.mean(axis=axes, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    degenerate = var < ops.LAYER_NORM_VAR_FLOOR
+    inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
+    normalized = Tensor._from_op(centered * inv_std, (x,))
+
+    def backward():
+        g = normalized.grad
+        g_mean = g.mean(axis=axes, keepdims=True)
+        gy_mean = (g * normalized.data).mean(axis=axes, keepdims=True)
+        x._accum_grad(inv_std * (g - g_mean - normalized.data * gy_mean))
+
+    normalized._backward = backward
+    y = ops.add(ops.mul(normalized, gain), bias)
+    return y if residual is None else ops.add(residual, y)
+
+
+def _forward_and_grads(model, mix, targets):
+    model.params.zero_grads()
+    outs = model.forward(mix)
+    loss, _ = multi_stage_loss_graph(outs, targets)
+    loss.backward()
+    return [est.data for stage in outs for est in stage], {n: t.grad for n, t in model.params.items()}
+
+
+def test_fused_norm_sites_match_the_unfused_graph_bit_for_bit(monkeypatch):
+    cfg = ModelConfig(stage_blocks=(2, 2), num_filters=8, kernel_len=16, chunk_len=8, hidden_size=8)
+    model = TasTasModel.initialize(cfg, seed=6)
+    rng = np.random.default_rng(6)
+    for name, tensor in model.params.items():  # norms start as identity; move them off it
+        if name.endswith("norm.gain"):
+            tensor.data[...] = rng.uniform(0.5, 1.5, tensor.shape)
+        elif name.endswith("norm.bias"):
+            tensor.data[...] = rng.uniform(-0.1, 0.1, tensor.shape)
+    targets = [rng.uniform(-0.5, 0.5, 1000) for _ in range(2)]
+    mix = targets[0] + targets[1]
+    fused_outs, fused_grads = _forward_and_grads(model, mix, targets)
+    monkeypatch.setattr(ops, "layer_norm", _unfused_layer_norm)
+    outs, grads = _forward_and_grads(model, mix, targets)
+    assert len(outs) == 4
+    for fused, ref in zip(fused_outs, outs):
+        assert np.array_equal(fused, ref)
+    assert fused_grads.keys() == grads.keys()
+    for name, grad in grads.items():
+        assert grad is not None, name
+        assert np.array_equal(fused_grads[name], grad), name
 
 
 # -- mask head -------------------------------------------------------------------------
