@@ -346,12 +346,14 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # is (T, 4H, B) and the cell and hidden states are (T, H, B), so step t works on
 # contiguous blocks and each gate is a contiguous (H, B) slab of gates[t]. The
 # gate buffer starts as the input projection and holds the activated gates once
-# step t has run. The BPTT cache is the gates plus the cell states, 5H values
-# per step and sequence; the hidden states are a transient forward buffer, and
-# backward reads h(t-1) back from the layer's own output, which its node keeps
-# anyway. The input is kept as (D, T, B), which is how the dual-path block's
-# intra-chunk input already lies in memory. The right-to-left pass is the same
-# kernel run on the time-flipped input.
+# step t has run. The BPTT cache is the activated gates alone, 4H values per
+# step and sequence. Backward re-forms the cell states from them,
+# c(t) = f(t) * c(t-1) + i(t) * g(t), with the same float32 operations the
+# forward ran, so they come back bit for bit. The hidden states are a
+# transient forward buffer, and backward reads h(t-1) back from the layer's
+# own output, which its node keeps anyway. The input is kept as (D, T, B),
+# which is how the dual-path block's intra-chunk input already lies in memory.
+# The right-to-left pass is the same kernel run on the time-flipped input.
 
 
 def _gate_order(hidden: int) -> np.ndarray:
@@ -369,8 +371,8 @@ def _kernel_weights(w: np.ndarray, hidden: int) -> np.ndarray:
 def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, keep_cache: bool):
     """Run one LSTM direction over x (D, T, B), first step first.
 
-    Returns the hidden states (T, H, B) and a BPTT cache (None unless
-    keep_cache): the activated gates (T, 4H, B) and the cell states (T, H, B).
+    Returns the hidden states (T, H, B) and the BPTT cache (None unless
+    keep_cache): the activated gates (T, 4H, B).
     """
     _, steps, batch = x.shape
     hidden = w_hh.shape[1]
@@ -378,11 +380,10 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
     gates = np.matmul(_kernel_weights(w_ih, hidden), x.transpose(1, 0, 2))
     gates += _kernel_weights(b, hidden)[:, None]
     hs = np.empty((steps, hidden, batch), dtype=x.dtype)
-    # without a cache, one cell-state slab is overwritten in place at every step
-    cs = np.empty((steps if keep_cache else 1, hidden, batch), dtype=x.dtype)
     recurrent = np.empty((4 * hidden, batch), dtype=x.dtype)
     i_g = np.empty((hidden, batch), dtype=x.dtype)
-    h = c = np.zeros((hidden, batch), dtype=x.dtype)
+    h = np.zeros((hidden, batch), dtype=x.dtype)
+    c = np.zeros_like(h)  # one cell-state slab, overwritten in place at every step
     for t in range(steps):
         z = gates[t]
         np.matmul(w_hh_k, h, out=recurrent)
@@ -393,34 +394,50 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
         sig += 0.5
         i, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
         np.multiply(i, g, out=i_g)
-        c_next = cs[t % len(cs)]
-        np.multiply(f, c, out=c_next)
-        c_next += i_g
-        c, h = c_next, hs[t]
+        c *= f
+        c += i_g
+        h = hs[t]
         np.tanh(c, out=h)
         h *= o
-    return hs, ((gates, cs) if keep_cache else None)
+    return hs, (gates if keep_cache else None)
 
 
-def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray, h_prev: np.ndarray):
+def _lstm_grad(
+    x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray, h_prev: np.ndarray
+):
     """BPTT through one direction that _lstm_run ran over x (D, T, B).
 
-    g_h is the upstream grad of the hidden states (T, H, B) and h_prev the
-    hidden states of steps 0..T-2 as (H, T-1, B). Returns dx (D, T, B) and
-    the grads of w_ih, w_hh and b in their stored gate order.
+    gates is the run's cache (T, 4H, B), g_h the upstream grad of the hidden
+    states (T, H, B) and h_prev the hidden states of steps 0..T-2 as
+    (H, T-1, B). The cell states are re-formed from the gates in a buffer that
+    lives for this call only. Returns dx (D, T, B) and the grads of w_ih, w_hh
+    and b in their stored gate order.
     """
-    gates, cs = cache
-    steps, hidden, batch = cs.shape
+    steps, _, batch = gates.shape
+    hidden = w_hh.shape[1]
     order = _gate_order(hidden)
     w_hh_t = np.ascontiguousarray(w_hh[order].T)
-    dzs = np.empty_like(gates)
     zeros = np.zeros((hidden, batch), dtype=gates.dtype)
     dh_carry, dc_carry = zeros.copy(), zeros.copy()
     dh, dc, tanh_c, tmp = (np.empty_like(zeros) for _ in range(4))
-    sig_slope = np.empty((3 * hidden, batch), dtype=gates.dtype)
+    # c(t) = f(t) * c(t-1) + i(t) * g(t), each product rounded as the forward rounds it
+    cs = np.multiply(gates[:, :hidden], gates[:, 3 * hidden :])
+    for t in range(steps):
+        np.multiply(gates[t, hidden : 2 * hidden], cs[t - 1] if t else zeros, out=tmp)
+        cs[t] += tmp
+    # the carry-free factors of the gate grads, over all steps at once:
+    # s * (1 - s) for the sigmoid gates and i * (1 - g^2) for the cell candidate
+    dzs = np.empty_like(gates)
+    sig, cand = dzs[:, : 3 * hidden], dzs[:, 3 * hidden :]
+    np.subtract(1.0, gates[:, : 3 * hidden], out=sig)
+    sig *= gates[:, : 3 * hidden]
+    np.multiply(gates[:, 3 * hidden :], gates[:, 3 * hidden :], out=cand)
+    np.subtract(1.0, cand, out=cand)
+    cand *= gates[:, :hidden]
+    d_sig = np.empty((3 * hidden, batch), dtype=gates.dtype)
     for t in range(steps - 1, -1, -1):
         z, dz = gates[t], dzs[t]
-        i, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
+        _, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
         np.add(g_h[t], dh_carry, out=dh)
         np.tanh(cs[t], out=tanh_c)
         # dc = dh * o * (1 - tanh(c)^2) + dc_carry
@@ -429,18 +446,12 @@ def _lstm_grad(x: np.ndarray, cache, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np
         dc *= o
         dc *= dh
         dc += dc_carry
-        # sigmoid gates: the grad of the gate times s * (1 - s)
-        np.multiply(dc, g, out=dz[:hidden])
-        np.multiply(dc, cs[t - 1] if t else zeros, out=dz[hidden : 2 * hidden])
-        np.multiply(dh, tanh_c, out=dz[2 * hidden : 3 * hidden])
-        np.subtract(1.0, z[: 3 * hidden], out=sig_slope)
-        sig_slope *= z[: 3 * hidden]
-        dz[: 3 * hidden] *= sig_slope
-        # cell candidate: dc * i * (1 - g^2)
-        np.multiply(g, g, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= i
-        np.multiply(dc, tmp, out=dz[3 * hidden :])
+        # the grads of the gates, times their factors
+        np.multiply(dc, g, out=d_sig[:hidden])
+        np.multiply(dc, cs[t - 1] if t else zeros, out=d_sig[hidden : 2 * hidden])
+        np.multiply(dh, tanh_c, out=d_sig[2 * hidden :])
+        dz[: 3 * hidden] *= d_sig
+        dz[3 * hidden :] *= dc
         np.matmul(w_hh_t, dz, out=dh_carry)
         np.multiply(dc, f, out=dc_carry)
     # one (4H, T*B) copy turns the weight grads and dx into single matrix products
@@ -478,8 +489,8 @@ def bilstm_layer(
     parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b)
     record = is_recording(parents)
     x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
-    hs_f, cache_f = _lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=record)
-    hs_b, cache_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
+    hs_f, gates_f = _lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=record)
+    hs_b, gates_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
     data = np.empty((x.shape[0], x.shape[1], 2 * hidden), dtype=hs_f.dtype)
     data[:, :, :hidden] = hs_f.transpose(2, 0, 1)
     data[:, :, hidden:] = hs_b[::-1].transpose(2, 0, 1)
@@ -493,10 +504,10 @@ def bilstm_layer(
             h_prev_f = out.data[:, :-1, :hidden].transpose(2, 1, 0)
             h_prev_b = out.data[:, :0:-1, hidden:].transpose(2, 1, 0)
             dx_f, dwi_f, dwh_f, db_f = _lstm_grad(
-                x_dtb, cache_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden], h_prev_f
+                x_dtb, gates_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden], h_prev_f
             )
             dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
-                x_dtb[:, ::-1], cache_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:], h_prev_b
+                x_dtb[:, ::-1], gates_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:], h_prev_b
             )
             if x.requires_grad:
                 dx_f += dx_b[:, ::-1]

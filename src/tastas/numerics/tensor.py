@@ -13,8 +13,9 @@ inside ``no_grad()``. A node keeps what its backward reads and no more:
 its output, its parents (whose values the graph holds anyway), and the
 saved arrays that cannot be re-formed from those. ``layer_norm`` saves
 only its per-slice mean and inverse std, and re-forms the normalized
-values from its input; ``bilstm_layer`` saves its gates and cell states,
-and reads the previous hidden states from its output. Under
+values from its input; ``bilstm_layer`` saves only its activated gates,
+re-forms the cell states from them, and reads the previous hidden states
+from its output. Under
 ``no_grad()`` every op returns a plain ``requires_grad=False`` tensor, so
 a forward keeps nothing but its values; the block nests, restores the
 previous mode on exit (also on an exception), and is per thread. A

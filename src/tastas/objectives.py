@@ -163,19 +163,6 @@ class LossBreakdown:
         return float(np.mean(self.per_stage_neg_si_sdr))
 
 
-def multi_stage_loss(stage_outputs, targets) -> tuple[float, LossBreakdown]:
-    """Average PIT loss over refinement stages; each stage picks its own assignment."""
-    if not stage_outputs:
-        raise DataError("no stage outputs")
-    losses, perms = [], []
-    for estimates in stage_outputs:
-        loss, perm = pit_loss(targets, estimates)
-        losses.append(loss)
-        perms.append(perm)
-    breakdown = LossBreakdown(per_stage_neg_si_sdr=np.array(losses), per_stage_perms=tuple(perms))
-    return breakdown.total, breakdown
-
-
 def multi_stage_loss_graph(stage_outputs: list[list[Tensor]], targets) -> tuple[Tensor, LossBreakdown]:
     """Differentiable multi-stage PIT loss (identity term added by the caller)."""
     if not stage_outputs:

@@ -52,10 +52,16 @@ class TrainConfig:
         return parse_preset(self.model, **widths)
 
 
+# what a finetune run takes from its sep_ckpt instead of its config
+ARCHITECTURE_KEYS = ("model", *(f.name for f in fields(ModelConfig) if hasattr(TrainConfig, f.name)))
+
+
 def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
-    """Parse `key=value` lines (UTF-8, '#' comments); every field is addressable."""
+    """Parse `key=value` lines (UTF-8, '#' comments); every field is addressable,
+    but a finetune config may not set the architecture its checkpoint fixes."""
     types = {f.name: type(f.default) for f in fields(TrainConfig)}  # int, float or str
     values: dict = {}
+    linenos: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -71,6 +77,14 @@ def load_train_config(path, overrides: dict | None = None) -> TrainConfig:
             values[key] = types[key](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
+        linenos[key] = lineno
     if overrides:
         values.update(overrides)
+    if values.get("phase") == "finetune":
+        for key in ARCHITECTURE_KEYS:
+            if key in linenos:
+                raise ConfigError(
+                    f"{path}:{linenos[key]}: '{key}' does not apply to finetune, "
+                    "which takes the architecture from sep_ckpt"
+                )
     return TrainConfig(**values)

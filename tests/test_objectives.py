@@ -141,14 +141,19 @@ def test_graph_pit_agrees_with_value_pit():
 # -- multi-stage averaging ---------------------------------------------------------
 
 
+def _graph_stages(*stages):
+    return [[Tensor(e, requires_grad=True) for e in stage] for stage in stages]
+
+
 def test_single_stage_equals_pit_loss():
     rng = np.random.default_rng(9)
     targets = [rng.uniform(-1, 1, 100) for _ in range(2)]
     estimates = [rng.uniform(-1, 1, 100) for _ in range(2)]
-    total, breakdown = obj.multi_stage_loss([estimates], targets)
-    direct, _ = obj.pit_loss(targets, estimates)
-    assert total == direct
-    assert breakdown.total == direct
+    total, breakdown = obj.multi_stage_loss_graph(_graph_stages(estimates), targets)
+    direct, result = obj.pit_loss(targets, estimates)
+    assert float(total.data) == pytest.approx(direct, abs=1e-9)
+    assert breakdown.total == float(total.data)
+    assert breakdown.per_stage_perms[0].perm == result.perm
 
 
 def test_two_stage_mean():
@@ -156,8 +161,10 @@ def test_two_stage_mean():
     targets = [rng.uniform(-1, 1, 100) for _ in range(2)]
     clean = [t.copy() for t in targets]
     noisy = [t + rng.uniform(-0.5, 0.5, 100) for t in targets]
-    total, breakdown = obj.multi_stage_loss([noisy, clean], targets)
-    assert total == pytest.approx(np.mean(breakdown.per_stage_neg_si_sdr), abs=1e-12)
+    total, breakdown = obj.multi_stage_loss_graph(_graph_stages(noisy, clean), targets)
+    assert float(total.data) == pytest.approx(np.mean(breakdown.per_stage_neg_si_sdr), abs=1e-12)
+    for stage_loss, estimates in zip(breakdown.per_stage_neg_si_sdr, (noisy, clean), strict=True):
+        assert stage_loss == pytest.approx(obj.pit_loss(targets, estimates)[0], abs=1e-9)
     assert len(breakdown.per_stage_perms) == 2
 
 
@@ -172,7 +179,7 @@ def test_stages_may_choose_different_permutations():
     t1, t2 = rng.uniform(-1, 1, 150), rng.uniform(-1, 1, 150)
     stage1 = [t1 + 0.01 * rng.uniform(-1, 1, 150), t2 + 0.01 * rng.uniform(-1, 1, 150)]
     stage2 = [t2 + 0.01 * rng.uniform(-1, 1, 150), t1 + 0.01 * rng.uniform(-1, 1, 150)]
-    _, breakdown = obj.multi_stage_loss([stage1, stage2], [t1, t2])
+    _, breakdown = obj.multi_stage_loss_graph(_graph_stages(stage1, stage2), [t1, t2])
     assert breakdown.per_stage_perms[0].perm == (0, 1)
     assert breakdown.per_stage_perms[1].perm == (1, 0)
 

@@ -280,9 +280,10 @@ def test_bilstm_large_weights_stay_finite():
             assert np.all(np.isfinite(grad))
 
 
-def test_bilstm_graph_keeps_gates_and_cell_states_only():
-    # per direction the cache is the gates (4H) and cell states (H) of every
-    # step; the hidden states live once, in the (B, T, 2H) output
+def test_bilstm_graph_keeps_gates_only():
+    # per direction the cache is the 4H activated gates of every step; the
+    # hidden states live once, in the (B, T, 2H) output, and backward re-forms
+    # the cell states from the gates
     batch, steps, dim, hidden = 8, 16, 16, 16
     arrays, _ = _bilstm_case(np.random.default_rng(0), batch, steps, dim, hidden)
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -293,8 +294,84 @@ def test_bilstm_graph_keeps_gates_and_cell_states_only():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    expected = (2 * 5 * hidden * steps * batch + 2 * hidden * steps * batch) * 8
-    assert held <= 1.05 * expected, f"{held} bytes held, {held / expected:.3f}x the gates, cells and output"
+    expected = (2 * 4 * hidden * steps * batch + 2 * hidden * steps * batch) * 8
+    assert held <= 1.05 * expected, f"{held} bytes held, {held / expected:.3f}x the gates and output"
+
+
+def _cell_caching_direction(x_dtb, w_ih, w_hh, b, g_h, h_prev):
+    """One direction in the kernel's own arithmetic, a step at a time, with the
+    forward's cell states kept for backward instead of re-formed.
+
+    x_dtb is (D, T, B), g_h (T, H, B) and h_prev (H, T-1, B), laid out as
+    bilstm_layer passes them. Returns the hidden states (T, H, B), dx and the
+    grads of w_ih, w_hh and b.
+    """
+    _, steps, batch = x_dtb.shape
+    hidden = w_hh.shape[1]
+    order = ops._gate_order(hidden)
+    gates = np.matmul(ops._kernel_weights(w_ih, hidden), x_dtb.transpose(1, 0, 2))
+    gates += ops._kernel_weights(b, hidden)[:, None]
+    w_hh_k = ops._kernel_weights(w_hh, hidden)
+    hs = np.empty((steps, hidden, batch), dtype=x_dtb.dtype)
+    cs = np.empty_like(hs)
+    h = c = np.zeros((hidden, batch), dtype=x_dtb.dtype)
+    for t in range(steps):
+        z = gates[t]
+        z += w_hh_k @ h
+        np.tanh(z, out=z)
+        z[: 3 * hidden] = 0.5 * z[: 3 * hidden] + 0.5
+        i, f, o, g = np.split(z, 4)
+        cs[t] = f * c + i * g
+        hs[t] = np.tanh(cs[t]) * o
+        c, h = cs[t], hs[t]
+
+    w_hh_t = np.ascontiguousarray(w_hh[order].T)
+    dzs = np.empty_like(gates)
+    zeros = np.zeros((hidden, batch), dtype=x_dtb.dtype)
+    dh_carry = dc_carry = zeros
+    for t in range(steps - 1, -1, -1):
+        z, dz = gates[t], dzs[t]
+        i, f, o, g = np.split(z, 4)
+        dh = g_h[t] + dh_carry
+        tanh_c = np.tanh(cs[t])
+        dc = (1.0 - tanh_c * tanh_c) * o * dh + dc_carry
+        dz[:hidden] = dc * g
+        dz[hidden : 2 * hidden] = dc * (cs[t - 1] if t else zeros)
+        dz[2 * hidden : 3 * hidden] = dh * tanh_c
+        dz[: 3 * hidden] *= (1.0 - z[: 3 * hidden]) * z[: 3 * hidden]
+        dz[3 * hidden :] = dc * ((1.0 - g * g) * i)
+        dh_carry = w_hh_t @ dz
+        dc_carry = dc * f
+    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
+    h_prev = np.ascontiguousarray(h_prev).reshape(hidden, -1)
+    dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
+    dw_ih = (dz_flat @ x_dtb.reshape(x_dtb.shape[0], -1).T)[order]
+    dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
+    db = dz_flat.sum(axis=1)[order]
+    return hs, (dx, dw_ih, dw_hh, db)
+
+
+def test_bilstm_grads_equal_a_cell_caching_reference_bit_for_bit():
+    # re-forming c(t) in backward must round exactly as the forward did
+    arrays, g_out = _bilstm_case(np.random.default_rng(5), batch=41, steps=50, dim=64, hidden=64, dtype=np.float32)
+    out, grads = _bilstm_with_grads(arrays, g_out)
+    hidden = 64
+    x_dtb = np.ascontiguousarray(arrays[0].transpose(2, 1, 0))
+    g_thb = np.ascontiguousarray(g_out.transpose(1, 2, 0))
+    hs_f, (dx_f, *grads_f) = _cell_caching_direction(
+        x_dtb, *arrays[1:4], g_thb[:, :hidden], out[:, :-1, :hidden].transpose(2, 1, 0)
+    )
+    hs_b, (dx_b, *grads_b) = _cell_caching_direction(
+        x_dtb[:, ::-1], *arrays[4:], g_thb[::-1, hidden:], out[:, :0:-1, hidden:].transpose(2, 1, 0)
+    )
+    dx_f += dx_b[:, ::-1]
+    ref_out = np.concatenate([hs_f.transpose(2, 0, 1), hs_b[::-1].transpose(2, 0, 1)], axis=2)
+    ref_grads = [dx_f.transpose(2, 1, 0), *grads_f, *grads_b]
+    assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+    for grad, ref in zip(grads, ref_grads, strict=True):
+        assert grad.dtype == ref.dtype == np.float32
+        assert grad.shape == ref.shape
+        assert grad.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 # -- the fused affine layer norm -------------------------------------------------

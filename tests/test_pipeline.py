@@ -96,6 +96,26 @@ def test_config_rejects_bad_value(tmp_path):
         load_train_config(path)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("model", "tastas-4-4"),
+    ("num_filters", "999"),
+    ("kernel_len", "32"),
+    ("chunk_len", "20"),
+    ("hidden_size", "3"),
+    ("num_speakers", "3"),
+])
+def test_finetune_config_rejects_architecture_keys(tmp_path, key, value):
+    # finetune takes the architecture from sep_ckpt; the key would be ignored
+    path = tmp_path / "ft.cfg"
+    path.write_text(f"idnet_ckpt=id.ckpt\nsep_ckpt=sep.ckpt\n# comment\n{key}={value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"ft.cfg:4: '{key}'"):
+        load_train_config(path, {"phase": "finetune"})
+    path.write_text(f"phase=finetune\nidnet_ckpt=id.ckpt\n{key}={value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"ft.cfg:3: '{key}'"):
+        load_train_config(path)
+    assert str(getattr(load_train_config(path, {"phase": "sep"}), key)) == value
+
+
 def test_config_validates_fields():
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=4)
@@ -348,7 +368,7 @@ def test_trainer_loss_matches_objectives_module(tiny_corpus, tmp_path):
     example = trainer.train_set[0]
     outs, loss, breakdown, _ = trainer._example_loss(example)
     stage_values = [[np.asarray(t.data, dtype=np.float64) for t in stage] for stage in outs]
-    reference, _ = obj.multi_stage_loss(stage_values, example.targets)
+    reference = np.mean([obj.pit_loss(example.targets, stage)[0] for stage in stage_values])
     assert float(loss.data) == pytest.approx(reference, abs=1e-5)
 
 
