@@ -84,6 +84,8 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is a JSON {type(header).__name__}, not an object")
         kind = header.get("kind")
         if not isinstance(kind, str):
             raise CheckpointError(f"{path}: header lacks a 'kind' field")
@@ -91,7 +93,10 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
         blobs: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", _read_exact(fh, 2, "blob name length"))
-            name = _read_exact(fh, name_len, "blob name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, "blob name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: blob name is not UTF-8 ({exc})") from exc
             (ndim,) = struct.unpack("<B", _read_exact(fh, 1, "blob rank"))
             dims = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "blob dim"))[0] for _ in range(ndim)

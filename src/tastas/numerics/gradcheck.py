@@ -206,6 +206,14 @@ def _build_conv2d(rng):
     return [x, w], lambda ts: ops.conv2d(ts[0], ts[1], padding=1)
 
 
+def _build_conv2d_frozen_weight(rng):
+    # the weight is a constant, as in the frozen speaker network: only the
+    # input-gradient branch runs, and the node keeps no im2col
+    x = _u(rng, 2, 5, 6)
+    w = _u(rng, 3, 2, 3, 3)
+    return [x], lambda ts: ops.conv2d(ts[0], w, padding=1)
+
+
 def _build_max_pool2d(rng):
     # distinct values 2/59 apart (plus jitter under a third of that), so no
     # +-step perturbation can flip the argmax of a pooling window
@@ -315,6 +323,7 @@ BUILDERS: dict[str, Builder] = {
     "linear": _build_linear,
     "conv1d": _build_conv1d,
     "conv2d": _build_conv2d,
+    "conv2d_frozen_weight": _build_conv2d_frozen_weight,
     "max_pool2d": _build_max_pool2d,
     "bilstm_layer": _build_bilstm_layer,
     "layer_norm": _build_layer_norm,

@@ -260,71 +260,97 @@ def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
 
 
 def conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
-    """2-D convolution, stride 1. x is (C_in, H, W), weight is (C_out, C_in, kh, kw)."""
+    """2-D convolution, stride 1. x is (C_in, H, W), weight is (C_out, C_in, kh, kw).
+
+    One im2col matrix (C_in*kh*kw, out_h*out_w) is built from kh*kw slabs of
+    the zero-padded input, and every product is a plain 2-D matmul against it.
+    The node keeps that matrix only when the weight requires grad: the input
+    gradient needs the weight alone.
+    """
     if x.ndim != 3 or weight.ndim != 4:
         raise ConfigError(f"conv2d: expected (C,H,W) input and (O,C,kh,kw) weight, got {x.shape}, {weight.shape}")
     c_in, height, width = x.shape
     c_out, c_in_w, kh, kw = weight.shape
     if c_in != c_in_w:
         raise ConfigError(f"conv2d: input channels {c_in} != weight channels {c_in_w}")
-    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
     out_h = height + 2 * padding - kh + 1
     out_w = width + 2 * padding - kw + 1
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"conv2d: input {x.shape} too small for kernel ({kh},{kw})")
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    out_data = np.tensordot(weight.data, windows, axes=([1, 2, 3], [0, 3, 4]))
-    out = Tensor._from_op(np.ascontiguousarray(out_data), (x, weight))
+    padded_shape = (c_in, height + 2 * padding, width + 2 * padding)
+    xp = np.zeros(padded_shape, dtype=x.dtype)
+    xp[:, padding : padding + height, padding : padding + width] = x.data
+    cols = np.empty((c_in, kh, kw, out_h, out_w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + out_h, j : j + out_w]
+    cols = cols.reshape(c_in * kh * kw, out_h * out_w)
+    w2 = weight.data.reshape(c_out, -1)
+    out = Tensor._from_op((w2 @ cols).reshape(c_out, out_h, out_w), (x, weight))
     if out.requires_grad:
+        saved_cols = cols if weight.requires_grad else None
 
         def backward():
-            g = out.grad
+            g = out.grad.reshape(c_out, -1)
             if weight.requires_grad:
-                weight._accum_grad(np.tensordot(g, windows, axes=([1, 2], [1, 2])))
+                weight._accum_grad((g @ saved_cols.T).reshape(weight.shape))
             if x.requires_grad:
-                g_win = g.reshape(c_out, -1).T @ weight.data.reshape(c_out, -1)
-                g_win = g_win.reshape(out_h, out_w, c_in, kh, kw)
-                gxp = np.zeros_like(xp)
+                g_cols = (w2.T @ g).reshape(c_in, kh, kw, out_h, out_w)
+                gxp = np.zeros(padded_shape, dtype=x.dtype)
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[:, i : i + out_h, j : j + out_w] += g_win[:, :, :, i, j].transpose(2, 0, 1)
-                if padding:
-                    gxp = gxp[:, padding:-padding, padding:-padding]
-                x._accum_grad(gxp)
+                        gxp[:, i : i + out_h, j : j + out_w] += g_cols[:, i, j]
+                x._accum_grad(gxp[:, padding : padding + height, padding : padding + width])
 
         out._backward = backward
     return out
 
 
 def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/cols that do not fit are dropped."""
+    """Non-overlapping max pooling; trailing rows/cols that do not fit are dropped.
+
+    The output is the running maximum of the size*size strided views of x, one
+    per window entry, in row-major window order. Backward gives each output's
+    gradient to the first window entry that equals the maximum.
+    """
     if x.ndim != 3:
         raise ConfigError(f"max_pool2d: expected (C,H,W), got {x.shape}")
-    channels, height, width = x.shape
+    _, height, width = x.shape
     out_h, out_w = height // size, width // size
     if out_h < 1 or out_w < 1:
         raise ConfigError(f"max_pool2d: input {x.shape} smaller than pool {size}")
-    trimmed = x.data[:, : out_h * size, : out_w * size]
-    blocks = (
-        trimmed.reshape(channels, out_h, size, out_w, size)
-        .transpose(0, 1, 3, 2, 4)
-        .reshape(channels, out_h, out_w, size * size)
-    )
-    arg = blocks.argmax(axis=3)
-    out_data = np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]
-    out = Tensor._from_op(np.ascontiguousarray(out_data), (x,))
+
+    def entry(data: np.ndarray, k: int) -> np.ndarray:
+        i, j = divmod(k, size)
+        return data[:, i : out_h * size : size, j : out_w * size : size]
+
+    out_data = entry(x.data, 0).copy()
+    for k in range(1, size * size):
+        # np.maximum returns its second argument on a tie, so the running
+        # maximum keeps the earlier entry, as a first-max argmax does
+        np.maximum(entry(x.data, k), out_data, out=out_data)
+    out = Tensor._from_op(out_data, (x,))
     if out.requires_grad:
 
         def backward():
-            g_blocks = np.zeros_like(blocks)
-            np.put_along_axis(g_blocks, arg[..., None], out.grad[..., None], axis=3)
-            g_trim = (
-                g_blocks.reshape(channels, out_h, out_w, size, size)
-                .transpose(0, 1, 3, 2, 4)
-                .reshape(channels, out_h * size, out_w * size)
-            )
+            # The gradient is routed as raw bits: g's bits ANDed with an
+            # all-ones mask where the entry won and an all-zeros one elsewhere
+            # give g or +0.0, several times faster than a masked copy into a
+            # strided view.
+            bits = np.dtype(f"u{x.data.itemsize}")
+            g_bits = out.grad.view(bits)
             gx = np.zeros_like(x.data)
-            gx[:, : out_h * size, : out_w * size] = g_trim
+            unplaced = None
+            for k in range(size * size):
+                hit = entry(x.data, k) == out_data
+                if unplaced is None:
+                    unplaced = ~hit
+                else:
+                    hit &= unplaced
+                    unplaced &= ~hit
+                mask = hit.astype(bits)
+                np.negative(mask, out=mask)  # 1 -> all ones
+                np.bitwise_and(g_bits, mask, out=entry(gx.view(bits), k))
             x._accum_grad(gx)
 
         out._backward = backward

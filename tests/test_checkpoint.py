@@ -52,6 +52,34 @@ def test_container_rejects_truncation(tmp_path):
         load_container(path)
 
 
+def _container_bytes(header: bytes, blob_name: bytes) -> bytes:
+    """A version-1 container with the given raw header and one 1-element blob."""
+    return (
+        MAGIC
+        + struct.pack("<II", 1, len(header))
+        + header
+        + struct.pack("<IH", 1, len(blob_name))
+        + blob_name
+        + struct.pack("<BIf", 1, 1, 0.0)
+    )
+
+
+def test_container_rejects_non_object_header(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(_container_bytes(b"[1,2]", b"w"))
+    with pytest.raises(CheckpointError, match="not an object") as info:
+        load_container(path)
+    assert str(path) in str(info.value)
+
+
+def test_container_rejects_non_utf8_blob_name(tmp_path):
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(_container_bytes(b'{"kind": "sepnet"}', b"\xff\xfe"))
+    with pytest.raises(CheckpointError, match="not UTF-8") as info:
+        load_container(path)
+    assert str(path) in str(info.value)
+
+
 def test_sep_checkpoint_round_trip(tmp_path):
     config = ModelConfig(stage_blocks=(1, 1), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4)
     model = TasTasModel.initialize(config, seed=3, dtype=np.float32)

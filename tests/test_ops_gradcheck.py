@@ -443,3 +443,149 @@ def test_recorded_layer_norm_keeps_no_input_sized_array():
     assert out.requires_grad
     # the output itself plus per-slice statistics and bookkeeping, well under another x
     assert held < out.data.nbytes + x.data.nbytes // 4
+
+
+# Reference copies of the earlier max_pool2d (one argmax over a reshaped,
+# transposed copy of the windows) and conv2d (tensordot over a sliding-window
+# view of the padded input). The rewritten ops must match them bit for bit.
+
+
+def _ref_max_pool2d(x: Tensor, size: int = 2) -> Tensor:
+    channels, height, width = x.shape
+    out_h, out_w = height // size, width // size
+    trimmed = x.data[:, : out_h * size, : out_w * size]
+    blocks = (
+        trimmed.reshape(channels, out_h, size, out_w, size)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(channels, out_h, out_w, size * size)
+    )
+    arg = blocks.argmax(axis=3)
+    out = Tensor._from_op(np.ascontiguousarray(np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]), (x,))
+    if out.requires_grad:
+
+        def backward():
+            g_blocks = np.zeros_like(blocks)
+            np.put_along_axis(g_blocks, arg[..., None], out.grad[..., None], axis=3)
+            g_trim = (
+                g_blocks.reshape(channels, out_h, out_w, size, size)
+                .transpose(0, 1, 3, 2, 4)
+                .reshape(channels, out_h * size, out_w * size)
+            )
+            gx = np.zeros_like(x.data)
+            gx[:, : out_h * size, : out_w * size] = g_trim
+            x._accum_grad(gx)
+
+        out._backward = backward
+    return out
+
+
+def _ref_conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
+    c_in, height, width = x.shape
+    c_out, _, kh, kw = weight.shape
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (padding, padding)))
+    out_h = height + 2 * padding - kh + 1
+    out_w = width + 2 * padding - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    out_data = np.tensordot(weight.data, windows, axes=([1, 2, 3], [0, 3, 4]))
+    out = Tensor._from_op(np.ascontiguousarray(out_data), (x, weight))
+    if out.requires_grad:
+
+        def backward():
+            g = out.grad
+            if weight.requires_grad:
+                weight._accum_grad(np.tensordot(g, windows, axes=([1, 2], [1, 2])))
+            if x.requires_grad:
+                g_win = g.reshape(c_out, -1).T @ weight.data.reshape(c_out, -1)
+                g_win = g_win.reshape(out_h, out_w, c_in, kh, kw)
+                gxp = np.zeros_like(xp)
+                for i in range(kh):
+                    for j in range(kw):
+                        gxp[:, i : i + out_h, j : j + out_w] += g_win[:, :, :, i, j].transpose(2, 0, 1)
+                if padding:
+                    gxp = gxp[:, padding:-padding, padding:-padding]
+                x._accum_grad(gxp)
+
+        out._backward = backward
+    return out
+
+
+def _value_and_grads(op, arrays, g_out):
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*tensors)
+    out.backward(g_out)
+    return [out.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 9), (2, 6, 8), (16, 257, 32), (5, 3, 5)])
+def test_max_pool2d_matches_argmax_reference_bit_for_bit(shape):
+    # integer values tie often inside a window, and zeros of both signs tie
+    # with each other; odd H and W leave a trailing row and column to drop
+    rng = np.random.default_rng(sum(shape))
+    x = rng.integers(-2, 3, size=shape).astype(np.float32)
+    x[(x == 0) & (rng.uniform(size=shape) < 0.5)] = -0.0
+    g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2)).astype(np.float32)
+    got = _value_and_grads(lambda t: ops.max_pool2d(t, 2), [x], g)
+    want = _value_and_grads(lambda t: _ref_max_pool2d(t, 2), [x], g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "c_in,c_out,height,width", [(1, 16, 257, 32), (16, 32, 128, 16), (32, 64, 64, 8), (64, 64, 32, 4)]
+)
+def test_conv2d_matches_tensordot_reference_bit_for_bit(c_in, c_out, height, width):
+    # the four layer shapes of the default speaker network on a 0.5 s segment
+    rng = np.random.default_rng(c_in + c_out)
+    x = rng.standard_normal((c_in, height, width)).astype(np.float32)
+    w = (rng.standard_normal((c_out, c_in, 3, 3)) / (3 * np.sqrt(c_in))).astype(np.float32)
+    g = rng.standard_normal((c_out, height, width)).astype(np.float32)
+    got = _value_and_grads(ops.conv2d, [x, w], g)
+    want = _value_and_grads(_ref_conv2d, [x, w], g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_frozen_conv2d_keeps_no_im2col_or_padded_input():
+    rng = np.random.default_rng(2)
+    x_data = rng.standard_normal((16, 128, 16)).astype(np.float32)
+    w_data = rng.standard_normal((32, 16, 3, 3)).astype(np.float32)
+
+    def held_bytes(weight_grad: bool):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        w = Tensor(w_data, requires_grad=weight_grad)
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, padding=1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        return held, out.data.nbytes
+
+    held, out_bytes = held_bytes(weight_grad=False)
+    # the output and bookkeeping; a padded input copy alone is over x.nbytes
+    assert held < out_bytes + x_data.nbytes // 4, f"{held} bytes held for a {out_bytes}-byte output"
+    # the same measure sees the 9-slab im2col a trainable weight needs
+    held, _ = held_bytes(weight_grad=True)
+    assert held >= out_bytes + 9 * x_data.nbytes
+
+
+def test_frozen_idnet_embedding_and_wave_grad_match_reference_ops(monkeypatch):
+    from tastas.idnet import IdNet, IdNetConfig
+
+    net = IdNet.initialize(IdNetConfig(num_speakers=4), seed=0).freeze()
+    wave = (0.1 * np.random.default_rng(3).standard_normal(net.config.sample_rate_hz)).astype(np.float32)
+
+    def embed_and_grad():
+        w = Tensor(wave.copy(), requires_grad=True)
+        emb = net.embed_segments_graph(w)
+        emb.backward(np.linspace(-1.0, 1.0, emb.size, dtype=np.float32))
+        return emb.data, w.grad
+
+    got = embed_and_grad()
+    monkeypatch.setattr(ops, "conv2d", _ref_conv2d)
+    monkeypatch.setattr(ops, "max_pool2d", _ref_max_pool2d)
+    want = embed_and_grad()
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
