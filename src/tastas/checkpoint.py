@@ -68,7 +68,7 @@ def save_container(path, kind: str, header: dict, blobs: dict[str, np.ndarray]) 
 def _read_exact(fh, count: int, what: str) -> bytes:
     buf = fh.read(count)
     if len(buf) != count:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
+        raise CheckpointError(f"{fh.name}: truncated checkpoint while reading {what}")
     return buf
 
 

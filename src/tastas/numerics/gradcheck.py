@@ -223,7 +223,7 @@ def _build_max_pool2d(rng):
 
 
 def _build_bilstm_layer(rng):
-    batch, steps, dim, hidden = 2, 5, 3, 3
+    batch, steps, dim, hidden, features = 2, 5, 3, 3, 4
     x = _u(rng, batch, steps, dim)
     params = [
         _u(rng, 4 * hidden, dim),
@@ -232,6 +232,7 @@ def _build_bilstm_layer(rng):
         _u(rng, 4 * hidden, dim),
         _u(rng, 4 * hidden, hidden),
         _u(rng, 4 * hidden),
+        _u(rng, features, 2 * hidden),
     ]
     return [x, *params], lambda ts: ops.bilstm_layer(*ts)
 

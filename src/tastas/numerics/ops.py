@@ -9,6 +9,7 @@ verifies every op here.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -369,22 +370,32 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # first 3H, gives all four gates.
 #
 # The recurrence is time-major with the batch on the last axis: the gate buffer
-# is (T, 4H, B) and the cell and hidden states are (T, H, B), so step t works on
+# is (T, 4H, B) and the cell states are (T, H, B), so step t works on
 # contiguous blocks and each gate is a contiguous (H, B) slab of gates[t]. The
 # gate buffer starts as the input projection and holds the activated gates once
-# step t has run. The BPTT cache is the activated gates alone, 4H values per
-# step and sequence. Backward re-forms the cell states from them,
-# c(t) = f(t) * c(t-1) + i(t) * g(t), with the same float32 operations the
-# forward ran, so they come back bit for bit. The hidden states are a
-# transient forward buffer, and backward reads h(t-1) back from the layer's
-# own output, which its node keeps anyway. The input is kept as (D, T, B),
-# which is how the dual-path block's intra-chunk input already lies in memory.
-# The right-to-left pass is the same kernel run on the time-flipped input.
+# step t has run. The two directions' hidden states are joined into one
+# (B*T, 2H) matrix, rows in (batch, step) order, which the output projection
+# reads transposed. A (2H, T, B) buffer that the kernel writes into directly
+# would save that copy, but its row-strided step slabs made the forward 11-15%
+# slower at B=41, T=50, and OpenBLAS rounds its plain (2H, T*B) product
+# differently at small shapes.
+#
+# The BPTT cache is the activated gates alone, 4H values per step and
+# sequence. Backward re-forms the cell states from them,
+# c(t) = f(t) * c(t-1) + i(t) * g(t), and the hidden states,
+# h(t) = o(t) * tanh(c(t)), from the tanh(c(t)) its reverse loop forms anyway,
+# with the same float32 operations the forward ran, so both come back bit for
+# bit. The input is kept as (D, T, B), which is how the dual-path block's
+# intra-chunk input already lies in memory. The right-to-left pass is the same
+# kernel run on the time-flipped input.
 
 
+@functools.cache
 def _gate_order(hidden: int) -> np.ndarray:
     """Row permutation between (i, f, g, o) and (i, f, o, g); it is its own inverse."""
-    return np.r_[0 : 2 * hidden, 3 * hidden : 4 * hidden, 2 * hidden : 3 * hidden]
+    order = np.r_[0 : 2 * hidden, 3 * hidden : 4 * hidden, 2 * hidden : 3 * hidden]
+    order.flags.writeable = False
+    return order
 
 
 def _kernel_weights(w: np.ndarray, hidden: int) -> np.ndarray:
@@ -428,16 +439,14 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
     return hs, (gates if keep_cache else None)
 
 
-def _lstm_grad(
-    x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray, h_prev: np.ndarray
-):
+def _lstm_grad(x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
     """BPTT through one direction that _lstm_run ran over x (D, T, B).
 
-    gates is the run's cache (T, 4H, B), g_h the upstream grad of the hidden
-    states (T, H, B) and h_prev the hidden states of steps 0..T-2 as
-    (H, T-1, B). The cell states are re-formed from the gates in a buffer that
-    lives for this call only. Returns dx (D, T, B) and the grads of w_ih, w_hh
-    and b in their stored gate order.
+    gates is the run's cache (T, 4H, B) and g_h the upstream grad of the
+    hidden states (T, H, B). The cell states are re-formed from the gates in a
+    buffer that lives for this call only, and the hidden states as the reverse
+    loop goes. Returns the hidden states (T, H, B), dx (D, T, B) and the grads
+    of w_ih, w_hh and b in their stored gate order.
     """
     steps, _, batch = gates.shape
     hidden = w_hh.shape[1]
@@ -446,6 +455,7 @@ def _lstm_grad(
     zeros = np.zeros((hidden, batch), dtype=gates.dtype)
     dh_carry, dc_carry = zeros.copy(), zeros.copy()
     dh, dc, tanh_c, tmp = (np.empty_like(zeros) for _ in range(4))
+    hs = np.empty((steps, hidden, batch), dtype=gates.dtype)
     # c(t) = f(t) * c(t-1) + i(t) * g(t), each product rounded as the forward rounds it
     cs = np.multiply(gates[:, :hidden], gates[:, 3 * hidden :])
     for t in range(steps):
@@ -466,6 +476,7 @@ def _lstm_grad(
         _, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
         np.add(g_h[t], dh_carry, out=dh)
         np.tanh(cs[t], out=tanh_c)
+        np.multiply(tanh_c, o, out=hs[t])  # h(t), the forward's product
         # dc = dh * o * (1 - tanh(c)^2) + dc_carry
         np.multiply(tanh_c, tanh_c, out=dc)
         np.subtract(1.0, dc, out=dc)
@@ -482,12 +493,21 @@ def _lstm_grad(
         np.multiply(dc, f, out=dc_carry)
     # one (4H, T*B) copy turns the weight grads and dx into single matrix products
     dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
-    h_prev = np.ascontiguousarray(h_prev).reshape(hidden, -1)
+    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)  # h(t-1), (H, (T-1)*B)
     dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
     dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
     dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
     db = dz_flat.sum(axis=1)[order]
-    return dx, dw_ih, dw_hh, db
+    return hs, dx, dw_ih, dw_hh, db
+
+
+def _join_directions(hs_f: np.ndarray, hs_b: np.ndarray) -> np.ndarray:
+    """[h_fwd; h_bwd] of two (T, H, B) runs, the second time-flipped, as (B*T, 2H)."""
+    steps, hidden, batch = hs_f.shape
+    h = np.empty((batch, steps, 2 * hidden), dtype=hs_f.dtype)
+    h[:, :, :hidden] = hs_f.transpose(2, 0, 1)
+    h[:, :, hidden:] = hs_b[::-1].transpose(2, 0, 1)
+    return h.reshape(batch * steps, 2 * hidden)
 
 
 def bilstm_layer(
@@ -498,12 +518,15 @@ def bilstm_layer(
     w_ih_b: Tensor,
     w_hh_b: Tensor,
     b_b: Tensor,
+    proj: Tensor,
 ) -> Tensor:
-    """Bidirectional LSTM over (B, T, D) -> (B, T, 2H).
+    """Bidirectional LSTM with its output projection: (B, T, D) -> (F, B, T).
 
-    One pass runs left to right, the other right to left; per-step hidden
-    states are concatenated on the feature axis. Implemented as a single
-    fused node with manual truncated-free BPTT, which keeps graphs shallow.
+    One pass runs left to right, the other right to left; the hidden states
+    of both, [h_fwd; h_bwd] (2H per step), are projected by proj (F, 2H).
+    Implemented as a single fused node with manual truncated-free BPTT, which
+    keeps graphs shallow; the node keeps only the activated gates, and
+    backward re-forms the cell and hidden states from them.
     """
     if x.ndim != 3:
         raise ConfigError(f"bilstm_layer: expected (B,T,D), got {x.shape}")
@@ -512,32 +535,33 @@ def bilstm_layer(
         raise ConfigError(
             f"bilstm_layer: input dim {x.shape[2]} incompatible with weights {w_ih_f.shape}, {w_ih_b.shape}"
         )
-    parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b)
+    if proj.ndim != 2 or proj.shape[1] != 2 * hidden:
+        raise ConfigError(f"bilstm_layer: projection {proj.shape} does not take {2 * hidden} hidden features")
+    batch, steps, _ = x.shape
+    features = proj.shape[0]
+    parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b, proj)
     record = is_recording(parents)
     x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
     hs_f, gates_f = _lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=record)
     hs_b, gates_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
-    data = np.empty((x.shape[0], x.shape[1], 2 * hidden), dtype=hs_f.dtype)
-    data[:, :, :hidden] = hs_f.transpose(2, 0, 1)
-    data[:, :, hidden:] = hs_b[::-1].transpose(2, 0, 1)
+    data = (proj.data @ _join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
     out = Tensor._from_op(data, parents)
     if out.requires_grad:
 
         def backward():
+            g = out.grad.reshape(features, batch * steps)
+            g_h = (proj.data.T @ g).reshape(2 * hidden, batch, steps)
+            g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
             x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
-            g_thb = np.ascontiguousarray(out.grad.transpose(1, 2, 0))
-            # h(t-1) of each direction, in its own step order, read from the output
-            h_prev_f = out.data[:, :-1, :hidden].transpose(2, 1, 0)
-            h_prev_b = out.data[:, :0:-1, hidden:].transpose(2, 1, 0)
-            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(
-                x_dtb, gates_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden], h_prev_f
-            )
-            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
-                x_dtb[:, ::-1], gates_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:], h_prev_b
+            hs_f, dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, gates_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            hs_b, dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
+                x_dtb[:, ::-1], gates_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
             )
             if x.requires_grad:
                 dx_f += dx_b[:, ::-1]
                 x._accum_grad(dx_f.transpose(2, 1, 0))
+            if proj.requires_grad:
+                proj._accum_grad(g @ _join_directions(hs_f, hs_b))
             for tensor, grad in (
                 (w_ih_f, dwi_f),
                 (w_hh_f, dwh_f),

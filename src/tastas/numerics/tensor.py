@@ -13,12 +13,13 @@ inside ``no_grad()``. A node keeps what its backward reads and no more:
 its output, its parents (whose values the graph holds anyway), and the
 saved arrays that cannot be re-formed from those. ``layer_norm`` saves
 only its per-slice mean and inverse std, and re-forms the normalized
-values from its input; ``bilstm_layer`` saves only its activated gates,
-re-forms the cell states from them, and reads the previous hidden states
-from its output; ``conv2d`` saves its im2col matrix only when the weight
-requires grad, so a conv through a frozen weight keeps neither that
-matrix nor the padded input; ``max_pool2d`` saves nothing and finds each
-window's winner again from its input and output. Under
+values from its input; ``bilstm_layer``, a BiLSTM with its output
+projection, saves only its activated gates and re-forms both the cell
+states c(t) and the hidden states h(t) from them; ``conv2d`` saves its
+im2col matrix only when the weight requires grad, so a conv through a
+frozen weight keeps neither that matrix nor the padded input;
+``max_pool2d`` saves nothing and finds each window's winner again from
+its input and output. Under
 ``no_grad()`` every op returns a plain ``requires_grad=False`` tensor, so
 a forward keeps nothing but its values; the block nests, restores the
 previous mode on exit (also on an exception), and is per thread. A

@@ -79,24 +79,19 @@ def encode(params: ParamSet, cfg: StageConfig, stage_index: int, waves: list[Ten
 
 
 def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
-    """One intra-chunk + inter-chunk pass with projection, norm, and residual."""
-    feat, chunk_len, count = chunks.shape
+    """One intra-chunk + inter-chunk pass, each a BiLSTM, projection, norm and residual.
+
+    BiLSTM and projection are one ``bilstm_layer`` node, which keeps only its
+    activated gates: its backward re-forms the cell states c(t) and the hidden
+    states h(t) from them.
+    """
 
     def half(path: str, seq_batch_first: Tensor) -> Tensor:
-        hidden2 = params[f"{base}.{path}.proj.weight"].shape[1]
-        h = ops.bilstm_layer(
+        return ops.bilstm_layer(
             seq_batch_first,
-            params[f"{base}.{path}.w_ih_f"],
-            params[f"{base}.{path}.w_hh_f"],
-            params[f"{base}.{path}.b_f"],
-            params[f"{base}.{path}.w_ih_b"],
-            params[f"{base}.{path}.w_hh_b"],
-            params[f"{base}.{path}.b_b"],
-        )
-        batch, steps, _ = h.shape
-        flat = ops.transpose(ops.reshape(h, (batch * steps, hidden2)), (1, 0))
-        proj = ops.linear(params[f"{base}.{path}.proj.weight"], flat)  # (F, batch*steps)
-        return ops.reshape(proj, (feat, batch, steps))
+            *(params[f"{base}.{path}.{name}"] for name in ("w_ih_f", "w_hh_f", "b_f", "w_ih_b", "w_hh_b", "b_b")),
+            params[f"{base}.{path}.proj.weight"],
+        )  # (F, batch, steps)
 
     # intra: recur over positions within each chunk
     intra_in = ops.transpose(chunks, (2, 1, 0))  # (C, K, F)

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -49,6 +50,14 @@ def test_container_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 50])
     with pytest.raises(CheckpointError, match="truncated"):
+        load_container(path)
+
+
+def test_truncation_error_names_the_file(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    save_container(path, "sepnet", {}, {"w": np.ones(4, dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: truncated checkpoint while reading blob 'w' data")):
         load_container(path)
 
 

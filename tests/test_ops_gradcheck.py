@@ -143,7 +143,7 @@ def test_conv1d_shape_errors_name_dimensions():
 
 def test_bilstm_output_shape():
     rng = np.random.default_rng(3)
-    hidden, dim = 3, 2
+    hidden, dim, features = 3, 2, 4
     args = [Tensor(rng.standard_normal((2, 5, dim)))]
     for _ in range(2):
         args += [
@@ -151,8 +151,10 @@ def test_bilstm_output_shape():
             Tensor(rng.standard_normal((4 * hidden, hidden))),
             Tensor(rng.standard_normal(4 * hidden)),
         ]
-    out = ops.bilstm_layer(*args)
-    assert out.shape == (2, 5, 2 * hidden)
+    out = ops.bilstm_layer(*args, Tensor(rng.standard_normal((features, 2 * hidden))))
+    assert out.shape == (features, 2, 5)
+    with pytest.raises(ConfigError, match="projection"):
+        ops.bilstm_layer(*args, Tensor(rng.standard_normal((features, hidden))))
 
 
 def test_overlap_add_inverts_framing_scale():
@@ -222,15 +224,16 @@ def _ref_lstm(x, w_ih, w_hh, b, g_h, reverse):
     return hs, (dx, dw_ih, dw_hh, db)
 
 
-def _ref_bilstm(x, weights, g_out):
-    """Output and the 7 gradients (x, then w_ih, w_hh, b of each direction)."""
+def _ref_bilstm(x, weights, g_h):
+    """Hidden states (B, T, 2H) and the 7 gradients (x, then w_ih, w_hh, b of each direction)."""
     hidden = weights[1].shape[1]
-    hs_f, (dx_f, *grads_f) = _ref_lstm(x, *weights[:3], g_out[:, :, :hidden], reverse=False)
-    hs_b, (dx_b, *grads_b) = _ref_lstm(x, *weights[3:], g_out[:, :, hidden:], reverse=True)
+    hs_f, (dx_f, *grads_f) = _ref_lstm(x, *weights[:3], g_h[:, :, :hidden], reverse=False)
+    hs_b, (dx_b, *grads_b) = _ref_lstm(x, *weights[3:], g_h[:, :, hidden:], reverse=True)
     return np.concatenate([hs_f, hs_b], axis=2), [dx_f + dx_b, *grads_f, *grads_b]
 
 
 def _bilstm_case(rng, batch, steps, dim, hidden, dtype=np.float64, scale=1.0):
+    """x, the six LSTM weights and a (dim, 2H) projection, plus an upstream grad (dim, B, T)."""
     x = rng.standard_normal((batch, steps, dim))
     k = scale / np.sqrt(hidden)
     weights = []
@@ -240,8 +243,9 @@ def _bilstm_case(rng, batch, steps, dim, hidden, dtype=np.float64, scale=1.0):
             rng.uniform(-k, k, (4 * hidden, hidden)),
             rng.uniform(-k, k, 4 * hidden),
         ]
-    g_out = rng.standard_normal((batch, steps, 2 * hidden))
-    return [a.astype(dtype) for a in (x, *weights)], g_out.astype(dtype)
+    proj = rng.uniform(-k, k, (dim, 2 * hidden))
+    g_out = rng.standard_normal((dim, batch, steps))
+    return [a.astype(dtype) for a in (x, *weights, proj)], g_out.astype(dtype)
 
 
 def _bilstm_with_grads(arrays, g_out):
@@ -256,9 +260,12 @@ def test_bilstm_matches_per_step_reference(batch, steps, dim, hidden):
     # T=1 leaves the recurrent-weight grad an empty product; B=1 a single sequence
     arrays, g_out = _bilstm_case(np.random.default_rng(batch * 100 + steps), batch, steps, dim, hidden, scale=2.0)
     out, grads = _bilstm_with_grads(arrays, g_out)
-    ref_out, ref_grads = _ref_bilstm(arrays[0], arrays[1:], g_out)
+    x, *weights, proj = arrays
+    ref_h, ref_grads = _ref_bilstm(x, weights, np.einsum("fk,fbt->btk", proj, g_out))
+    ref_out = np.einsum("fk,btk->fbt", proj, ref_h)
+    ref_grads.append(np.einsum("fbt,btk->fk", g_out, ref_h))
     np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
-    assert len(grads) == len(ref_grads) == 7
+    assert len(grads) == len(ref_grads) == 8
     for grad, ref in zip(grads, ref_grads):
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
 
@@ -282,8 +289,9 @@ def test_bilstm_large_weights_stay_finite():
 
 def test_bilstm_graph_keeps_gates_only():
     # per direction the cache is the 4H activated gates of every step; the
-    # hidden states live once, in the (B, T, 2H) output, and backward re-forms
-    # the cell states from the gates
+    # node's value is the projected output, and backward re-forms the cell and
+    # hidden states from the gates (keeping the hidden states would add 2H per
+    # step and sequence, about 1.2x)
     batch, steps, dim, hidden = 8, 16, 16, 16
     arrays, _ = _bilstm_case(np.random.default_rng(0), batch, steps, dim, hidden)
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -294,17 +302,53 @@ def test_bilstm_graph_keeps_gates_only():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    expected = (2 * 4 * hidden * steps * batch + 2 * hidden * steps * batch) * 8
+    expected = (2 * 4 * hidden * steps * batch + dim * steps * batch) * 8
     assert held <= 1.05 * expected, f"{held} bytes held, {held / expected:.3f}x the gates and output"
 
 
-def _cell_caching_direction(x_dtb, w_ih, w_hh, b, g_h, h_prev):
-    """One direction in the kernel's own arithmetic, a step at a time, with the
-    forward's cell states kept for backward instead of re-formed.
+def _join_directions(hs_f, hs_b):
+    """[h_fwd; h_bwd] of two (T, H, B) runs as (B*T, 2H), laid out as a (B, T, 2H) BiLSTM output."""
+    joined = np.concatenate([hs_f.transpose(2, 0, 1), hs_b[::-1].transpose(2, 0, 1)], axis=2)
+    return joined.reshape(-1, joined.shape[2])
 
-    x_dtb is (D, T, B), g_h (T, H, B) and h_prev (H, T-1, B), laid out as
-    bilstm_layer passes them. Returns the hidden states (T, H, B), dx and the
-    grads of w_ih, w_hh and b.
+
+def _unfused_chain(direction, arrays, g_out):
+    """The BiLSTM node, then reshape, transpose, linear and reshape, in numpy.
+
+    direction(x_dtb, w_ih, w_hh, b, g_h) runs one direction over (D, T, B)
+    and returns its hidden states (T, H, B), dx and the grads of w_ih, w_hh
+    and b. The projection and its grads are formed as ops.linear forms them
+    from a (B, T, 2H) input. Returns the output and the 8 gradients.
+    """
+    x, *weights, proj = arrays
+    feat, batch, steps = g_out.shape
+    hidden = weights[1].shape[1]
+    x_dtb = np.ascontiguousarray(x.transpose(2, 1, 0))
+    g = g_out.reshape(feat, -1)
+    g_thb = np.ascontiguousarray((proj.T @ g).reshape(2 * hidden, batch, steps).transpose(2, 0, 1))
+    hs_f, dx_f, *grads_f = direction(x_dtb, *weights[:3], g_thb[:, :hidden])
+    hs_b, dx_b, *grads_b = direction(x_dtb[:, ::-1], *weights[3:], g_thb[::-1, hidden:])
+    h = _join_directions(hs_f, hs_b)
+    dx_f += dx_b[:, ::-1]
+    out = (proj @ h.T).reshape(feat, batch, steps)
+    return out, [dx_f.transpose(2, 1, 0), *grads_f, *grads_b, g @ h]
+
+
+def _assert_bytes_equal(out, grads, ref_out, ref_grads):
+    assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+    for grad, ref in zip(grads, ref_grads, strict=True):
+        assert grad.dtype == ref.dtype == np.float32
+        assert grad.shape == ref.shape
+        assert grad.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def _cell_caching_direction(x_dtb, w_ih, w_hh, b, g_h):
+    """One direction in the kernel's own arithmetic, a step at a time, with the
+    forward's cell and hidden states kept for backward instead of re-formed.
+
+    x_dtb is (D, T, B) and g_h (T, H, B), laid out as bilstm_layer passes
+    them. Returns the hidden states (T, H, B), dx and the grads of w_ih, w_hh
+    and b.
     """
     _, steps, batch = x_dtb.shape
     hidden = w_hh.shape[1]
@@ -343,35 +387,40 @@ def _cell_caching_direction(x_dtb, w_ih, w_hh, b, g_h, h_prev):
         dh_carry = w_hh_t @ dz
         dc_carry = dc * f
     dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
-    h_prev = np.ascontiguousarray(h_prev).reshape(hidden, -1)
+    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)
     dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
     dw_ih = (dz_flat @ x_dtb.reshape(x_dtb.shape[0], -1).T)[order]
     dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
     db = dz_flat.sum(axis=1)[order]
-    return hs, (dx, dw_ih, dw_hh, db)
+    return hs, dx, dw_ih, dw_hh, db
 
 
 def test_bilstm_grads_equal_a_cell_caching_reference_bit_for_bit():
-    # re-forming c(t) in backward must round exactly as the forward did
+    # re-forming c(t) and h(t) in backward must round exactly as the forward did
     arrays, g_out = _bilstm_case(np.random.default_rng(5), batch=41, steps=50, dim=64, hidden=64, dtype=np.float32)
     out, grads = _bilstm_with_grads(arrays, g_out)
-    hidden = 64
-    x_dtb = np.ascontiguousarray(arrays[0].transpose(2, 1, 0))
-    g_thb = np.ascontiguousarray(g_out.transpose(1, 2, 0))
-    hs_f, (dx_f, *grads_f) = _cell_caching_direction(
-        x_dtb, *arrays[1:4], g_thb[:, :hidden], out[:, :-1, :hidden].transpose(2, 1, 0)
+    ref_out, ref_grads = _unfused_chain(_cell_caching_direction, arrays, g_out)
+    _assert_bytes_equal(out, grads, ref_out, ref_grads)
+
+
+def _kernel_direction(x_dtb, w_ih, w_hh, b, g_h):
+    """One direction through ops._lstm_run and ops._lstm_grad, whose backward
+    must give back the forward's hidden states byte for byte."""
+    hs, gates = ops._lstm_run(x_dtb, w_ih, w_hh, b, keep_cache=True)
+    reformed, *grads = ops._lstm_grad(x_dtb, gates, w_ih, w_hh, g_h)
+    assert reformed.tobytes() == hs.tobytes()
+    return hs, *grads
+
+
+@pytest.mark.parametrize("batch,steps", [(41, 50), (50, 41)])
+def test_bilstm_layer_equals_the_unfused_chain_bit_for_bit(batch, steps):
+    # the train-1s shapes of the intra-chunk and inter-chunk BiLSTMs at D=H=F=64
+    arrays, g_out = _bilstm_case(
+        np.random.default_rng(batch), batch=batch, steps=steps, dim=64, hidden=64, dtype=np.float32
     )
-    hs_b, (dx_b, *grads_b) = _cell_caching_direction(
-        x_dtb[:, ::-1], *arrays[4:], g_thb[::-1, hidden:], out[:, :0:-1, hidden:].transpose(2, 1, 0)
-    )
-    dx_f += dx_b[:, ::-1]
-    ref_out = np.concatenate([hs_f.transpose(2, 0, 1), hs_b[::-1].transpose(2, 0, 1)], axis=2)
-    ref_grads = [dx_f.transpose(2, 1, 0), *grads_f, *grads_b]
-    assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
-    for grad, ref in zip(grads, ref_grads, strict=True):
-        assert grad.dtype == ref.dtype == np.float32
-        assert grad.shape == ref.shape
-        assert grad.tobytes() == np.ascontiguousarray(ref).tobytes()
+    out, grads = _bilstm_with_grads(arrays, g_out)
+    ref_out, ref_grads = _unfused_chain(_kernel_direction, arrays, g_out)
+    _assert_bytes_equal(out, grads, ref_out, ref_grads)
 
 
 # -- the fused affine layer norm -------------------------------------------------

@@ -122,6 +122,7 @@ def _bilstm_inputs(rng):
             Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, hidden)), requires_grad=True),
             Tensor(rng.uniform(-0.5, 0.5, 4 * hidden), requires_grad=True),
         ]
+    weights.append(Tensor(rng.uniform(-0.5, 0.5, (dim, 2 * hidden)), requires_grad=True))
     return x, weights
 
 
