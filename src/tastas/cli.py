@@ -56,8 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-mixes", type=int, default=0)
     p.add_argument("--from-wavs", default="", help="slice labeled WAV subfolders instead of toy speakers")
 
-    p = _train_parser(sub, "train-idnet", "train and freeze the speaker classifier")
-    p.add_argument("--speakers", dest="num_speakers", type=int)
+    _train_parser(sub, "train-idnet", "train and freeze the speaker classifier (a class per manifest speaker id)")
 
     for name, phase in (("train-sep", "sep"), ("finetune", "finetune")):
         p = _train_parser(sub, name, f"run the {phase} training phase")

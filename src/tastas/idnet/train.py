@@ -6,7 +6,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -14,11 +13,10 @@ from ..audio.wavio import Waveform
 from ..checkpoint import config_from_header, load_container, save_container
 from ..errors import CheckpointError, DataError
 from ..numerics import ops
-from ..numerics.optim import AdamState, ParamSet, adam_step, clip_global_norm
+from ..numerics.optim import GRAD_CLIP, AdamState, ParamSet, adam_step, clip_global_norm
 from ..numerics.tensor import Tensor
 from .model import IdNet, IdNetConfig, slice_segments
 
-GRAD_CLIP = 5.0
 MIN_SEGMENTS_PER_SPEAKER = 20
 
 
@@ -169,7 +167,7 @@ def train_idnet(
 # ---------------------------------------------------------------------------
 
 
-def save_idnet(path, net: IdNet, extras: dict | None = None, label_map: dict[str, int] | None = None) -> None:
+def save_idnet(path, net: IdNet, extras: dict | None = None) -> None:
     header = {
         "model": asdict(net.config),
         "extras": dict(extras or {}),
@@ -177,10 +175,6 @@ def save_idnet(path, net: IdNet, extras: dict | None = None, label_map: dict[str
     }
     blobs = {f"param.{name}": tensor.data for name, tensor in net.params.items()}
     save_container(path, "idnet", header, blobs)
-    if label_map:
-        labels_path = Path(str(path) + ".labels")
-        lines = [f"{name}\t{idx}" for name, idx in sorted(label_map.items(), key=lambda kv: kv[1])]
-        labels_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_idnet(path) -> IdNet:

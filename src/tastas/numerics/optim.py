@@ -55,9 +55,6 @@ class ParamSet:
     def num_values(self) -> int:
         return sum(t.size for t in self._tensors.values())
 
-    def astype(self, dtype) -> "ParamSet":
-        return ParamSet({n: Tensor(t.data.astype(dtype)) for n, t in self.items()})
-
     def copy(self) -> "ParamSet":
         return ParamSet({n: Tensor(t.data.copy()) for n, t in self.items()})
 
@@ -135,6 +132,10 @@ def adam_step(
         new_m[name] = m
         new_v[name] = v
     return ParamSet(new_params), replace(state, step=step, m=new_m, v=new_v)
+
+
+# the global-norm gradient clip of every training phase
+GRAD_CLIP = 5.0
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:

@@ -30,7 +30,6 @@ class TrainConfig:
     kernel_len: int = ModelConfig.kernel_len
     chunk_len: int = ModelConfig.chunk_len
     hidden_size: int = ModelConfig.hidden_size
-    num_speakers: int = ModelConfig.num_speakers
     sep_ckpt: str = ""
     idnet_ckpt: str = ""
     out_dir: str = "runs"
@@ -45,6 +44,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be 1, 2, or 3, got {self.batch_size}")
         if self.phase == "finetune" and not self.idnet_ckpt:
             raise ConfigError("finetune phase requires idnet_ckpt (a frozen speaker network)")
+        if self.phase == "finetune" and not self.sep_ckpt:
+            raise ConfigError("finetune phase requires sep_ckpt (the separator to fine-tune)")
+        if self.phase == "sep":
+            self.model_config()  # a bad preset or width fails here, before any corpus is read
 
     def model_config(self) -> ModelConfig:
         """The preset, with the widths of every ModelConfig field this config shares."""

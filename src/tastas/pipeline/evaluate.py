@@ -21,7 +21,7 @@ from ..audio.wavio import Waveform
 from ..errors import TasTasError
 from ..idnet.model import IdNet
 from ..sepnet.model import TasTasModel
-from .data import ManifestRecord, load_example
+from .data import LoadedExample, ManifestRecord, load_example
 
 UNSUPPORTED = "unsupported"
 REPORT_HEADER = "utt_id\tsi_sdri\tsdri\tperm\tid_loss\tpesq\testoi"
@@ -52,28 +52,26 @@ class EvalSummary:
     results: list[UtteranceResult]
     irm_results: list[UtteranceResult]
 
-    def _clean(self, results) -> list[UtteranceResult]:
-        return [r for r in results if not r.error]
+    @staticmethod
+    def _stat(results: list[UtteranceResult], metric: str, reduce) -> float:
+        """`reduce` (np.mean or np.median) of one metric over the rows without an error; nan if none."""
+        vals = [getattr(r, metric) for r in results if not r.error]
+        return float(reduce(vals)) if vals else float("nan")
 
     def mean_si_sdri(self) -> float:
-        vals = [r.si_sdri for r in self._clean(self.results)]
-        return float(np.mean(vals)) if vals else float("nan")
+        return self._stat(self.results, "si_sdri", np.mean)
 
     def median_si_sdri(self) -> float:
-        vals = [r.si_sdri for r in self._clean(self.results)]
-        return float(np.median(vals)) if vals else float("nan")
+        return self._stat(self.results, "si_sdri", np.median)
 
     def mean_sdri(self) -> float:
-        vals = [r.sdri for r in self._clean(self.results)]
-        return float(np.mean(vals)) if vals else float("nan")
+        return self._stat(self.results, "sdri", np.mean)
 
     def irm_mean_si_sdri(self) -> float:
-        vals = [r.si_sdri for r in self._clean(self.irm_results)]
-        return float(np.mean(vals)) if vals else float("nan")
+        return self._stat(self.irm_results, "si_sdri", np.mean)
 
     def irm_mean_sdri(self) -> float:
-        vals = [r.sdri for r in self._clean(self.irm_results)]
-        return float(np.mean(vals)) if vals else float("nan")
+        return self._stat(self.irm_results, "sdri", np.mean)
 
     def table(self, model_name: str) -> str:
         lines = [REPORT_HEADER]
@@ -95,10 +93,15 @@ class EvalSummary:
         return "\n".join(lines) + "\n"
 
 
-def _eval_one(model: TasTasModel, record: ManifestRecord, idnet: IdNet | None) -> UtteranceResult:
+def _error_row(utt_id: str, exc: Exception) -> UtteranceResult:
+    return UtteranceResult(utt_id, None, None, None, None, error=str(exc))
+
+
+def _score(example: LoadedExample, separate, idnet: IdNet | None = None) -> UtteranceResult:
+    """PIT-aligned SI-SDRi and SDRi of `separate()`'s estimates, plus the identity
+    loss when a speaker network is given; a failure becomes an error row."""
     try:
-        example = load_example(record)
-        estimates = model.separate(example.mixture)
+        estimates = separate()
         _, perm_result = objectives.pit_loss(example.targets, estimates)
         perm = perm_result.perm
         id_val = None
@@ -108,34 +111,34 @@ def _eval_one(model: TasTasModel, record: ManifestRecord, idnet: IdNet | None) -
             ref_emb = [idnet.embed_utterance(Waveform(t, rate)) for t in example.targets]
             id_val = objectives.id_loss(est_emb, ref_emb, perm)
         return UtteranceResult(
-            utt_id=record.utt_id,
+            utt_id=example.utt_id,
             si_sdri=objectives.si_sdri(example.mixture, example.targets, estimates, perm),
             sdri=objectives.sdri(example.mixture, example.targets, estimates, perm),
             perm=perm,
             id_loss=id_val,
         )
     except (TasTasError, OSError) as exc:
-        return UtteranceResult(record.utt_id, None, None, None, None, error=str(exc))
+        return _error_row(example.utt_id, exc)
 
 
-def _eval_irm(record: ManifestRecord) -> UtteranceResult:
+def _irm_estimates(example: LoadedExample) -> list[np.ndarray]:
+    rate = example.sample_rate_hz
+    refs = [Waveform(t, rate) for t in example.targets]
+    return [w.samples for w in irm_separate(Waveform(example.mixture, rate), refs)]
+
+
+def _eval_record(
+    model: TasTasModel, record: ManifestRecord, include_irm: bool, idnet: IdNet | None
+) -> list[UtteranceResult]:
+    """The model's row, then the oracle's if asked for, from one read of the record."""
     try:
         example = load_example(record)
-        rate = example.sample_rate_hz
-        mixture = Waveform(example.mixture, rate)
-        refs = [Waveform(t, rate) for t in example.targets]
-        estimates = [w.samples for w in irm_separate(mixture, refs)]
-        _, perm_result = objectives.pit_loss(example.targets, estimates)
-        perm = perm_result.perm
-        return UtteranceResult(
-            utt_id=record.utt_id,
-            si_sdri=objectives.si_sdri(example.mixture, example.targets, estimates, perm),
-            sdri=objectives.sdri(example.mixture, example.targets, estimates, perm),
-            perm=perm,
-            id_loss=None,
-        )
     except (TasTasError, OSError) as exc:
-        return UtteranceResult(record.utt_id, None, None, None, None, error=str(exc))
+        return [_error_row(record.utt_id, exc) for _ in range(2 if include_irm else 1)]
+    scored = [_score(example, lambda: model.separate(example.mixture), idnet)]
+    if include_irm:
+        scored.append(_score(example, lambda: _irm_estimates(example)))
+    return scored
 
 
 def worker_count() -> int:
@@ -154,14 +157,16 @@ def evaluate(
 ) -> EvalSummary:
     """Deterministic metrics over a manifest; bad utterances become error rows."""
     workers = worker_count()
+
+    def eval_record(record: ManifestRecord) -> list[UtteranceResult]:
+        return _eval_record(model, record, include_irm, idnet)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda r: _eval_one(model, r, idnet), records))
-            irm_results = list(pool.map(_eval_irm, records)) if include_irm else []
+            rows = list(pool.map(eval_record, records))
     else:
-        results = [_eval_one(model, r, idnet) for r in records]
-        irm_results = [_eval_irm(r) for r in records] if include_irm else []
-    return EvalSummary(results=results, irm_results=irm_results)
+        rows = [eval_record(r) for r in records]
+    return EvalSummary(results=[r[0] for r in rows], irm_results=[r[1] for r in rows if include_irm])
 
 
 def write_eval_table(path, summary: EvalSummary, model_name: str) -> None:

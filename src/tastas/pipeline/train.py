@@ -27,14 +27,12 @@ from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
 from ..numerics import ops
-from ..numerics.optim import AdamState, LrPolicy, ParamSet, adam_step, clip_global_norm, lr_for_epoch
+from ..numerics.optim import GRAD_CLIP, AdamState, LrPolicy, ParamSet, adam_step, clip_global_norm, lr_for_epoch
 from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
 from .config import TrainConfig
 from .data import LoadedExample, idnet_corpus_from_manifest, load_examples, read_manifest
-
-GRAD_CLIP = 5.0
 
 CONTINUE = "continue"
 RESTART = "restart_with_halved_lr"
@@ -199,25 +197,17 @@ class SepTrainer:
         self.idnet: IdNet | None = None
         self._target_embeddings: list[list[np.ndarray]] | None = None
         if config.phase == "finetune":
-            if not config.sep_ckpt:
-                raise ConfigError("finetune phase requires sep_ckpt")
             self.idnet = load_idnet(config.idnet_ckpt)
             if not self.idnet.frozen:
                 raise ConfigError(f"{config.idnet_ckpt}: speaker network is not frozen")
 
         if resume_from:
             self.model, self.adam, extras = load_sep_checkpoint(resume_from)
-            self.policy = LrPolicy(
-                initial_lr=config.initial_lr,
-                decay_factor=config.decay_factor,
-                decay_every_epochs=config.decay_every_epochs,
-                restart_halvings=int(extras["restart_halvings"]),
-            )
+            restart_halvings = int(extras["restart_halvings"])
             self.epoch = int(extras["epoch"])
             self.epoch_in_restart = int(extras["epoch_in_restart"])
             self.best_dev_loss = float(extras["best_dev_loss"])
             self.worse_streak = int(extras["worse_streak"])
-            self.restarts = int(extras["restart_halvings"])
             self.rng = _rng_from_json(extras["rng_state"])
         else:
             if config.phase == "finetune":
@@ -227,17 +217,18 @@ class SepTrainer:
             else:
                 self.model = TasTasModel.initialize(config.model_config(), seed=config.seed, dtype=np.float32)
                 self.adam = AdamState.for_params(self.model.params)
-            self.policy = LrPolicy(
-                initial_lr=config.initial_lr,
-                decay_factor=config.decay_factor,
-                decay_every_epochs=config.decay_every_epochs,
-            )
+            restart_halvings = 0
             self.epoch = 0
             self.epoch_in_restart = 0
             self.best_dev_loss = float("inf")
             self.worse_streak = 0
-            self.restarts = 0
             self.rng = np.random.default_rng(config.seed)
+        self.policy = LrPolicy(
+            initial_lr=config.initial_lr,
+            decay_factor=config.decay_factor,
+            decay_every_epochs=config.decay_every_epochs,
+            restart_halvings=restart_halvings,
+        )
 
         if self.idnet is not None:
             self._target_embeddings = self._embed_targets(self.train_set)
@@ -289,7 +280,7 @@ class SepTrainer:
             "phase": self.config.phase,
             "epoch": self.epoch,
             "epoch_in_restart": self.epoch_in_restart,
-            "restart_halvings": self.restarts,
+            "restart_halvings": self.policy.restart_halvings,
             "best_dev_loss": self.best_dev_loss,
             "worse_streak": self.worse_streak,
             "rng_state": _rng_state_to_json(self.rng),
@@ -356,7 +347,7 @@ class SepTrainer:
                     train_loss=float(np.mean(train_losses)),
                     dev_loss=dev_loss,
                     dev_si_sdri=dev_si_sdri,
-                    restarts=self.restarts,
+                    restarts=self.policy.restart_halvings,
                     epoch_s=time.perf_counter() - epoch_start,
                     examples_per_s=len(order) / train_s,
                     grad_norm_mean=float(np.mean(grad_norms)),
@@ -370,17 +361,11 @@ class SepTrainer:
                 action = STOP
             else:
                 action = restart_decision(
-                    self.worse_streak, self.config.patience, self.restarts, self.config.max_restarts
+                    self.worse_streak, self.config.patience, self.policy.restart_halvings, self.config.max_restarts
                 )
             if action == RESTART:
-                self.restarts += 1
                 self._reload_best()
-                self.policy = LrPolicy(
-                    initial_lr=self.config.initial_lr,
-                    decay_factor=self.config.decay_factor,
-                    decay_every_epochs=self.config.decay_every_epochs,
-                    restart_halvings=self.restarts,
-                )
+                self.policy = self.policy.halved()
                 self.epoch_in_restart = 0
                 self.worse_streak = 0
             # saved after the restart is applied, so a resume continues exactly
@@ -413,7 +398,8 @@ def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
     records = read_manifest(config.train_manifest)
     corpus = idnet_corpus_from_manifest(records)
     net_config = IdNetConfig(
-        num_speakers=config.num_speakers,
+        # speaker ids index the classes, so every id from 0 to the largest needs one
+        num_speakers=1 + max((speaker for _, speaker in corpus), default=-1),
         segment_s=config.idnet_segment_s,
         embedding_dim=config.idnet_embedding_dim,
     )
@@ -426,13 +412,7 @@ def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "idnet.ckpt"
-    label_map = {f"spk{i}": i for i in range(config.num_speakers)}
-    save_idnet(
-        path,
-        net,
-        extras={"best_accuracy": report.best_accuracy, "epochs": report.epochs_run},
-        label_map=label_map,
-    )
+    save_idnet(path, net, extras={"best_accuracy": report.best_accuracy, "epochs": report.epochs_run})
     rows = report.rows()
     (out_dir / "idnet_report.tsv").write_text(
         report.HEADER + "\n" + "".join(r + "\n" for r in rows),

@@ -1,11 +1,10 @@
 """Dual-path BiLSTM separation network."""
 
-from .config import ModelConfig, StageConfig, parse_preset
+from .config import ModelConfig, parse_preset
 from .model import TasTasModel, decode, dual_path_block, encode, estimate_masks, init_params, stage_forward
 
 __all__ = [
     "ModelConfig",
-    "StageConfig",
     "parse_preset",
     "TasTasModel",
     "decode",

@@ -3,42 +3,19 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigError
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    """Hyperparameters of one refinement stage."""
-
-    num_filters: int = 64
-    kernel_len: int = 16
-    stride: int = 8
-    chunk_len: int = 50
-    chunk_hop: int = 25
-    num_blocks: int = 6
-    hidden_size: int = 64
-    num_speakers: int = 2
-
-    def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ConfigError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.stride < 1 or self.kernel_len % self.stride:
-            raise ConfigError(f"stride {self.stride} must divide kernel_len {self.kernel_len}")
-        if self.chunk_hop * 2 != self.chunk_len:
-            raise ConfigError(f"chunk_hop {self.chunk_hop} must be chunk_len/2 ({self.chunk_len}/2)")
-        if self.num_speakers < 2:
-            raise ConfigError(f"num_speakers must be >= 2, got {self.num_speakers}")
-
-    def input_streams(self, stage_index: int) -> int:
-        """Waveforms entering the encoder: mixture alone, or estimates + mixture."""
-        return 1 if stage_index == 0 else self.num_speakers + 1
-
-
-@dataclass(frozen=True)
 class ModelConfig:
-    """Full multi-stage model description."""
+    """Full multi-stage model description.
+
+    Every stage shares these widths and differs only in its block count
+    (`stage_blocks`) and its input streams. The encoder stride and the chunk
+    hop are derived, not set: half the kernel and half a chunk.
+    """
 
     stage_blocks: tuple[int, ...] = (6,)
     num_filters: int = 64
@@ -60,22 +37,30 @@ class ModelConfig:
         for blocks in self.stage_blocks:
             if blocks < 1:
                 raise ConfigError(f"stage block count must be >= 1, got {blocks}")
+        if self.stride < 1 or self.kernel_len % self.stride:
+            raise ConfigError(f"kernel_len must be even or 3 (its half is the stride), got {self.kernel_len}")
+        if self.chunk_len % 2:
+            raise ConfigError(f"chunk_len must be even (its half is the chunk hop), got {self.chunk_len}")
+        if self.num_speakers < 2:
+            raise ConfigError(f"num_speakers must be >= 2, got {self.num_speakers}")
 
     @property
     def num_stages(self) -> int:
         return len(self.stage_blocks)
 
-    def stage(self, index: int) -> StageConfig:
-        return StageConfig(
-            num_filters=self.num_filters,
-            kernel_len=self.kernel_len,
-            stride=self.kernel_len // 2,
-            chunk_len=self.chunk_len,
-            chunk_hop=self.chunk_len // 2,
-            num_blocks=self.stage_blocks[index],
-            hidden_size=self.hidden_size,
-            num_speakers=self.num_speakers,
-        )
+    @property
+    def stride(self) -> int:
+        """Encoder hop: half the encoder kernel."""
+        return self.kernel_len // 2
+
+    @property
+    def chunk_hop(self) -> int:
+        """Dual-path chunk hop: half a chunk (DPRNN's 50% overlap)."""
+        return self.chunk_len // 2
+
+    def input_streams(self, stage_index: int) -> int:
+        """Waveforms entering a stage's encoder: mixture alone, or estimates + mixture."""
+        return 1 if stage_index == 0 else self.num_speakers + 1
 
     def describe(self) -> str:
         inner = ", ".join(str(b) for b in self.stage_blocks)

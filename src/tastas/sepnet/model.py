@@ -24,7 +24,7 @@ from ..errors import ConfigError
 from ..numerics import ops
 from ..numerics.optim import ParamSet, uniform_fan_in
 from ..numerics.tensor import Tensor, no_grad
-from .config import ModelConfig, StageConfig
+from .config import ModelConfig
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
@@ -35,17 +35,16 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
     """
     rng = np.random.default_rng(seed)
     params = ParamSet()
-    for s in range(config.num_stages):
-        cfg = config.stage(s)
-        n, hidden = cfg.num_filters, cfg.hidden_size
-        width = cfg.input_streams(s) * n
+    n, hidden, kernel = config.num_filters, config.hidden_size, config.kernel_len
+    for s, num_blocks in enumerate(config.stage_blocks):
+        width = config.input_streams(s) * n
         prefix = f"stage{s}"
-        params.add(f"{prefix}.encoder.weight", uniform_fan_in(rng, (n, 1, cfg.kernel_len), cfg.kernel_len, dtype))
+        params.add(f"{prefix}.encoder.weight", uniform_fan_in(rng, (n, 1, kernel), kernel, dtype))
         params.add(f"{prefix}.encoder.prelu", Tensor(np.full((1,), 0.25, dtype=dtype)))
         params.add(f"{prefix}.separator.input_norm.gain", Tensor(np.ones((width, 1), dtype=dtype)))
         params.add(f"{prefix}.separator.input_norm.bias", Tensor(np.zeros((width, 1), dtype=dtype)))
         params.add(f"{prefix}.separator.bottleneck.weight", uniform_fan_in(rng, (n, width), width, dtype))
-        for b in range(cfg.num_blocks):
+        for b in range(num_blocks):
             for path in ("intra", "inter"):
                 base = f"{prefix}.block{b}.{path}"
                 for direction in ("f", "b"):
@@ -57,14 +56,14 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
                 params.add(f"{base}.proj.weight", uniform_fan_in(rng, (n, 2 * hidden), 2 * hidden, dtype))
                 params.add(f"{base}.norm.gain", Tensor(np.ones((n, 1, 1), dtype=dtype)))
                 params.add(f"{base}.norm.bias", Tensor(np.zeros((n, 1, 1), dtype=dtype)))
-        params.add(f"{prefix}.separator.mask.weight", uniform_fan_in(rng, (cfg.num_speakers * n, n), n, dtype))
-        params.add(f"{prefix}.decoder.weight", uniform_fan_in(rng, (cfg.kernel_len, n), n, dtype))
+        params.add(f"{prefix}.separator.mask.weight", uniform_fan_in(rng, (config.num_speakers * n, n), n, dtype))
+        params.add(f"{prefix}.decoder.weight", uniform_fan_in(rng, (kernel, n), n, dtype))
     return params
 
 
-def encode(params: ParamSet, cfg: StageConfig, stage_index: int, waves: list[Tensor]) -> Tensor:
+def encode(params: ParamSet, config: ModelConfig, stage_index: int, waves: list[Tensor]) -> Tensor:
     """Shared conv front end over each input waveform; outputs concatenated."""
-    expected = cfg.input_streams(stage_index)
+    expected = config.input_streams(stage_index)
     if len(waves) != expected:
         raise ConfigError(f"stage {stage_index} expects {expected} waveforms, got {len(waves)}")
     weight = params[f"stage{stage_index}.encoder.weight"]
@@ -73,7 +72,7 @@ def encode(params: ParamSet, cfg: StageConfig, stage_index: int, waves: list[Ten
     for wave in waves:
         if wave.ndim != 1:
             raise ConfigError(f"encode expects 1-D waveforms, got {wave.shape}")
-        framed = ops.conv1d(ops.reshape(wave, (1, wave.shape[0])), weight, cfg.stride)
+        framed = ops.conv1d(ops.reshape(wave, (1, wave.shape[0])), weight, config.stride)
         feats.append(ops.prelu(framed, slope))
     return feats[0] if len(feats) == 1 else ops.concat(feats, axis=0)
 
@@ -109,7 +108,7 @@ def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
     )
 
 
-def estimate_masks(params: ParamSet, cfg: StageConfig, stage_index: int, rep: Tensor) -> Tensor:
+def estimate_masks(params: ParamSet, config: ModelConfig, stage_index: int, rep: Tensor) -> Tensor:
     """Mask head: norm, bottleneck, chunked dual-path stack, merge, softmax.
 
     Returns (S, N, T); the softmax runs across the speaker axis so masks
@@ -121,28 +120,28 @@ def estimate_masks(params: ParamSet, cfg: StageConfig, stage_index: int, rep: Te
         rep, (0, 1), params[f"{prefix}.separator.input_norm.gain"], params[f"{prefix}.separator.input_norm.bias"]
     )
     y = ops.linear(params[f"{prefix}.separator.bottleneck.weight"], y)  # (N, T)
-    chunks, pad = ops.segment_chunks(y, cfg.chunk_len, cfg.chunk_hop)
-    for b in range(cfg.num_blocks):
+    chunks, pad = ops.segment_chunks(y, config.chunk_len, config.chunk_hop)
+    for b in range(config.stage_blocks[stage_index]):
         chunks = dual_path_block(params, f"{prefix}.block{b}", chunks)
-    merged = ops.merge_chunks(chunks, cfg.chunk_hop, frames, pad)
+    merged = ops.merge_chunks(chunks, config.chunk_hop, frames, pad)
     logits = ops.linear(params[f"{prefix}.separator.mask.weight"], merged)  # (S*N, T)
-    logits = ops.reshape(logits, (cfg.num_speakers, cfg.num_filters, frames))
+    logits = ops.reshape(logits, (config.num_speakers, config.num_filters, frames))
     return ops.softmax(logits, axis=0)
 
 
-def decode(params: ParamSet, cfg: StageConfig, stage_index: int, rep: Tensor, mask: Tensor, out_len: int) -> Tensor:
+def decode(params: ParamSet, config: ModelConfig, stage_index: int, rep: Tensor, mask: Tensor, out_len: int) -> Tensor:
     """Apply one speaker's mask to the mixture's encoder channels and resynthesize."""
     width = rep.shape[0]
-    n = cfg.num_filters
+    n = config.num_filters
     mixture_rep = ops.getitem(rep, (slice(width - n, width), slice(None)))
     masked = ops.mul(mask, mixture_rep)
     frames = ops.linear(params[f"stage{stage_index}.decoder.weight"], masked)  # (L, T)
-    return ops.overlap_add(frames, cfg.stride, out_len)
+    return ops.overlap_add(frames, config.stride, out_len)
 
 
 def stage_forward(
     params: ParamSet,
-    cfg: StageConfig,
+    config: ModelConfig,
     stage_index: int,
     mixture: Tensor,
     prev_estimates: list[Tensor] | None,
@@ -150,12 +149,12 @@ def stage_forward(
     if (prev_estimates is None) != (stage_index == 0):
         raise ConfigError("previous estimates must be given exactly for stages after the first")
     waves = [mixture] if prev_estimates is None else [*prev_estimates, mixture]
-    rep = encode(params, cfg, stage_index, waves)
-    masks = estimate_masks(params, cfg, stage_index, rep)
+    rep = encode(params, config, stage_index, waves)
+    masks = estimate_masks(params, config, stage_index, rep)
     out_len = mixture.shape[0]
     return [
-        decode(params, cfg, stage_index, rep, ops.getitem(masks, (s,)), out_len)
-        for s in range(cfg.num_speakers)
+        decode(params, config, stage_index, rep, ops.getitem(masks, (s,)), out_len)
+        for s in range(config.num_speakers)
     ]
 
 
@@ -177,7 +176,7 @@ class TasTasModel:
         outputs: list[list[Tensor]] = []
         prev: list[Tensor] | None = None
         for s in range(self.config.num_stages):
-            estimates = stage_forward(self.params, self.config.stage(s), s, mixture, prev)
+            estimates = stage_forward(self.params, self.config, s, mixture, prev)
             outputs.append(estimates)
             prev = estimates
         return outputs

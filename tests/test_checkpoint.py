@@ -119,18 +119,17 @@ def test_sep_loader_rejects_idnet_container(tmp_path):
         load_sep_checkpoint(path)
 
 
-def test_idnet_checkpoint_round_trip_with_labels(tmp_path):
+def test_idnet_checkpoint_round_trip(tmp_path):
     config = IdNetConfig(num_speakers=3, window_len=64, hop=16, segment_s=0.05,
                          conv_channels=(4, 8), embedding_dim=16, sample_rate_hz=8000)
     net = IdNet.initialize(config, seed=1).freeze()
     path = tmp_path / "id.ckpt"
-    save_idnet(path, net, extras={"best_accuracy": 0.99}, label_map={"alice": 0, "bob": 1, "eve": 2})
+    save_idnet(path, net, extras={"best_accuracy": 0.99})
     net2 = load_idnet(path)
     assert net2.frozen
     assert net2.config == config
     assert net2.params.checksum() == net.params.checksum()
-    labels = (tmp_path / "id.ckpt.labels").read_text().strip().splitlines()
-    assert labels == ["alice\t0", "bob\t1", "eve\t2"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["id.ckpt"]
 
 
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path):

@@ -180,7 +180,7 @@ def test_full_recipe_with_speaker_network(tmp_path):
     ]) == 0
     assert main([
         "train-idnet", "--train-manifest", str(corpus / "train.tsv"),
-        "--out-dir", str(tmp_path / "idnet"), "--speakers", "2", "--epochs-max", "1", "--seed", "0",
+        "--out-dir", str(tmp_path / "idnet"), "--epochs-max", "1", "--seed", "0",
     ]) == 0
     idnet_ckpt = tmp_path / "idnet" / "idnet.ckpt"
     assert load_idnet(idnet_ckpt).frozen
@@ -210,6 +210,37 @@ def test_full_recipe_with_speaker_network(tmp_path):
     assert np.isfinite(float(row[4]))  # id_loss column is filled from the speaker network
     # fine-tuning adds the identity loss, so the model is labelled TasTas(I, ...)
     assert "TasTas(I, 1) (mean)" in [line.split("\t")[0] for line in lines]
+
+
+# four toy speakers and eight source utterances are far below the recommended segment count
+@pytest.mark.filterwarnings("ignore:speaker class")
+def test_train_idnet_takes_its_classes_from_the_manifest(tmp_path):
+    from tastas.idnet.train import load_idnet
+
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth-data", "--speakers", "4", "--dur", "0.5", "--seed", "0",
+        "--train-mixes", "4", "--dev-mixes", "1", "--test-mixes", "1", "--out", str(corpus),
+    ]) == 0
+    assert max(i for r in read_manifest(corpus / "train.tsv") for i in r.speaker_ids) == 3
+    assert main([
+        "train-idnet", "--train-manifest", str(corpus / "train.tsv"),
+        "--out-dir", str(tmp_path / "idnet"), "--epochs-max", "1", "--seed", "0",
+    ]) == 0
+    net = load_idnet(tmp_path / "idnet" / "idnet.ckpt")
+    assert net.config.num_speakers == 4
+    assert net.params["head.weight"].shape[0] == 4
+    assert sorted(p.name for p in (tmp_path / "idnet").iterdir()) == ["idnet.ckpt", "idnet_report.tsv"]
+
+
+def test_train_sep_rejects_a_bad_width_before_reading_the_corpus(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main([
+        "train-sep", "--train-manifest", str(tmp_path / "missing.tsv"), "--dev-manifest", str(tmp_path / "missing.tsv"),
+        "--chunk-len", "9", "--out-dir", str(out),
+    ]) == 2
+    assert "chunk_len must be even" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_finetune_rejects_model_flags(capsys):

@@ -1,10 +1,13 @@
+import importlib
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tastas import objectives as obj
 from tastas.errors import ConfigError, DataError
+from tastas.idnet import IdNetConfig
 from tastas.pipeline import (
     CONTINUE,
     RESTART,
@@ -22,6 +25,7 @@ from tastas.pipeline import (
 from tastas.pipeline.data import load_examples
 from tastas.pipeline.evaluate import evaluate
 from tastas.pipeline.train import EpochReport, read_report
+from tastas.sepnet import parse_preset
 
 
 # -- restart controller -----------------------------------------------------------
@@ -102,7 +106,6 @@ def test_config_rejects_bad_value(tmp_path):
     ("kernel_len", "32"),
     ("chunk_len", "20"),
     ("hidden_size", "3"),
-    ("num_speakers", "3"),
 ])
 def test_finetune_config_rejects_architecture_keys(tmp_path, key, value):
     # finetune takes the architecture from sep_ckpt; the key would be ignored
@@ -123,6 +126,29 @@ def test_config_validates_fields():
         TrainConfig(phase="warmup")
     with pytest.raises(ConfigError):
         TrainConfig(phase="finetune", idnet_ckpt="")
+    with pytest.raises(ConfigError, match="sep_ckpt"):
+        TrainConfig(phase="finetune", idnet_ckpt="id.ckpt")
+    # a sep config builds its model at construction, so a bad width fails before any corpus is read
+    with pytest.raises(ConfigError, match="chunk_len"):
+        TrainConfig(chunk_len=9)
+    with pytest.raises(ConfigError, match="preset"):
+        TrainConfig(model="dprnn-6")
+    # finetune and idnet take no architecture from the config
+    TrainConfig(phase="idnet", chunk_len=9)
+
+
+def test_benchmark_configs_build_at_both_scales(tmp_path, monkeypatch):
+    """The benchmark builds a finetune TrainConfig and a preset with widths at each of its
+    scales; a config change that breaks either breaks the benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workload = importlib.import_module("workload")
+    for name, scale in workload.SCALES.items():
+        model = parse_preset(scale.preset, **scale.widths)
+        loop = workload.TrainLoop(scale, seed=0, root=tmp_path, tally=workload.Tally())
+        config = loop.config(tmp_path / name)
+        assert config.phase == "finetune" and config.sep_ckpt and config.idnet_ckpt
+        assert config.model_config() == model
+        IdNetConfig(num_speakers=workload.SPEAKER_POOL, **scale.idnet_widths)
 
 
 # -- manifests and corpus -----------------------------------------------------------
@@ -296,6 +322,19 @@ def test_finished_run_resumes_to_the_same_last_checkpoint(tiny_corpus, tmp_path)
     )
     assert rows == []
     assert again_ckpt.read_bytes() == done_ckpt.read_bytes()
+
+
+def test_restarts_halve_the_lr_and_survive_a_resume(tiny_corpus, tmp_path):
+    # patience 0 restarts after every epoch; the third trigger finds max_restarts spent and stops
+    kw = dict(patience=0, max_restarts=2, initial_lr=0.002)
+    _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "full", epochs_max=5, **kw))
+    assert [(r.epoch, r.lr, r.restarts) for r in rows] == [(1, 0.002, 0), (2, 0.001, 1), (3, 0.0005, 2)]
+    half, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=2, **kw))
+    assert load_sep_checkpoint(half)[2]["restart_halvings"] == 2
+    _, tail = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=5, **kw), resume_from=str(half))
+    assert [(r.epoch, r.lr, r.restarts, r.train_loss, r.dev_loss) for r in tail] == [
+        (r.epoch, r.lr, r.restarts, r.train_loss, r.dev_loss) for r in rows[2:]
+    ]
 
 
 def test_resumed_run_keeps_earlier_report_rows(tiny_corpus, tmp_path):

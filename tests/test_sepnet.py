@@ -10,7 +10,7 @@ from tastas.numerics import ops
 from tastas.numerics.tensor import Tensor
 from tastas.pipeline.data import synth_mixture_corpus
 from tastas.pipeline.evaluate import evaluate
-from tastas.sepnet import ModelConfig, StageConfig, TasTasModel, parse_preset
+from tastas.sepnet import ModelConfig, TasTasModel, parse_preset
 from tastas.sepnet.model import dual_path_block, encode, estimate_masks, init_params
 
 TINY = ModelConfig(stage_blocks=(1,), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4)
@@ -38,13 +38,21 @@ def test_preset_rejects_garbage():
             parse_preset(bad)
 
 
-def test_stage_config_invariants():
-    with pytest.raises(ConfigError):
-        StageConfig(kernel_len=16, stride=5)
-    with pytest.raises(ConfigError):
-        StageConfig(chunk_len=50, chunk_hop=20)
-    with pytest.raises(ConfigError):
-        StageConfig(num_blocks=0)
+def test_model_config_invariants():
+    cfg = ModelConfig(kernel_len=16, chunk_len=50)
+    assert (cfg.stride, cfg.chunk_hop) == (8, 25)
+    assert [cfg.input_streams(s) for s in range(3)] == [1, 3, 3]
+    # checked at construction, and the message names the field the user sets, not a derived one
+    with pytest.raises(ConfigError, match="chunk_len"):
+        parse_preset("tastas-6", chunk_len=49)
+    with pytest.raises(ConfigError, match="kernel_len"):
+        parse_preset("tastas-6", kernel_len=15)  # its stride 7 does not divide it
+    # kernel_len 3 has stride 1, which divides it: the accepted set is the even lengths and 3
+    assert parse_preset("tastas-6", kernel_len=3).stride == 1
+    with pytest.raises(ConfigError, match="block count"):
+        ModelConfig(stage_blocks=(2, 0))
+    with pytest.raises(ConfigError, match="num_speakers"):
+        ModelConfig(num_speakers=1)
 
 
 def test_three_stage_config_warns():
@@ -67,7 +75,7 @@ def test_encoder_frame_count():
     cfg = ModelConfig(stage_blocks=(1,), num_filters=64)
     params = init_params(cfg, seed=0, dtype=np.float64)
     wave = Tensor(np.random.default_rng(0).uniform(-1, 1, 8000))
-    rep = encode(params, cfg.stage(0), 0, [wave])
+    rep = encode(params, cfg, 0, [wave])
     assert rep.shape == (64, 999)
 
 
@@ -76,14 +84,14 @@ def test_stage_two_feature_width_triples():
     params = init_params(cfg, seed=0, dtype=np.float64)
     n = 328
     waves = [Tensor(np.random.default_rng(i).uniform(-1, 1, n)) for i in range(3)]
-    rep = encode(params, cfg.stage(1), 1, waves)
+    rep = encode(params, cfg, 1, waves)
     assert rep.shape[0] == 3 * cfg.num_filters
 
 
 def test_zero_waveform_gives_zero_features():
     cfg = TINY
     params = init_params(cfg, seed=0, dtype=np.float64)
-    rep = encode(params, cfg.stage(0), 0, [Tensor(np.zeros(328))])
+    rep = encode(params, cfg, 0, [Tensor(np.zeros(328))])
     assert np.abs(rep.data).max() == 0.0
 
 
@@ -91,7 +99,7 @@ def test_encode_wrong_stream_count_errors():
     cfg = _tiny_two_stage()
     params = init_params(cfg, seed=0, dtype=np.float64)
     with pytest.raises(ConfigError, match="expects 3"):
-        encode(params, cfg.stage(1), 1, [Tensor(np.zeros(328))])
+        encode(params, cfg, 1, [Tensor(np.zeros(328))])
 
 
 # -- chunking round trip ------------------------------------------------------------
@@ -202,8 +210,8 @@ def test_fused_norm_sites_match_the_unfused_graph_bit_for_bit(monkeypatch):
 def test_masks_form_a_simplex():
     cfg = ModelConfig(stage_blocks=(1,), num_filters=8, hidden_size=6, chunk_len=6)
     params = init_params(cfg, seed=4, dtype=np.float64)
-    rep = encode(params, cfg.stage(0), 0, [Tensor(np.random.default_rng(5).uniform(-1, 1, 500))])
-    masks = estimate_masks(params, cfg.stage(0), 0, rep)
+    rep = encode(params, cfg, 0, [Tensor(np.random.default_rng(5).uniform(-1, 1, 500))])
+    masks = estimate_masks(params, cfg, 0, rep)
     assert masks.shape[0] == 2
     assert np.all(masks.data > 0)
     assert np.all(masks.data < 1)
