@@ -32,6 +32,20 @@ MAGIC = b"TTCK"
 VERSION = 1
 
 
+def blas_threads() -> str:
+    """The BLAS thread setting of this process's environment, as checkpoints record it.
+
+    "OPENBLAS_NUM_THREADS=n" or "OMP_NUM_THREADS=n", whichever OpenBLAS reads
+    first, else "unset". OpenBLAS splits the long contractions of the
+    weight-gradient products across its threads, so a training run
+    reproduces bit for bit only at the same thread count.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(name):
+            return f"{name}={os.environ[name]}"
+    return "unset"
+
+
 def save_container(path, kind: str, header: dict, blobs: dict[str, np.ndarray]) -> None:
     payload = dict(header)
     payload["kind"] = kind

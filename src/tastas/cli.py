@@ -2,6 +2,12 @@
 
 Commands: synth-data, train-idnet, train-sep, finetune, separate, eval,
 grad-check. Exit codes: 0 success, 1 usage error, 2 runtime error.
+
+A training run reproduces bit for bit from its seed only at a fixed BLAS
+thread count: OpenBLAS splits the weight-gradient products across its
+threads, which changes their rounding. Set OPENBLAS_NUM_THREADS (or
+OMP_NUM_THREADS) to pin it; every checkpoint records the setting under the
+"blas_threads" key of its extras.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..audio.wavio import Waveform
-from ..checkpoint import config_from_header, load_container, save_container
+from ..checkpoint import blas_threads, config_from_header, load_container, save_container
 from ..errors import CheckpointError, DataError
 from ..numerics import ops
 from ..numerics.optim import GRAD_CLIP, AdamState, ParamSet, adam_step, clip_global_norm
@@ -170,7 +170,7 @@ def train_idnet(
 def save_idnet(path, net: IdNet, extras: dict | None = None) -> None:
     header = {
         "model": asdict(net.config),
-        "extras": dict(extras or {}),
+        "extras": {**(extras or {}), "blas_threads": blas_threads()},
         "frozen": net.frozen,
     }
     blobs = {f"param.{name}": tensor.data for name, tensor in net.params.items()}

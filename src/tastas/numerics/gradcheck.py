@@ -223,28 +223,34 @@ def _build_max_pool2d(rng):
 
 
 def _build_bilstm_layer(rng):
-    batch, steps, dim, hidden, features = 2, 5, 3, 3, 4
-    x = _u(rng, batch, steps, dim)
-    params = [
-        _u(rng, 4 * hidden, dim),
-        _u(rng, 4 * hidden, hidden),
-        _u(rng, 4 * hidden),
-        _u(rng, 4 * hidden, dim),
-        _u(rng, 4 * hidden, hidden),
-        _u(rng, 4 * hidden),
-        _u(rng, features, 2 * hidden),
-    ]
-    return [x, *params], lambda ts: ops.bilstm_layer(*ts)
+    # a whole dual-path block: the intra-chunk half (axis 1) feeds the
+    # inter-chunk half (axis 2), so each trial checks both recurrence axes and
+    # the gain, bias and residual paths of both norms
+    features, positions, chunks, hidden = 3, 4, 3, 3
+    x = _u(rng, features, positions, chunks)
+    halves = []
+    for _ in range(2):
+        halves += [
+            _u(rng, 4 * hidden, features),
+            _u(rng, 4 * hidden, hidden),
+            _u(rng, 4 * hidden),
+            _u(rng, 4 * hidden, features),
+            _u(rng, 4 * hidden, hidden),
+            _u(rng, 4 * hidden),
+            _u(rng, features, 2 * hidden),
+            _u(rng, features, 1, 1, lo=0.5, hi=1.5),
+            _u(rng, features, 1, 1),
+        ]
+
+    def forward(ts):
+        return ops.bilstm_layer(ops.bilstm_layer(ts[0], 1, *ts[1:10]), 2, *ts[10:])
+
+    return [x, *halves], forward
 
 
 def _build_layer_norm(rng):
     x, gain, bias = _u(rng, 3, 4, 2), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1)
     return [x, gain, bias], lambda ts: ops.layer_norm(ts[0], (0, 1), ts[1], ts[2])
-
-
-def _build_layer_norm_residual(rng):
-    x, gain, bias, residual = _u(rng, 3, 2, 4), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1), _u(rng, 3, 2, 4)
-    return [x, gain, bias, residual], lambda ts: ops.layer_norm(ts[0], (0, 2), ts[1], ts[2], residual=ts[3])
 
 
 def _build_softmax(rng):
@@ -271,11 +277,6 @@ def _build_concat(rng):
 def _build_reshape(rng):
     x = _u(rng, 3, 4)
     return [x], lambda ts: ops.reshape(ts[0], (2, 6))
-
-
-def _build_transpose(rng):
-    x = _u(rng, 2, 3, 4)
-    return [x], lambda ts: ops.transpose(ts[0], (2, 0, 1))
 
 
 def _build_slice(rng):
@@ -328,13 +329,11 @@ BUILDERS: dict[str, Builder] = {
     "max_pool2d": _build_max_pool2d,
     "bilstm_layer": _build_bilstm_layer,
     "layer_norm": _build_layer_norm,
-    "layer_norm_residual": _build_layer_norm_residual,
     "softmax": _build_softmax,
     "log_softmax": _build_log_softmax,
     "softmax_logloss": _build_softmax_logloss,
     "concat": _build_concat,
     "reshape": _build_reshape,
-    "transpose": _build_transpose,
     "slice": _build_slice,
     "segment_chunks": _build_segment_chunks,
     "merge_chunks": _build_merge_chunks,

@@ -380,14 +380,17 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # slower at B=41, T=50, and OpenBLAS rounds its plain (2H, T*B) product
 # differently at small shapes.
 #
-# The BPTT cache is the activated gates alone, 4H values per step and
-# sequence. Backward re-forms the cell states from them,
+# The dual-path half (bilstm_layer) is one node that keeps the activated gates
+# alone, 4H values per step and sequence, plus the norm's per-slice mean and
+# inverse std. Its backward first re-forms the cell states,
 # c(t) = f(t) * c(t-1) + i(t) * g(t), and the hidden states,
-# h(t) = o(t) * tanh(c(t)), from the tanh(c(t)) its reverse loop forms anyway,
-# with the same float32 operations the forward ran, so both come back bit for
-# bit. The input is kept as (D, T, B), which is how the dual-path block's
-# intra-chunk input already lies in memory. The right-to-left pass is the same
-# kernel run on the time-flipped input.
+# h(t) = o(t) * tanh(c(t)), of both directions, with the same float32
+# operations the forward ran, so both come back bit for bit; then the
+# projection output, with the forward's own matrix product on those hidden
+# states; then the norm backward, and last the BPTT loops. The kernel reads its
+# input as (D, T, B): the chunks (F, K, C) themselves for the intra-chunk
+# recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
+# right-to-left pass is the same kernel run on the time-flipped input.
 
 
 @functools.cache
@@ -439,28 +442,37 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
     return hs, (gates if keep_cache else None)
 
 
-def _lstm_grad(x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
-    """BPTT through one direction that _lstm_run ran over x (D, T, B).
-
-    gates is the run's cache (T, 4H, B) and g_h the upstream grad of the
-    hidden states (T, H, B). The cell states are re-formed from the gates in a
-    buffer that lives for this call only, and the hidden states as the reverse
-    loop goes. Returns the hidden states (T, H, B), dx (D, T, B) and the grads
-    of w_ih, w_hh and b in their stored gate order.
-    """
-    steps, _, batch = gates.shape
-    hidden = w_hh.shape[1]
-    order = _gate_order(hidden)
-    w_hh_t = np.ascontiguousarray(w_hh[order].T)
+def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cell states, their tanh and the hidden states (each (T, H, B)) of
+    the run whose activated gates (T, 4H, B) these are, rounded as it rounded them."""
+    steps, four_hidden, batch = gates.shape
+    hidden = four_hidden // 4
     zeros = np.zeros((hidden, batch), dtype=gates.dtype)
-    dh_carry, dc_carry = zeros.copy(), zeros.copy()
-    dh, dc, tanh_c, tmp = (np.empty_like(zeros) for _ in range(4))
-    hs = np.empty((steps, hidden, batch), dtype=gates.dtype)
+    tmp = np.empty_like(zeros)
     # c(t) = f(t) * c(t-1) + i(t) * g(t), each product rounded as the forward rounds it
     cs = np.multiply(gates[:, :hidden], gates[:, 3 * hidden :])
     for t in range(steps):
         np.multiply(gates[t, hidden : 2 * hidden], cs[t - 1] if t else zeros, out=tmp)
         cs[t] += tmp
+    tanh_cs = np.tanh(cs)
+    return cs, tanh_cs, np.multiply(tanh_cs, gates[:, 2 * hidden : 3 * hidden])
+
+
+def _lstm_grad(x: np.ndarray, gates: np.ndarray, states: tuple, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
+    """BPTT through one direction that _lstm_run ran over x (D, T, B).
+
+    gates is the run's cache (T, 4H, B), states what _lstm_states re-formed
+    from it and g_h the upstream grad of the hidden states (T, H, B). Returns
+    dx (D, T, B) and the grads of w_ih, w_hh and b in their stored gate order.
+    """
+    steps, _, batch = gates.shape
+    hidden = w_hh.shape[1]
+    cs, tanh_cs, hs = states
+    order = _gate_order(hidden)
+    w_hh_t = np.ascontiguousarray(w_hh[order].T)
+    zeros = np.zeros((hidden, batch), dtype=gates.dtype)
+    dh_carry, dc_carry = zeros.copy(), zeros.copy()
+    dh, dc = np.empty_like(zeros), np.empty_like(zeros)
     # the carry-free factors of the gate grads, over all steps at once:
     # s * (1 - s) for the sigmoid gates and i * (1 - g^2) for the cell candidate
     dzs = np.empty_like(gates)
@@ -472,11 +484,9 @@ def _lstm_grad(x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndar
     cand *= gates[:, :hidden]
     d_sig = np.empty((3 * hidden, batch), dtype=gates.dtype)
     for t in range(steps - 1, -1, -1):
-        z, dz = gates[t], dzs[t]
+        z, dz, tanh_c = gates[t], dzs[t], tanh_cs[t]
         _, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
         np.add(g_h[t], dh_carry, out=dh)
-        np.tanh(cs[t], out=tanh_c)
-        np.multiply(tanh_c, o, out=hs[t])  # h(t), the forward's product
         # dc = dh * o * (1 - tanh(c)^2) + dc_carry
         np.multiply(tanh_c, tanh_c, out=dc)
         np.subtract(1.0, dc, out=dc)
@@ -498,7 +508,7 @@ def _lstm_grad(x: np.ndarray, gates: np.ndarray, w_ih: np.ndarray, w_hh: np.ndar
     dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
     dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
     db = dz_flat.sum(axis=1)[order]
-    return hs, dx, dw_ih, dw_hh, db
+    return dx, dw_ih, dw_hh, db
 
 
 def _join_directions(hs_f: np.ndarray, hs_b: np.ndarray) -> np.ndarray:
@@ -510,8 +520,21 @@ def _join_directions(hs_f: np.ndarray, hs_b: np.ndarray) -> np.ndarray:
     return h.reshape(batch * steps, 2 * hidden)
 
 
+def _as_dtb(a: np.ndarray, axis: int) -> np.ndarray:
+    """A (F, K, C) array as the kernel's (D, T, B), with the recurrence axis
+    as the steps T, or such an array back as (F, K, C): a view either way."""
+    return a if axis == 1 else a.transpose(0, 2, 1)
+
+
+def _as_fbt(a: np.ndarray, axis: int) -> np.ndarray:
+    """A (F, B, T) array as (F, K, C), with the recurrence axis as the steps T,
+    or such an array back as (F, B, T): a view either way."""
+    return a.transpose(0, 2, 1) if axis == 1 else a
+
+
 def bilstm_layer(
-    x: Tensor,
+    chunks: Tensor,
+    axis: int,
     w_ih_f: Tensor,
     w_hh_f: Tensor,
     b_f: Tensor,
@@ -519,49 +542,67 @@ def bilstm_layer(
     w_hh_b: Tensor,
     b_b: Tensor,
     proj: Tensor,
+    gain: Tensor,
+    bias: Tensor,
 ) -> Tensor:
-    """Bidirectional LSTM with its output projection: (B, T, D) -> (F, B, T).
+    """One half of a dual-path block: chunks + LayerNorm(proj @ BiLSTM(chunks)).
 
-    One pass runs left to right, the other right to left; the hidden states
-    of both, [h_fwd; h_bwd] (2H per step), are projected by proj (F, 2H).
-    Implemented as a single fused node with manual truncated-free BPTT, which
-    keeps graphs shallow; the node keeps only the activated gates, and
-    backward re-forms the cell and hidden states from them.
+    chunks is (F, K, C): F features at K positions in each of C chunks. The
+    BiLSTM recurs along axis, 1 within each chunk or 2 across the chunks,
+    one pass left to right and one right to left; proj (F, 2H) projects the
+    hidden states of both, [h_fwd; h_bwd], back to F features. The layer norm
+    runs over the features and that axis, with gain and bias broadcast
+    against (F, K, C), and the result is added to chunks. One fused node with
+    manual BPTT: it keeps only the activated gates and the norm's per-slice
+    statistics, and backward re-forms the rest.
     """
-    if x.ndim != 3:
-        raise ConfigError(f"bilstm_layer: expected (B,T,D), got {x.shape}")
+    if chunks.ndim != 3:
+        raise ConfigError(f"bilstm_layer: expected (F,K,C) chunks, got {chunks.shape}")
+    if axis not in (1, 2):
+        raise ConfigError(f"bilstm_layer: recurrence axis must be 1 or 2, got {axis}")
+    features = chunks.shape[0]
     hidden = w_hh_f.shape[1]
-    if w_ih_f.shape[1] != x.shape[2] or w_ih_b.shape[1] != x.shape[2]:
+    if w_ih_f.shape[1] != features or w_ih_b.shape[1] != features:
         raise ConfigError(
-            f"bilstm_layer: input dim {x.shape[2]} incompatible with weights {w_ih_f.shape}, {w_ih_b.shape}"
+            f"bilstm_layer: {features} features incompatible with weights {w_ih_f.shape}, {w_ih_b.shape}"
         )
-    if proj.ndim != 2 or proj.shape[1] != 2 * hidden:
-        raise ConfigError(f"bilstm_layer: projection {proj.shape} does not take {2 * hidden} hidden features")
-    batch, steps, _ = x.shape
-    features = proj.shape[0]
-    parents = (x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b, proj)
+    if proj.shape != (features, 2 * hidden):
+        raise ConfigError(
+            f"bilstm_layer: projection {proj.shape} does not map {2 * hidden} hidden to {features} features"
+        )
+    parents = (chunks, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b, proj, gain, bias)
     record = is_recording(parents)
-    x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+    x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
+    _, steps, batch = x_dtb.shape
+    norm_axes = (0, axis)
     hs_f, gates_f = _lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=record)
     hs_b, gates_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
-    data = (proj.data @ _join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
-    out = Tensor._from_op(data, parents)
+    projected = (proj.data @ _join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
+    centered, mu, inv_std = _normalize(_as_fbt(projected, axis), norm_axes)
+    out = Tensor._from_op(chunks.data + (centered * inv_std * gain.data + bias.data), parents)
     if out.requires_grad:
 
         def backward():
-            g = out.grad.reshape(features, batch * steps)
-            g_h = (proj.data.T @ g).reshape(2 * hidden, batch, steps)
+            g = out.grad
+            states_f, states_b = _lstm_states(gates_f), _lstm_states(gates_b)
+            h = _join_directions(states_f[2], states_b[2])
+            y = _as_fbt((proj.data @ h.T).reshape(features, batch, steps), axis)
+            if chunks.requires_grad:
+                chunks._accum_grad(g)  # the residual
+            g_y = _normalize_backward(g, y, mu, inv_std, gain, bias, norm_axes)
+            g_y = np.ascontiguousarray(_as_fbt(g_y, axis)).reshape(features, batch * steps)
+            g_h = (proj.data.T @ g_y).reshape(2 * hidden, batch, steps)
             g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
-            x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
-            hs_f, dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, gates_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
-            hs_b, dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
-                x_dtb[:, ::-1], gates_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
+            x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
+            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, gates_f, states_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
+                x_dtb[:, ::-1], gates_b, states_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
             )
-            if x.requires_grad:
+            if chunks.requires_grad:
                 dx_f += dx_b[:, ::-1]
-                x._accum_grad(dx_f.transpose(2, 1, 0))
+                chunks._accum_grad(_as_dtb(dx_f, axis))
             if proj.requires_grad:
-                proj._accum_grad(g @ _join_directions(hs_f, hs_b))
+                proj._accum_grad(g_y @ h)
             for tensor, grad in (
                 (w_ih_f, dwi_f),
                 (w_hh_f, dwh_f),
@@ -582,45 +623,58 @@ def bilstm_layer(
 # ---------------------------------------------------------------------------
 
 
-def layer_norm(x: Tensor, axes, gain: Tensor, bias: Tensor, residual: Tensor | None = None) -> Tensor:
-    """residual + (normalized * gain + bias) as one node; residual is optional.
+def _normalize(x: np.ndarray, axes: tuple[int, ...]):
+    """x - mean, the per-slice mean and the per-slice inverse std over axes.
 
-    normalized is x at zero mean and unit variance over the given axes;
-    gain and bias broadcast against x, and residual has x's shape. Slices
-    whose variance falls below LAYER_NORM_VAR_FLOOR normalize to zeros (and
-    pass zero gradient to x), so constant inputs cannot blow up. The node
-    keeps only the per-slice mean and inverse std: backward re-forms the
-    normalized values from x, which the graph holds anyway.
+    Slices whose variance falls below LAYER_NORM_VAR_FLOOR get inverse std
+    zero, so they normalize to zeros (and pass zero gradient to x).
     """
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    if residual is not None and residual.shape != x.shape:
-        raise ConfigError(f"layer_norm: residual {residual.shape} != input {x.shape}")
-    mu = x.data.mean(axis=axes, keepdims=True)
-    centered = x.data - mu
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)
     degenerate = var < LAYER_NORM_VAR_FLOOR
     inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
-    out_data = centered * inv_std * gain.data + bias.data
-    if residual is not None:
-        out_data = residual.data + out_data
-    parents = (x, gain, bias) if residual is None else (x, gain, bias, residual)
-    out = Tensor._from_op(out_data, parents)
+    return centered, mu, inv_std
+
+
+def _normalize_backward(
+    g: np.ndarray, x: np.ndarray, mu: np.ndarray, inv_std: np.ndarray, gain: Tensor, bias: Tensor, axes
+) -> np.ndarray:
+    """Backward of normalized(x) * gain + bias for the upstream grad g.
+
+    Accumulates the grads of gain and bias and returns x's. The normalized
+    values are re-formed from x and the saved statistics.
+    """
+    if bias.requires_grad:
+        bias._accum_grad(_unbroadcast(g, bias.shape))
+    normalized = (x - mu) * inv_std
+    if gain.requires_grad:
+        gain._accum_grad(_unbroadcast(g * normalized, gain.shape))
+    g = g * gain.data
+    g_mean = g.mean(axis=axes, keepdims=True)
+    gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
+    return inv_std * (g - g_mean - normalized * gy_mean)
+
+
+def layer_norm(x: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
+    """normalized * gain + bias as one node.
+
+    normalized is x at zero mean and unit variance over the given axes;
+    gain and bias broadcast against x. Slices whose variance falls below
+    LAYER_NORM_VAR_FLOOR normalize to zeros (and pass zero gradient to x),
+    so constant inputs cannot blow up. The node keeps only the per-slice
+    mean and inverse std: backward re-forms the normalized values from x,
+    which the graph holds anyway.
+    """
+    axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    centered, mu, inv_std = _normalize(x.data, axes)
+    out = Tensor._from_op(centered * inv_std * gain.data + bias.data, (x, gain, bias))
     if out.requires_grad:
 
         def backward():
-            g = out.grad
-            if residual is not None and residual.requires_grad:
-                residual._accum_grad(g)
-            if bias.requires_grad:
-                bias._accum_grad(_unbroadcast(g, bias.shape))
-            normalized = (x.data - mu) * inv_std
-            if gain.requires_grad:
-                gain._accum_grad(_unbroadcast(g * normalized, gain.shape))
+            g_x = _normalize_backward(out.grad, x.data, mu, inv_std, gain, bias, axes)
             if x.requires_grad:
-                g = g * gain.data
-                g_mean = g.mean(axis=axes, keepdims=True)
-                gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
-                x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
+                x._accum_grad(g_x)
 
         out._backward = backward
     return out
@@ -687,19 +741,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
         def backward():
             x._accum_grad(out.grad.reshape(x.shape))
-
-        out._backward = backward
-    return out
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    out = Tensor._from_op(np.transpose(x.data, axes), (x,))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
-
-        def backward():
-            x._accum_grad(np.transpose(out.grad, inverse))
 
         out._backward = backward
     return out

@@ -13,9 +13,11 @@ inside ``no_grad()``. A node keeps what its backward reads and no more:
 its output, its parents (whose values the graph holds anyway), and the
 saved arrays that cannot be re-formed from those. ``layer_norm`` saves
 only its per-slice mean and inverse std, and re-forms the normalized
-values from its input; ``bilstm_layer``, a BiLSTM with its output
-projection, saves only its activated gates and re-forms both the cell
-states c(t) and the hidden states h(t) from them; ``conv2d`` saves its
+values from its input; ``bilstm_layer``, a whole half of a dual-path
+block (BiLSTM, output projection, layer norm and residual), saves only its
+activated gates and the norm's per-slice mean and inverse std, and
+re-forms the cell states c(t), the hidden states h(t) and the projection
+output from them; ``conv2d`` saves its
 im2col matrix only when the weight requires grad, so a conv through a
 frozen weight keeps neither that matrix nor the padded input;
 ``max_pool2d`` saves nothing and finds each window's winner again from

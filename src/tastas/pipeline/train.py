@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import objectives
-from ..checkpoint import config_from_header, load_container, save_container
+from ..checkpoint import blas_threads, config_from_header, load_container, save_container
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
@@ -125,7 +125,7 @@ def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict)
     header = {
         "model": asdict(model.config),
         "adam": {"step": adam.step, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
-        "extras": extras,
+        "extras": {**extras, "blas_threads": blas_threads()},
     }
     blobs: dict[str, np.ndarray] = {}
     for name, tensor in model.params.items():
@@ -172,6 +172,10 @@ def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
 # ---------------------------------------------------------------------------
 
 
+# the extras keys a resume reads; a checkpoint saved without them holds weights only
+TRAINER_STATE = ("restart_halvings", "epoch", "epoch_in_restart", "best_dev_loss", "worse_streak", "rng_state")
+
+
 def _rng_state_to_json(rng: np.random.Generator) -> str:
     return json.dumps(rng.bit_generator.state)
 
@@ -203,6 +207,9 @@ class SepTrainer:
 
         if resume_from:
             self.model, self.adam, extras = load_sep_checkpoint(resume_from)
+            missing = [key for key in TRAINER_STATE if key not in extras]
+            if missing:
+                raise CheckpointError(f"{resume_from}: no trainer state to resume from (missing {', '.join(missing)})")
             restart_halvings = int(extras["restart_halvings"])
             self.epoch = int(extras["epoch"])
             self.epoch_in_restart = int(extras["epoch_in_restart"])

@@ -78,34 +78,17 @@ def encode(params: ParamSet, config: ModelConfig, stage_index: int, waves: list[
 
 
 def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
-    """One intra-chunk + inter-chunk pass, each a BiLSTM, projection, norm and residual.
+    """One intra-chunk + inter-chunk pass over (F, K, C) chunks.
 
-    BiLSTM and projection are one ``bilstm_layer`` node, which keeps only its
-    activated gates: its backward re-forms the cell states c(t) and the hidden
-    states h(t) from them.
+    Each half, a BiLSTM along its axis, projection, layer norm and residual,
+    is one ``bilstm_layer`` node, which keeps only its activated gates and the
+    norm's per-slice statistics: its backward re-forms the cell states c(t),
+    the hidden states h(t) and the projection output from them.
     """
-
-    def half(path: str, seq_batch_first: Tensor) -> Tensor:
-        return ops.bilstm_layer(
-            seq_batch_first,
-            *(params[f"{base}.{path}.{name}"] for name in ("w_ih_f", "w_hh_f", "b_f", "w_ih_b", "w_hh_b", "b_b")),
-            params[f"{base}.{path}.proj.weight"],
-        )  # (F, batch, steps)
-
-    # intra: recur over positions within each chunk
-    intra_in = ops.transpose(chunks, (2, 1, 0))  # (C, K, F)
-    intra = half("intra", intra_in)  # (F, C, K)
-    intra = ops.transpose(intra, (0, 2, 1))  # (F, K, C)
-    chunks = ops.layer_norm(
-        intra, (0, 1), params[f"{base}.intra.norm.gain"], params[f"{base}.intra.norm.bias"], residual=chunks
-    )
-
-    # inter: recur across chunks at each intra position
-    inter_in = ops.transpose(chunks, (1, 2, 0))  # (K, C, F)
-    inter = half("inter", inter_in)  # (F, K, C)
-    return ops.layer_norm(
-        inter, (0, 2), params[f"{base}.inter.norm.gain"], params[f"{base}.inter.norm.bias"], residual=chunks
-    )
+    names = ("w_ih_f", "w_hh_f", "b_f", "w_ih_b", "w_hh_b", "b_b", "proj.weight", "norm.gain", "norm.bias")
+    for axis, path in ((1, "intra"), (2, "inter")):  # within each chunk, then across the chunks
+        chunks = ops.bilstm_layer(chunks, axis, *(params[f"{base}.{path}.{name}"] for name in names))
+    return chunks
 
 
 def estimate_masks(params: ParamSet, config: ModelConfig, stage_index: int, rep: Tensor) -> Tensor:

@@ -132,6 +132,33 @@ def test_idnet_checkpoint_round_trip(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["id.ckpt"]
 
 
+@pytest.mark.parametrize(
+    "env,expected",
+    [
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, "OPENBLAS_NUM_THREADS=1"),
+        ({"OMP_NUM_THREADS": "2"}, "OMP_NUM_THREADS=2"),
+        ({}, "unset"),
+    ],
+)
+def test_checkpoints_record_the_blas_thread_setting(tmp_path, monkeypatch, env, expected):
+    # gradients depend on the BLAS thread count, so a run is reproducible
+    # only at the count its checkpoints name
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    model = TasTasModel.initialize(
+        ModelConfig(stage_blocks=(1,), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4), seed=0
+    )
+    save_sep_checkpoint(tmp_path / "sep.ckpt", model, AdamState.for_params(model.params), {"epoch": 1})
+    assert load_sep_checkpoint(tmp_path / "sep.ckpt")[2] == {"epoch": 1, "blas_threads": expected}
+    config = IdNetConfig(num_speakers=2, window_len=64, hop=16, segment_s=0.05,
+                         conv_channels=(4,), embedding_dim=8, sample_rate_hz=8000)
+    save_idnet(tmp_path / "id.ckpt", IdNet.initialize(config, seed=0), extras={"best_accuracy": 0.5})
+    _, header, _ = load_container(tmp_path / "id.ckpt")
+    assert header["extras"] == {"best_accuracy": 0.5, "blas_threads": expected}
+
+
 def test_interrupted_save_keeps_previous_checkpoint(tmp_path):
     path = tmp_path / "best.ckpt"
     old = {"param.a": np.arange(6, dtype=np.float32).reshape(2, 3)}

@@ -142,6 +142,24 @@ def test_separate_corrupt_checkpoint_exits_2(cli_run, tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+def test_resume_without_trainer_state_exits_2(cli_run, tmp_path, capsys):
+    from tastas.pipeline.train import load_sep_checkpoint, save_sep_checkpoint
+
+    model, adam, _ = load_sep_checkpoint(cli_run / "run" / "last.ckpt")
+    weights_only = tmp_path / "weights.ckpt"
+    save_sep_checkpoint(weights_only, model, adam, {})
+    corpus = cli_run / "corpus"
+    assert main([
+        "train-sep", "--train-manifest", str(corpus / "train.tsv"), "--dev-manifest", str(corpus / "dev.tsv"),
+        "--out-dir", str(tmp_path / "resumed"), "--model", "tastas-1",
+        "--num-filters", "8", "--hidden-size", "8", "--chunk-len", "10",
+        "--epochs-max", "2", "--resume", str(weights_only),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert str(weights_only) in err
+    assert "restart_halvings" in err
+
+
 def test_eval_command_writes_table(cli_run, tmp_path):
     report = tmp_path / "eval.tsv"
     assert main([

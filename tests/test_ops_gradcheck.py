@@ -12,6 +12,8 @@ from tastas.numerics import ops
 from tastas.numerics.gradcheck import BUILDERS, check_kind, run_suite
 from tastas.numerics.tensor import Tensor
 
+import dual_path_reference as reference
+
 SPEC_KINDS = [
     "conv1d",
     "linear",
@@ -23,7 +25,6 @@ SPEC_KINDS = [
     "concat",
     "elementwise_mul",
     "reshape",
-    "transpose",
 ]
 
 
@@ -141,22 +142,6 @@ def test_conv1d_shape_errors_name_dimensions():
         ops.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((4, 1, 8))), stride=1)
 
 
-def test_bilstm_output_shape():
-    rng = np.random.default_rng(3)
-    hidden, dim, features = 3, 2, 4
-    args = [Tensor(rng.standard_normal((2, 5, dim)))]
-    for _ in range(2):
-        args += [
-            Tensor(rng.standard_normal((4 * hidden, dim))),
-            Tensor(rng.standard_normal((4 * hidden, hidden))),
-            Tensor(rng.standard_normal(4 * hidden)),
-        ]
-    out = ops.bilstm_layer(*args, Tensor(rng.standard_normal((features, 2 * hidden))))
-    assert out.shape == (features, 2, 5)
-    with pytest.raises(ConfigError, match="projection"):
-        ops.bilstm_layer(*args, Tensor(rng.standard_normal((features, hidden))))
-
-
 def test_overlap_add_inverts_framing_scale():
     # constant frames at stride L/2 double-count except the edges
     x = Tensor(np.ones((4, 3)))
@@ -171,7 +156,7 @@ def test_segment_chunk_layout_rules():
 
 
 
-# -- the BiLSTM kernel against a plain per-step reference ------------------------
+# -- the dual-path half against a plain per-step reference -----------------------
 
 
 def _ref_sigmoid(z):
@@ -232,205 +217,182 @@ def _ref_bilstm(x, weights, g_h):
     return np.concatenate([hs_f, hs_b], axis=2), [dx_f + dx_b, *grads_f, *grads_b]
 
 
-def _bilstm_case(rng, batch, steps, dim, hidden, dtype=np.float64, scale=1.0):
-    """x, the six LSTM weights and a (dim, 2H) projection, plus an upstream grad (dim, B, T)."""
-    x = rng.standard_normal((batch, steps, dim))
+# (F, K, C) chunks as the (B, T, F) sequences each recurrence axis runs over, and back
+_TO_SEQUENCES = {1: (2, 1, 0), 2: (1, 2, 0)}
+_FROM_SEQUENCES = {1: (2, 1, 0), 2: (2, 0, 1)}
+
+
+def _ref_dual_path_half(x, axis, weights, g):
+    """chunks + LayerNorm(proj @ BiLSTM(chunks)) and its 10 grads in float64,
+    from the per-step reference and the textbook layer-norm derivative."""
+    *lstm, proj, gain, bias = weights
+    seq = x.transpose(_TO_SEQUENCES[axis])
+    h, _ = _ref_bilstm(seq, lstm, np.zeros(seq.shape[:2] + (proj.shape[1],)))
+    y = (h @ proj.T).transpose(_FROM_SEQUENCES[axis])
+    axes = (0, axis)
+    std = y.std(axis=axes, keepdims=True)
+    normalized = (y - y.mean(axis=axes, keepdims=True)) / std
+    out = x + normalized * gain + bias
+    g_n = g * gain
+    g_y = (g_n - g_n.mean(axis=axes, keepdims=True) - normalized * (g_n * normalized).mean(axis=axes, keepdims=True)) / std
+    g_y_seq = g_y.transpose(_TO_SEQUENCES[axis])
+    _, (dseq, *lstm_grads) = _ref_bilstm(seq, lstm, g_y_seq @ proj)
+    grads = [
+        g + dseq.transpose(_FROM_SEQUENCES[axis]),
+        *lstm_grads,
+        np.einsum("btf,btk->fk", g_y_seq, h),
+        (g * normalized).sum(axis=(1, 2), keepdims=True),
+        g.sum(axis=(1, 2), keepdims=True),
+    ]
+    return out, grads
+
+
+def _half_case(rng, shape, hidden, dtype=np.float64, scale=1.0):
+    """(F, K, C) chunks, the six LSTM weights, the (F, 2H) projection, the norm
+    gain and bias, plus an upstream grad of the output."""
+    features = shape[0]
+    x = rng.standard_normal(shape)
     k = scale / np.sqrt(hidden)
     weights = []
     for _ in range(2):
         weights += [
-            rng.uniform(-k, k, (4 * hidden, dim)),
+            rng.uniform(-k, k, (4 * hidden, features)),
             rng.uniform(-k, k, (4 * hidden, hidden)),
             rng.uniform(-k, k, 4 * hidden),
         ]
-    proj = rng.uniform(-k, k, (dim, 2 * hidden))
-    g_out = rng.standard_normal((dim, batch, steps))
-    return [a.astype(dtype) for a in (x, *weights, proj)], g_out.astype(dtype)
+    proj = rng.uniform(-k, k, (features, 2 * hidden))
+    gain = rng.uniform(0.5, 1.5, (features, 1, 1))
+    bias = rng.uniform(-0.5, 0.5, (features, 1, 1))
+    g_out = rng.standard_normal(shape)
+    return [a.astype(dtype) for a in (x, *weights, proj, gain, bias)], g_out.astype(dtype)
 
 
-def _bilstm_with_grads(arrays, g_out):
+def _chunk_shape(axis, features, batch, steps):
+    """The (F, K, C) chunks whose recurrence along axis runs over steps, batch sequences at a time."""
+    return (features, steps, batch) if axis == 1 else (features, batch, steps)
+
+
+def _half_with_grads(arrays, axis, g_out, half=ops.bilstm_layer):
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = ops.bilstm_layer(*tensors)
+    out = half(tensors[0], axis, *tensors[1:])
     out.backward(seed=g_out)
     return out.data, [t.grad for t in tensors]
+
+
+def test_bilstm_output_shape():
+    rng = np.random.default_rng(3)
+    hidden, features = 3, 4
+    for axis in (1, 2):
+        arrays, _ = _half_case(rng, (features, 5, 2), hidden)
+        x, *weights, proj, gain, bias = [Tensor(a) for a in arrays]
+        assert ops.bilstm_layer(x, axis, *weights, proj, gain, bias).shape == (features, 5, 2)
+    with pytest.raises(ConfigError, match="projection"):
+        ops.bilstm_layer(x, 1, *weights, Tensor(rng.standard_normal((features, hidden))), gain, bias)
+    with pytest.raises(ConfigError, match="axis"):
+        ops.bilstm_layer(x, 0, *weights, proj, gain, bias)
+    with pytest.raises(ConfigError, match="features"):
+        ops.bilstm_layer(Tensor(np.zeros((features + 1, 5, 2))), 1, *weights, proj, gain, bias)
 
 
 @pytest.mark.parametrize("batch,steps,dim,hidden", [(3, 1, 4, 5), (1, 6, 4, 5), (4, 7, 3, 5)])
 def test_bilstm_matches_per_step_reference(batch, steps, dim, hidden):
     # T=1 leaves the recurrent-weight grad an empty product; B=1 a single sequence
-    arrays, g_out = _bilstm_case(np.random.default_rng(batch * 100 + steps), batch, steps, dim, hidden, scale=2.0)
-    out, grads = _bilstm_with_grads(arrays, g_out)
-    x, *weights, proj = arrays
-    ref_h, ref_grads = _ref_bilstm(x, weights, np.einsum("fk,fbt->btk", proj, g_out))
-    ref_out = np.einsum("fk,btk->fbt", proj, ref_h)
-    ref_grads.append(np.einsum("fbt,btk->fk", g_out, ref_h))
-    np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
-    assert len(grads) == len(ref_grads) == 8
-    for grad, ref in zip(grads, ref_grads):
-        np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
+    for axis in (1, 2):
+        shape = _chunk_shape(axis, dim, batch, steps)
+        arrays, g_out = _half_case(np.random.default_rng(batch * 100 + steps), shape, hidden, scale=2.0)
+        out, grads = _half_with_grads(arrays, axis, g_out)
+        ref_out, ref_grads = _ref_dual_path_half(arrays[0], axis, arrays[1:], g_out)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-10)
+        assert len(grads) == len(ref_grads) == 10
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=1e-10)
 
 
 def test_bilstm_float32_tracks_float64_at_model_widths():
-    arrays, _ = _bilstm_case(np.random.default_rng(41), batch=41, steps=50, dim=64, hidden=64)
-    wide = ops.bilstm_layer(*[Tensor(a) for a in arrays]).data
-    narrow = ops.bilstm_layer(*[Tensor(a.astype(np.float32)) for a in arrays]).data
-    assert narrow.dtype == np.float32
-    assert np.max(np.abs(narrow - wide)) <= 1e-5 * np.max(np.abs(wide))
+    for axis in (1, 2):
+        arrays, _ = _half_case(np.random.default_rng(41), (64, 50, 41), hidden=64)
+        wide = ops.bilstm_layer(Tensor(arrays[0]), axis, *[Tensor(a) for a in arrays[1:]]).data
+        narrow = ops.bilstm_layer(Tensor(arrays[0].astype(np.float32)), axis, *[Tensor(a.astype(np.float32)) for a in arrays[1:]]).data
+        assert narrow.dtype == np.float32
+        assert np.max(np.abs(narrow - wide)) <= 1e-5 * np.max(np.abs(wide))
 
 
 def test_bilstm_large_weights_stay_finite():
-    arrays, g_out = _bilstm_case(np.random.default_rng(7), batch=3, steps=9, dim=4, hidden=5, scale=1e3)
+    arrays, g_out = _half_case(np.random.default_rng(7), (4, 9, 3), hidden=5, scale=1e3)
     for dtype in (np.float32, np.float64):
-        out, grads = _bilstm_with_grads([a.astype(dtype) for a in arrays], g_out.astype(dtype))
-        assert np.all(np.isfinite(out))
-        for grad in grads:
-            assert np.all(np.isfinite(grad))
+        for axis in (1, 2):
+            out, grads = _half_with_grads([a.astype(dtype) for a in arrays], axis, g_out.astype(dtype))
+            assert np.all(np.isfinite(out))
+            for grad in grads:
+                assert np.all(np.isfinite(grad))
 
 
 def test_bilstm_graph_keeps_gates_only():
-    # per direction the cache is the 4H activated gates of every step; the
-    # node's value is the projected output, and backward re-forms the cell and
-    # hidden states from the gates (keeping the hidden states would add 2H per
-    # step and sequence, about 1.2x)
-    batch, steps, dim, hidden = 8, 16, 16, 16
-    arrays, _ = _bilstm_case(np.random.default_rng(0), batch, steps, dim, hidden)
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    tracemalloc.start()
-    try:
-        out = ops.bilstm_layer(*tensors)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert out.requires_grad
-    expected = (2 * 4 * hidden * steps * batch + dim * steps * batch) * 8
-    assert held <= 1.05 * expected, f"{held} bytes held, {held / expected:.3f}x the gates and output"
-
-
-def _join_directions(hs_f, hs_b):
-    """[h_fwd; h_bwd] of two (T, H, B) runs as (B*T, 2H), laid out as a (B, T, 2H) BiLSTM output."""
-    joined = np.concatenate([hs_f.transpose(2, 0, 1), hs_b[::-1].transpose(2, 0, 1)], axis=2)
-    return joined.reshape(-1, joined.shape[2])
-
-
-def _unfused_chain(direction, arrays, g_out):
-    """The BiLSTM node, then reshape, transpose, linear and reshape, in numpy.
-
-    direction(x_dtb, w_ih, w_hh, b, g_h) runs one direction over (D, T, B)
-    and returns its hidden states (T, H, B), dx and the grads of w_ih, w_hh
-    and b. The projection and its grads are formed as ops.linear forms them
-    from a (B, T, 2H) input. Returns the output and the 8 gradients.
-    """
-    x, *weights, proj = arrays
-    feat, batch, steps = g_out.shape
-    hidden = weights[1].shape[1]
-    x_dtb = np.ascontiguousarray(x.transpose(2, 1, 0))
-    g = g_out.reshape(feat, -1)
-    g_thb = np.ascontiguousarray((proj.T @ g).reshape(2 * hidden, batch, steps).transpose(2, 0, 1))
-    hs_f, dx_f, *grads_f = direction(x_dtb, *weights[:3], g_thb[:, :hidden])
-    hs_b, dx_b, *grads_b = direction(x_dtb[:, ::-1], *weights[3:], g_thb[::-1, hidden:])
-    h = _join_directions(hs_f, hs_b)
-    dx_f += dx_b[:, ::-1]
-    out = (proj @ h.T).reshape(feat, batch, steps)
-    return out, [dx_f.transpose(2, 1, 0), *grads_f, *grads_b, g @ h]
+    # per direction the cache is the 4H activated gates of every step, plus the
+    # norm's per-slice mean and inverse std; the node's value is the half's
+    # output, and backward re-forms the cell and hidden states and the
+    # projection output (keeping the hidden states would add 2H per step and
+    # sequence, about 1.2x, and the projection output F more)
+    features, steps, batch, hidden = 16, 16, 8, 16
+    for axis in (1, 2):
+        arrays, _ = _half_case(np.random.default_rng(0), _chunk_shape(axis, features, batch, steps), hidden)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            out = ops.bilstm_layer(tensors[0], axis, *tensors[1:])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        expected = (2 * 4 * hidden * steps * batch + features * steps * batch) * 8
+        assert held <= 1.05 * expected, f"axis {axis}: {held} bytes held, {held / expected:.3f}x the gates and output"
 
 
 def _assert_bytes_equal(out, grads, ref_out, ref_grads):
-    assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+    assert out.dtype == np.float32 and out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
     for grad, ref in zip(grads, ref_grads, strict=True):
         assert grad.dtype == ref.dtype == np.float32
         assert grad.shape == ref.shape
         assert grad.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
-def _cell_caching_direction(x_dtb, w_ih, w_hh, b, g_h):
-    """One direction in the kernel's own arithmetic, a step at a time, with the
-    forward's cell and hidden states kept for backward instead of re-formed.
-
-    x_dtb is (D, T, B) and g_h (T, H, B), laid out as bilstm_layer passes
-    them. Returns the hidden states (T, H, B), dx and the grads of w_ih, w_hh
-    and b.
-    """
-    _, steps, batch = x_dtb.shape
-    hidden = w_hh.shape[1]
-    order = ops._gate_order(hidden)
-    gates = np.matmul(ops._kernel_weights(w_ih, hidden), x_dtb.transpose(1, 0, 2))
-    gates += ops._kernel_weights(b, hidden)[:, None]
-    w_hh_k = ops._kernel_weights(w_hh, hidden)
-    hs = np.empty((steps, hidden, batch), dtype=x_dtb.dtype)
-    cs = np.empty_like(hs)
-    h = c = np.zeros((hidden, batch), dtype=x_dtb.dtype)
-    for t in range(steps):
-        z = gates[t]
-        z += w_hh_k @ h
-        np.tanh(z, out=z)
-        z[: 3 * hidden] = 0.5 * z[: 3 * hidden] + 0.5
-        i, f, o, g = np.split(z, 4)
-        cs[t] = f * c + i * g
-        hs[t] = np.tanh(cs[t]) * o
-        c, h = cs[t], hs[t]
-
-    w_hh_t = np.ascontiguousarray(w_hh[order].T)
-    dzs = np.empty_like(gates)
-    zeros = np.zeros((hidden, batch), dtype=x_dtb.dtype)
-    dh_carry = dc_carry = zeros
-    for t in range(steps - 1, -1, -1):
-        z, dz = gates[t], dzs[t]
-        i, f, o, g = np.split(z, 4)
-        dh = g_h[t] + dh_carry
-        tanh_c = np.tanh(cs[t])
-        dc = (1.0 - tanh_c * tanh_c) * o * dh + dc_carry
-        dz[:hidden] = dc * g
-        dz[hidden : 2 * hidden] = dc * (cs[t - 1] if t else zeros)
-        dz[2 * hidden : 3 * hidden] = dh * tanh_c
-        dz[: 3 * hidden] *= (1.0 - z[: 3 * hidden]) * z[: 3 * hidden]
-        dz[3 * hidden :] = dc * ((1.0 - g * g) * i)
-        dh_carry = w_hh_t @ dz
-        dc_carry = dc * f
-    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
-    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)
-    dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
-    dw_ih = (dz_flat @ x_dtb.reshape(x_dtb.shape[0], -1).T)[order]
-    dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
-    db = dz_flat.sum(axis=1)[order]
-    return hs, dx, dw_ih, dw_hh, db
-
-
 def test_bilstm_grads_equal_a_cell_caching_reference_bit_for_bit():
-    # re-forming c(t) and h(t) in backward must round exactly as the forward did
-    arrays, g_out = _bilstm_case(np.random.default_rng(5), batch=41, steps=50, dim=64, hidden=64, dtype=np.float32)
-    out, grads = _bilstm_with_grads(arrays, g_out)
-    ref_out, ref_grads = _unfused_chain(_cell_caching_direction, arrays, g_out)
-    _assert_bytes_equal(out, grads, ref_out, ref_grads)
+    # re-forming c(t), h(t) and the projection output in backward must round
+    # exactly as the forward did
+    for axis in (1, 2):
+        arrays, g_out = _half_case(np.random.default_rng(5), (64, 50, 41), hidden=64, dtype=np.float32)
+        out, grads = _half_with_grads(arrays, axis, g_out)
+
+        def chain(*args):
+            return reference.dual_path_half(*args, direction=reference.cell_caching_direction)
+
+        ref_out, ref_grads = _half_with_grads(arrays, axis, g_out, half=chain)
+        _assert_bytes_equal(out, grads, ref_out, ref_grads)
 
 
-def _kernel_direction(x_dtb, w_ih, w_hh, b, g_h):
-    """One direction through ops._lstm_run and ops._lstm_grad, whose backward
-    must give back the forward's hidden states byte for byte."""
-    hs, gates = ops._lstm_run(x_dtb, w_ih, w_hh, b, keep_cache=True)
-    reformed, *grads = ops._lstm_grad(x_dtb, gates, w_ih, w_hh, g_h)
-    assert reformed.tobytes() == hs.tobytes()
-    return hs, *grads
-
-
-@pytest.mark.parametrize("batch,steps", [(41, 50), (50, 41)])
+@pytest.mark.parametrize("batch,steps", [(41, 50), (50, 41), (159, 50), (50, 159)])
 def test_bilstm_layer_equals_the_unfused_chain_bit_for_bit(batch, steps):
-    # the train-1s shapes of the intra-chunk and inter-chunk BiLSTMs at D=H=F=64
-    arrays, g_out = _bilstm_case(
-        np.random.default_rng(batch), batch=batch, steps=steps, dim=64, hidden=64, dtype=np.float32
+    # the intra-chunk (steps K=50) and inter-chunk (steps C) halves at the
+    # train-1s (C=41) and eval-4s (C=159) shapes, D=H=F=64, against the
+    # transpose -> BiLSTM with projection -> transpose -> layer norm with
+    # residual chain they replace; K = 50, so 50 steps is the intra-chunk half
+    axis = 1 if steps == 50 else 2
+    arrays, g_out = _half_case(
+        np.random.default_rng(batch), _chunk_shape(axis, 64, batch, steps), hidden=64, dtype=np.float32
     )
-    out, grads = _bilstm_with_grads(arrays, g_out)
-    ref_out, ref_grads = _unfused_chain(_kernel_direction, arrays, g_out)
+    out, grads = _half_with_grads(arrays, axis, g_out)
+    ref_out, ref_grads = _half_with_grads(arrays, axis, g_out, half=reference.dual_path_half)
     _assert_bytes_equal(out, grads, ref_out, ref_grads)
 
 
-# -- the fused affine layer norm -------------------------------------------------
+# -- the affine layer norm ---------------------------------------------------------
 
 
-def _layer_norm_composition(x, axes, gain, bias, residual, g):
-    """The unfused graph in numpy: normalize -> * gain -> + bias -> residual +.
+def _layer_norm_composition(x, axes, gain, bias, g):
+    """The unfused graph in numpy: normalize -> * gain -> + bias.
 
-    Returns the output and the grads of x, gain, bias and residual for the
-    upstream grad g, each formed the way those four nodes form them.
+    Returns the output and the grads of x, gain and bias for the upstream
+    grad g, each formed the way those three nodes form them.
     """
     mu = x.mean(axis=axes, keepdims=True)
     centered = x - mu
@@ -438,7 +400,7 @@ def _layer_norm_composition(x, axes, gain, bias, residual, g):
     degenerate = var < ops.LAYER_NORM_VAR_FLOOR
     inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
     y = centered * inv_std
-    out = residual + (y * gain + bias)
+    out = y * gain + bias
     reduce = tuple(i for i, n in enumerate(gain.shape) if n == 1)
     g_y = g * gain
     g_mean = g_y.mean(axis=axes, keepdims=True)
@@ -446,7 +408,7 @@ def _layer_norm_composition(x, axes, gain, bias, residual, g):
     g_x = inv_std * (g_y - g_mean - y * gy_mean)
     g_gain = (g * y).sum(axis=reduce, keepdims=True)
     g_bias = g.sum(axis=reduce, keepdims=True)
-    return out, (g_x, g_gain, g_bias, g.copy())
+    return out, (g_x, g_gain, g_bias)
 
 
 @pytest.mark.parametrize("transposed,axes", [(True, (0, 1)), (False, (0, 2))], ids=["view-0-1", "0-2"])
@@ -458,23 +420,16 @@ def test_layer_norm_is_bit_identical_to_the_composition(transposed, axes):
     )
     gain = rng.uniform(0.5, 1.5, (64, 1, 1)).astype(np.float32)
     bias = rng.uniform(-0.5, 0.5, (64, 1, 1)).astype(np.float32)
-    residual = rng.standard_normal(shape).astype(np.float32)
     g = rng.standard_normal(shape).astype(np.float32)
-    tensors = [Tensor(a, requires_grad=True) for a in (x, gain, bias, residual)]
-    out = ops.layer_norm(tensors[0], axes, *tensors[1:3], residual=tensors[3])
+    tensors = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+    out = ops.layer_norm(tensors[0], axes, *tensors[1:])
     out.backward(seed=g)
-    ref_out, ref_grads = _layer_norm_composition(x, axes, gain, bias, residual, g)
+    ref_out, ref_grads = _layer_norm_composition(x, axes, gain, bias, g)
     assert out.dtype == np.float32
     assert np.array_equal(out.data, ref_out)
-    for tensor, ref in zip(tensors, ref_grads):
+    for tensor, ref in zip(tensors, ref_grads, strict=True):
         assert tensor.grad.dtype == np.float32
         assert np.array_equal(tensor.grad, ref)
-
-
-def test_layer_norm_residual_shape_must_match():
-    x = Tensor(np.ones((2, 3)))
-    with pytest.raises(ConfigError, match="residual"):
-        ops.layer_norm(x, (0, 1), Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 1))), residual=Tensor(np.ones((3, 2))))
 
 
 def test_recorded_layer_norm_keeps_no_input_sized_array():
@@ -482,10 +437,9 @@ def test_recorded_layer_norm_keeps_no_input_sized_array():
     x = Tensor(rng.standard_normal((64, 50, 41)), requires_grad=True)
     gain = Tensor(np.ones((64, 1, 1)), requires_grad=True)
     bias = Tensor(np.zeros((64, 1, 1)), requires_grad=True)
-    residual = Tensor(rng.standard_normal(x.shape), requires_grad=True)
     tracemalloc.start()
     try:
-        out = ops.layer_norm(x, (0, 2), gain, bias, residual=residual)
+        out = ops.layer_norm(x, (0, 2), gain, bias)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

@@ -7,11 +7,14 @@ import pytest
 from tastas.errors import ConfigError
 from tastas.objectives import multi_stage_loss_graph
 from tastas.numerics import ops
-from tastas.numerics.tensor import Tensor
+from tastas.numerics.tensor import Tensor, _topo_order
 from tastas.pipeline.data import synth_mixture_corpus
 from tastas.pipeline.evaluate import evaluate
 from tastas.sepnet import ModelConfig, TasTasModel, parse_preset
+from tastas.sepnet import model as sepnet_model
 from tastas.sepnet.model import dual_path_block, encode, estimate_masks, init_params
+
+import dual_path_reference as reference
 
 TINY = ModelConfig(stage_blocks=(1,), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4)
 
@@ -182,6 +185,8 @@ def _forward_and_grads(model, mix, targets):
 
 
 def test_fused_norm_sites_match_the_unfused_graph_bit_for_bit(monkeypatch):
+    # the fused input norm and dual-path halves against a graph of separate
+    # transpose, BiLSTM-with-projection, normalize, mul and add nodes
     cfg = ModelConfig(stage_blocks=(2, 2), num_filters=8, kernel_len=16, chunk_len=8, hidden_size=8)
     model = TasTasModel.initialize(cfg, seed=6)
     rng = np.random.default_rng(6)
@@ -194,6 +199,11 @@ def test_fused_norm_sites_match_the_unfused_graph_bit_for_bit(monkeypatch):
     mix = targets[0] + targets[1]
     fused_outs, fused_grads = _forward_and_grads(model, mix, targets)
     monkeypatch.setattr(ops, "layer_norm", _unfused_layer_norm)
+    monkeypatch.setattr(
+        sepnet_model,
+        "dual_path_block",
+        lambda params, base, chunks: reference.dual_path_block(params, base, chunks, norm=_unfused_layer_norm),
+    )
     outs, grads = _forward_and_grads(model, mix, targets)
     assert len(outs) == 4
     for fused, ref in zip(fused_outs, outs):
@@ -202,6 +212,35 @@ def test_fused_norm_sites_match_the_unfused_graph_bit_for_bit(monkeypatch):
     for name, grad in grads.items():
         assert grad is not None, name
         assert np.array_equal(fused_grads[name], grad), name
+
+
+def _recorded_block(cfg, seed):
+    params = init_params(cfg, seed=seed)
+    shape = (cfg.num_filters, cfg.chunk_len, 41)  # the train-1s chunk layout
+    chunks = Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32), requires_grad=True)
+    return params, chunks
+
+
+def test_dual_path_block_records_two_nodes():
+    params, chunks = _recorded_block(ModelConfig(stage_blocks=(1,), num_filters=8, hidden_size=6, chunk_len=6), 0)
+    out = dual_path_block(params, "stage0.block0", chunks)
+    nodes = [t for t in _topo_order(out) if t._backward is not None]
+    assert len(nodes) == 2  # one bilstm_layer node per half
+
+
+def test_recorded_dual_path_block_keeps_gates_and_outputs_only():
+    # default widths: (F, K, C) = (64, 50, 41). Each half keeps its 2 x 4H gates
+    # per step and sequence (4.0 MiB) and its output (0.5 MiB); the unfused
+    # chain also held each half's projection output, 10.0 MiB in all
+    params, chunks = _recorded_block(ModelConfig(), 0)
+    tracemalloc.start()
+    try:
+        out = dual_path_block(params, "stage0.block0", chunks)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held <= 9.1 * 2**20, f"{held / 2**20:.2f} MiB held"
 
 
 # -- mask head -------------------------------------------------------------------------

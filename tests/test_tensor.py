@@ -113,27 +113,30 @@ def test_no_grad_is_per_thread():
 
 
 def _bilstm_inputs(rng):
-    hidden, dim = 3, 4
-    x = Tensor(rng.uniform(-1, 1, (2, 5, dim)), requires_grad=True)
+    hidden, features = 3, 4
+    x = Tensor(rng.uniform(-1, 1, (features, 5, 2)), requires_grad=True)
     weights = []
     for _ in range(2):
         weights += [
-            Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, dim)), requires_grad=True),
+            Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, features)), requires_grad=True),
             Tensor(rng.uniform(-0.5, 0.5, (4 * hidden, hidden)), requires_grad=True),
             Tensor(rng.uniform(-0.5, 0.5, 4 * hidden), requires_grad=True),
         ]
-    weights.append(Tensor(rng.uniform(-0.5, 0.5, (dim, 2 * hidden)), requires_grad=True))
+    weights.append(Tensor(rng.uniform(-0.5, 0.5, (features, 2 * hidden)), requires_grad=True))
+    weights.append(Tensor(rng.uniform(0.5, 1.5, (features, 1, 1)), requires_grad=True))
+    weights.append(Tensor(rng.uniform(-0.5, 0.5, (features, 1, 1)), requires_grad=True))
     return x, weights
 
 
 def test_bilstm_layer_same_output_with_and_without_recording():
     x, weights = _bilstm_inputs(np.random.default_rng(0))
-    recorded = ops.bilstm_layer(x, *weights)
-    with no_grad():
-        plain = ops.bilstm_layer(x, *weights)
-    assert recorded._backward is not None
-    assert plain._backward is None
-    assert np.array_equal(recorded.data, plain.data)
+    for axis in (1, 2):
+        recorded = ops.bilstm_layer(x, axis, *weights)
+        with no_grad():
+            plain = ops.bilstm_layer(x, axis, *weights)
+        assert recorded._backward is not None
+        assert plain._backward is None
+        assert np.array_equal(recorded.data, plain.data)
 
 
 def test_backward_releases_interior_nodes():
