@@ -1,9 +1,9 @@
 """Short-time Fourier analysis and weighted overlap-add resynthesis.
 
-The analysis path here is plain numpy (complex output, used by the mask
-oracle and feature plots). The differentiable twin used inside networks is
-``numerics.ops.stft_ri``; both share the same framing rules so frame
-counts always agree.
+``stft`` is ``numerics.ops.stft_ri`` run on a tensor that records no graph,
+with its real and imaginary planes packed as complex bins for the mask
+oracle and feature plots. ``istft`` sums the windowed inverse frames with
+the same overlap-add that adjoins ``stft_ri``'s framing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from ..numerics.ops import frame_count, reflect_index_map
+from ..numerics.ops import _overlap_add, stft_ri
+from ..numerics.tensor import Tensor
 from .wavio import Waveform
 
 DEFAULT_WINDOW_LEN = 512
@@ -62,11 +63,7 @@ def _validate_config(window_len: int, hop: int) -> None:
 
 
 def _ola_window_sq(window: np.ndarray, hop: int, frames: int, padded_len: int) -> np.ndarray:
-    wsq = window * window
-    cov = np.zeros(padded_len)
-    for t in range(frames):
-        cov[t * hop : t * hop + len(window)] += wsq
-    return cov
+    return _overlap_add(np.broadcast_to(window * window, (frames, len(window))), hop, padded_len)
 
 
 def stft(
@@ -81,13 +78,12 @@ def stft(
     if n <= pad:
         raise DataError(f"signal of {n} samples is too short for window {window_len}")
     window = hann_window(window_len)
-    idx = reflect_index_map(n, pad)
-    xp = x.samples[idx]
-    frames = frame_count(n, window_len, hop)
-    framed = np.lib.stride_tricks.sliding_window_view(xp, window_len)[::hop] * window
-    spec = np.fft.rfft(framed, axis=1).T
+    ri = stft_ri(Tensor(x.samples), window, hop).data
+    # set the planes, not real + 1j*imag, which would turn a -0.0 real part into +0.0
+    spec = np.empty(ri.shape[1:], dtype=np.complex128)
+    spec.real, spec.imag = ri
     # reject configurations whose synthesis coverage would vanish somewhere
-    cov = _ola_window_sq(window, hop, frames, len(xp))
+    cov = _ola_window_sq(window, hop, spec.shape[1], n + 2 * pad)
     if cov[pad : pad + n].min() < _COVERAGE_FLOOR:
         raise ConfigError(
             f"window/hop ({window_len}/{hop}) does not cover the signal for reconstruction"
@@ -109,9 +105,7 @@ def istft(spec: Spectrogram) -> Waveform:
     pad = window_len // 2
     padded_len = (frames - 1) * hop + window_len
     segs = np.fft.irfft(spec.bins.T, n=window_len, axis=1) * spec.window
-    acc = np.zeros(padded_len)
-    for t in range(frames):
-        acc[t * hop : t * hop + window_len] += segs[t]
+    acc = _overlap_add(segs, hop, padded_len)
     cov = _ola_window_sq(spec.window, hop, frames, padded_len)
     region = slice(pad, pad + spec.original_len)
     out = acc[region] / cov[region]

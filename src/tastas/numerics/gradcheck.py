@@ -174,11 +174,6 @@ def _build_sqrt(rng):
     return [x], lambda ts: ops.sqrt(ts[0])
 
 
-def _build_tanh(rng):
-    x = _u(rng, 7, lo=-2.0, hi=2.0)
-    return [x], lambda ts: ops.tanh(ts[0])
-
-
 def _build_prelu(rng):
     # |x| >= 0.01 keeps every +-step difference on one side of the kink at 0;
     # the random sign still exercises both slopes
@@ -320,7 +315,6 @@ BUILDERS: dict[str, Builder] = {
     "mean": _build_mean,
     "log": _build_log,
     "sqrt": _build_sqrt,
-    "tanh": _build_tanh,
     "prelu": _build_prelu,
     "linear": _build_linear,
     "conv1d": _build_conv1d,

@@ -35,6 +35,30 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _frames(x: np.ndarray, length: int, hop: int) -> np.ndarray:
+    """(..., count, length) strided view of the last axis: a frame every hop samples."""
+    return np.lib.stride_tricks.sliding_window_view(x, length, axis=-1)[..., ::hop, :]
+
+
+def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
+    """Adjoint of ``_frames``: sum (..., count, length) frames into (..., total).
+
+    Loops along the shorter of the two frame axes; the offset loop runs from
+    the last offset down, so either way every sample adds its frames in
+    ascending frame order and the bits do not depend on the loop taken.
+    """
+    *lead, count, length = frames.shape
+    out = np.zeros((*lead, total), dtype=frames.dtype)
+    if count <= length:
+        for t in range(count):
+            out[..., t * hop : t * hop + length] += frames[..., t, :]
+    else:
+        last = (count - 1) * hop
+        for k in range(length - 1, -1, -1):
+            out[..., k : k + last + 1 : hop] += frames[..., k]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic (broadcasting)
 # ---------------------------------------------------------------------------
@@ -165,18 +189,6 @@ def sqrt(x: Tensor) -> Tensor:
     return out
 
 
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
-
-        def backward():
-            x._accum_grad(out.grad * (1.0 - out_data * out_data))
-
-        out._backward = backward
-    return out
-
-
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """max(0, x) + slope * min(0, x); slope broadcasts over x."""
     positive = x.data > 0
@@ -238,8 +250,7 @@ def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
         raise ConfigError(f"conv1d: input length {t_len} shorter than kernel {k_len}")
     if stride < 1:
         raise ConfigError(f"conv1d: stride must be >= 1, got {stride}")
-    cols = np.lib.stride_tricks.sliding_window_view(x.data, k_len, axis=1)[:, ::stride, :]
-    frames = cols.shape[1]
+    cols = _frames(x.data, k_len, stride)
     out_data = np.tensordot(weight.data, cols, axes=([1, 2], [0, 2]))
     out = Tensor._from_op(np.ascontiguousarray(out_data), (x, weight))
     if out.requires_grad:
@@ -250,11 +261,7 @@ def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
                 weight._accum_grad(np.tensordot(g, cols, axes=([1], [1])))
             if x.requires_grad:
                 g_cols = np.einsum("ot,ock->ctk", g, weight.data)
-                gx = np.zeros_like(x.data)
-                last = (frames - 1) * stride
-                for k in range(k_len):
-                    gx[:, k : k + last + 1 : stride] += g_cols[:, :, k]
-                x._accum_grad(gx)
+                x._accum_grad(_overlap_add(g_cols, stride, t_len))
 
         out._backward = backward
     return out
@@ -785,22 +792,17 @@ def segment_chunks(x: Tensor, chunk_len: int, hop: int) -> tuple[Tensor, int]:
     """Split (F, T) into overlapping chunks -> ((F, K, C), pad_frames)."""
     if x.ndim != 2:
         raise ConfigError(f"segment_chunks: expected (F,T), got {x.shape}")
-    feat, frames = x.shape
-    count, padded = chunk_layout(frames, chunk_len, hop)
+    frames = x.shape[1]
+    _, padded = chunk_layout(frames, chunk_len, hop)
     pad = padded - frames
     xp = np.pad(x.data, ((0, 0), (0, pad)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, chunk_len, axis=1)[:, ::hop, :]
-    out_data = np.ascontiguousarray(windows.transpose(0, 2, 1))
+    out_data = np.ascontiguousarray(_frames(xp, chunk_len, hop).transpose(0, 2, 1))
     out = Tensor._from_op(out_data, (x,))
     if out.requires_grad:
 
         def backward():
-            g = out.grad
-            gxp = np.zeros((feat, padded), dtype=x.dtype)
-            last = (count - 1) * hop
-            for k in range(chunk_len):
-                gxp[:, k : k + last + 1 : hop] += g[:, k, :]
-            x._accum_grad(gxp[:, :frames])
+            gxp = _overlap_add(out.grad.transpose(0, 2, 1), hop, padded)
+            x._accum_grad(np.ascontiguousarray(gxp[:, :frames]))
 
         out._backward = backward
     return out, pad
@@ -816,13 +818,8 @@ def merge_chunks(x: Tensor, hop: int, out_frames: int, pad_frames: int) -> Tenso
         raise ConfigError(
             f"merge_chunks: layout {padded} != out_frames {out_frames} + pad {pad_frames}"
         )
-    counts = np.zeros(padded)
-    acc = np.zeros((feat, padded), dtype=x.dtype)
-    last = (count - 1) * hop
-    for k in range(chunk_len):
-        acc[:, k : k + last + 1 : hop] += x.data[:, k, :]
-        counts[k : k + last + 1 : hop] += 1.0
-    counts = counts.astype(x.dtype)
+    counts = _overlap_add(np.ones((count, chunk_len), dtype=x.dtype), hop, padded)
+    acc = _overlap_add(x.data.transpose(0, 2, 1), hop, padded)
     out_data = np.ascontiguousarray((acc / counts)[:, :out_frames])
     out = Tensor._from_op(out_data, (x,))
     if out.requires_grad:
@@ -831,10 +828,7 @@ def merge_chunks(x: Tensor, hop: int, out_frames: int, pad_frames: int) -> Tenso
             gp = np.zeros((feat, padded), dtype=x.dtype)
             gp[:, :out_frames] = out.grad
             gp = gp / counts
-            gx = np.empty_like(x.data)
-            for k in range(chunk_len):
-                gx[:, k, :] = gp[:, k : k + last + 1 : hop]
-            x._accum_grad(gx)
+            x._accum_grad(np.ascontiguousarray(_frames(gp, chunk_len, hop).transpose(0, 2, 1)))
 
         out._backward = backward
     return out
@@ -849,26 +843,14 @@ def overlap_add(x: Tensor, stride: int, out_len: int) -> Tensor:
     if x.ndim != 2:
         raise ConfigError(f"overlap_add: expected (L,T), got {x.shape}")
     frame_len, frames = x.shape
-    full = (frames - 1) * stride + frame_len
-    y = np.zeros(full, dtype=x.dtype)
-    last = (frames - 1) * stride
-    for offset in range(frame_len):
-        y[offset : offset + last + 1 : stride] += x.data[offset, :]
-    if out_len <= full:
-        out_data = np.ascontiguousarray(y[:out_len])
-    else:
-        out_data = np.concatenate([y, np.zeros(out_len - full, dtype=x.dtype)])
-    out = Tensor._from_op(out_data, (x,))
+    total = max((frames - 1) * stride + frame_len, out_len)
+    out = Tensor._from_op(_overlap_add(x.data.T, stride, total)[:out_len], (x,))
     if out.requires_grad:
 
         def backward():
-            g_full = np.zeros(full, dtype=x.dtype)
-            n = min(full, out_len)
-            g_full[:n] = out.grad[:n]
-            gx = np.empty_like(x.data)
-            for offset in range(frame_len):
-                gx[offset, :] = g_full[offset : offset + last + 1 : stride]
-            x._accum_grad(gx)
+            g = np.zeros(total, dtype=x.dtype)
+            g[:out_len] = out.grad
+            x._accum_grad(np.ascontiguousarray(_frames(g, frame_len, stride)[:frames].T))
 
         out._backward = backward
     return out
@@ -879,19 +861,13 @@ def overlap_add(x: Tensor, stride: int, out_len: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def reflect_index_map(length: int, pad: int) -> np.ndarray:
-    """Original-sample index for each position of a reflect-padded signal."""
-    if length <= pad:
-        raise ConfigError(f"reflect padding {pad} needs signal length > {pad}, got {length}")
+def _reflect_index_map(length: int, pad: int) -> np.ndarray:
+    """Original-sample index for each position of a reflect-padded signal (length > pad)."""
     idx = np.empty(length + 2 * pad, dtype=np.intp)
     idx[pad : pad + length] = np.arange(length)
     idx[:pad] = np.arange(pad, 0, -1)
     idx[pad + length :] = np.arange(length - 2, length - 2 - pad, -1)
     return idx
-
-
-def frame_count(length: int, window_len: int, hop: int) -> int:
-    return 1 + (length + 2 * (window_len // 2) - window_len) // hop
 
 
 def stft_ri(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
@@ -907,11 +883,10 @@ def stft_ri(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
     n = x.shape[0]
     if n <= pad:
         raise ConfigError(f"stft_ri: signal of {n} samples shorter than half a window ({pad})")
-    idx = reflect_index_map(n, pad)
+    idx = _reflect_index_map(n, pad)
     xp = x.data[idx]
-    frames = 1 + (len(xp) - window_len) // hop
     window = window.astype(x.dtype, copy=False)
-    framed = np.lib.stride_tricks.sliding_window_view(xp, window_len)[::hop] * window
+    framed = _frames(xp, window_len, hop) * window
     spec = np.fft.rfft(framed, axis=1)
     bins = window_len // 2 + 1
     out_data = np.ascontiguousarray(
@@ -927,9 +902,7 @@ def stft_ri(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
                 g[:, 1:-1] *= 0.5
             g_frames = np.fft.irfft(g, n=window_len, axis=1) * window_len
             g_frames = (g_frames * window).astype(x.dtype, copy=False)
-            gxp = np.zeros(len(xp), dtype=x.dtype)
-            for t in range(frames):
-                gxp[t * hop : t * hop + window_len] += g_frames[t]
+            gxp = _overlap_add(g_frames, hop, len(xp))
             gx = np.zeros(n, dtype=x.dtype)
             np.add.at(gx, idx, gxp)
             x._accum_grad(gx)

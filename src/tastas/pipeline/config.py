@@ -33,7 +33,6 @@ class TrainConfig:
     sep_ckpt: str = ""
     idnet_ckpt: str = ""
     out_dir: str = "runs"
-    early_stop_dev_si_sdri: float = 0.0  # 0 disables
     idnet_segment_s: float = 0.5
     idnet_embedding_dim: int = 128
 

@@ -364,12 +364,9 @@ class SepTrainer:
                 )
             )
 
-            if self.config.early_stop_dev_si_sdri and dev_si_sdri >= self.config.early_stop_dev_si_sdri:
-                action = STOP
-            else:
-                action = restart_decision(
-                    self.worse_streak, self.config.patience, self.policy.restart_halvings, self.config.max_restarts
-                )
+            action = restart_decision(
+                self.worse_streak, self.config.patience, self.policy.restart_halvings, self.config.max_restarts
+            )
             if action == RESTART:
                 self._reload_best()
                 self.policy = self.policy.halved()

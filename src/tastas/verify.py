@@ -15,7 +15,7 @@ import numpy as np
 from . import objectives
 from .numerics.gradcheck import relative_error
 from .numerics.optim import ParamSet
-from .numerics.tensor import Tensor, no_grad
+from .numerics.tensor import no_grad
 from .sepnet import ModelConfig, TasTasModel
 
 TINY_CONFIG = ModelConfig(stage_blocks=(1,), num_filters=4, kernel_len=16, chunk_len=4, hidden_size=4)
@@ -76,33 +76,3 @@ def tiny_model_check(
         param_count=model.params.num_values(),
         tolerance=tolerance,
     )
-
-
-def input_gradient_check(
-    forward,
-    x: np.ndarray,
-    tolerance: float = 1e-3,
-    step: float = 1e-5,
-    seed: int = 0,
-) -> tuple[float, bool]:
-    """FD check of a scalar-valued callable's gradient w.r.t. a 1-D input signal."""
-    rng = np.random.default_rng(seed)
-    tensor = Tensor(x.astype(np.float64), requires_grad=True)
-    out = forward(tensor)
-    proj = rng.standard_normal(out.shape)
-    from .numerics import ops
-
-    loss = ops.tsum(ops.mul(out, ops.const(proj, dtype=np.float64)))
-    loss.backward()
-    analytic = tensor.grad.copy()
-    worst = 0.0
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        with no_grad():
-            fp = float(np.sum(forward(Tensor(xp)).data * proj))
-            fm = float(np.sum(forward(Tensor(xm)).data * proj))
-        numeric = (fp - fm) / (2.0 * step)
-        worst = max(worst, relative_error(float(analytic[j]), numeric))
-    return worst, worst < tolerance

@@ -122,6 +122,57 @@ def test_stft_sine_energy_concentrates_at_bin():
     assert np.all(window_energy >= 0.99 * interior.sum(axis=0))
 
 
+def _numpy_stft_bins(samples: np.ndarray, window_len: int = 512, hop: int = 128) -> np.ndarray:
+    """Reflect-padded Hann STFT written out in numpy, as stft was before it ran stft_ri."""
+    xp = np.pad(samples, window_len // 2, mode="reflect")
+    framed = np.lib.stride_tricks.sliding_window_view(xp, window_len)[::hop] * hann_window(window_len)
+    return np.fft.rfft(framed, axis=1).T
+
+
+def _numpy_istft(bins: np.ndarray, original_len: int, window_len: int = 512, hop: int = 128) -> np.ndarray:
+    """Weighted overlap-add, one frame at a time."""
+    window = hann_window(window_len)
+    frames = bins.shape[1]
+    padded = (frames - 1) * hop + window_len
+    segs = np.fft.irfft(bins.T, n=window_len, axis=1) * window
+    acc, cov = np.zeros(padded), np.zeros(padded)
+    for t in range(frames):
+        acc[t * hop : t * hop + window_len] += segs[t]
+        cov[t * hop : t * hop + window_len] += window * window
+    region = slice(window_len // 2, window_len // 2 + original_len)
+    return acc[region] / cov[region]
+
+
+def _signed_zero_sources(seconds: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seconds)
+    sources = [rng.uniform(-0.5, 0.5, seconds * 8000) for _ in range(2)]
+    for s in sources:
+        s[1000:2000] = -0.0  # frames of negative zeros give bins with a -0.0 real part
+    return sources
+
+
+@pytest.mark.parametrize("seconds", [1, 4, 10])
+def test_stft_istft_irm_bytes_match_numpy_reference(seconds):
+    a, b = _signed_zero_sources(seconds)
+    mix = a + b
+    expected = _numpy_stft_bins(mix)
+    assert np.signbit(expected.real[expected.real == 0]).any()
+    spec = stft(Waveform(mix))
+    # bytes, not values: the sign of zero counts
+    assert spec.bins.tobytes() == np.ascontiguousarray(expected).tobytes()
+    if seconds == 10:
+        assert spec.frames > spec.window_len  # istft sums offset by offset here
+    assert istft(spec).samples.tobytes() == _numpy_istft(expected, len(mix)).tobytes()
+
+    mags = [np.abs(_numpy_stft_bins(s)) for s in (a, b)]
+    total = mags[0] + mags[1]
+    silent = total <= 0.0
+    masks = [np.where(silent, 0.5, m / np.where(silent, 1.0, total)) for m in mags]
+    outs = irm_separate(Waveform(mix), [Waveform(a), Waveform(b)])
+    for out, mask in zip(outs, masks):
+        assert out.samples.tobytes() == _numpy_istft(expected * mask, len(mix)).tobytes()
+
+
 def test_istft_zero_spectrogram_is_silence():
     spec = stft(Waveform(np.ones(2000)), 256, 64)
     zero = Spectrogram(

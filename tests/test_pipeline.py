@@ -88,9 +88,11 @@ seed=11
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("no_such_field=1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="no_such_field"):
-        load_train_config(path)
+    # early_stop_dev_si_sdri was a field once; a file that still sets it fails loudly
+    for key in ("no_such_field", "early_stop_dev_si_sdri"):
+        path.write_text(f"{key}=1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_train_config(path)
 
 
 def test_config_rejects_bad_value(tmp_path):

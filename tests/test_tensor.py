@@ -9,9 +9,9 @@ from tastas.numerics.tensor import Tensor, is_recording, no_grad
 
 
 def test_forward_purity_bit_identical():
-    x = Tensor(np.linspace(-1, 1, 40))
-    a = ops.tanh(x).data
-    b = ops.tanh(x).data
+    x = Tensor(np.linspace(0.1, 2, 40))
+    a = ops.log(x).data
+    b = ops.log(x).data
     assert np.array_equal(a, b)
 
 
@@ -36,7 +36,7 @@ def test_backward_diamond_graph_accumulates():
 
 def test_backward_seed_shape_mismatch():
     x = Tensor(np.ones(4), requires_grad=True)
-    y = ops.tanh(x)
+    y = ops.log(x)
     with pytest.raises(ConfigError):
         y.backward(seed=np.ones(3))
 
@@ -53,7 +53,7 @@ def test_broadcast_add_unbroadcasts_grad():
 
 def test_float32_graph_stays_float32():
     x = Tensor(np.ones(5, dtype=np.float32), requires_grad=True)
-    y = ops.tanh(ops.mul(x, ops.const(0.5, dtype=x.dtype)))
+    y = ops.log(ops.mul(x, ops.const(0.5, dtype=x.dtype)))
     assert y.dtype == np.float32
     y.backward(seed=np.ones(5, dtype=np.float32))
     assert x.grad.dtype == np.float32
@@ -68,7 +68,7 @@ def test_getitem_grad_is_scattered():
 
 def test_detach_cuts_graph():
     x = Tensor(np.ones(3), requires_grad=True)
-    d = ops.tanh(x).detach()
+    d = ops.log(x).detach()
     assert not d.requires_grad
 
 
@@ -76,15 +76,15 @@ def test_detach_cuts_graph():
 
 
 def test_no_grad_ops_record_nothing():
-    x = Tensor(np.linspace(-1, 1, 6), requires_grad=True)
+    x = Tensor(np.linspace(0.5, 1.5, 6), requires_grad=True)
     w = Tensor(np.ones((2, 6)), requires_grad=True)
     with no_grad():
-        outs = [ops.tanh(x), ops.mul(x, x), ops.linear(w, x), ops.getitem(x, (slice(1, 3),))]
+        outs = [ops.log(x), ops.mul(x, x), ops.linear(w, x), ops.getitem(x, (slice(1, 3),))]
     for out in outs:
         assert not out.requires_grad
         assert out._backward is None
         assert out._parents == ()
-    assert ops.tanh(x).requires_grad
+    assert ops.log(x).requires_grad
 
 
 def test_no_grad_restores_mode_after_nesting_and_errors():
@@ -105,10 +105,10 @@ def test_no_grad_is_per_thread():
     x = Tensor(np.ones(3), requires_grad=True)
     seen = []
     with no_grad():
-        worker = threading.Thread(target=lambda: seen.append(ops.tanh(x).requires_grad))
+        worker = threading.Thread(target=lambda: seen.append(ops.log(x).requires_grad))
         worker.start()
         worker.join()
-        assert not ops.tanh(x).requires_grad
+        assert not ops.log(x).requires_grad
     assert seen == [True]
 
 
@@ -140,12 +140,12 @@ def test_bilstm_layer_same_output_with_and_without_recording():
 
 
 def test_backward_releases_interior_nodes():
-    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
-    a = ops.tanh(x)
+    x = Tensor(np.array([0.5, 2.0]), requires_grad=True)
+    a = ops.log(x)
     b = ops.mul(a, a)
     y = ops.tsum(b)
     y.backward()
-    assert np.allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2))
+    assert np.allclose(x.grad, 2 * np.log(x.data) / x.data)
     for node in (a, b):
         assert node._parents == ()
         assert node.grad is None
