@@ -1,10 +1,15 @@
 """Separation objectives and evaluation metrics.
 
-SI-SDR comes in two flavors with identical math: a numpy version for
-metrics and a graph version that is differentiable in the estimate. Both
+Each quantity is computed once. The numpy `si_sdr` scores every
+estimate-target pair for the exhaustive PIT search, which runs on values
+only; `pit_loss_graph` then records `si_sdr_graph`, the same math
+differentiable in the estimate, for the n winning pairs alone, and
+`si_sdri` reads the search's matched mean. Both SI-SDR versions
 mean-subtract first, project the target onto the estimate to absorb scale,
 and regularize the error power with 1e-12 of the projected power, which
-caps perfect reconstructions near 120 dB instead of dividing by zero.
+caps perfect reconstructions near 120 dB instead of dividing by zero. The
+identity loss has one definition, `id_loss_graph`; `id_loss` is it run in
+float64 without a graph.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .numerics import ops
-from .numerics.tensor import Tensor
+from .numerics.tensor import Tensor, no_grad
 
 _SILENCE_POWER = 1e-10
 _EPS_FRACTION = 1e-12
@@ -86,39 +91,27 @@ class PermutationResult:
     """Best estimate-to-target assignment found by the exhaustive search."""
 
     perm: tuple[int, ...]
-    per_pair_si_sdr: np.ndarray
     mean_si_sdr: float
 
 
-def _pair_matrix_values(targets, estimates) -> np.ndarray:
+def pit_permutation(targets, estimates) -> PermutationResult:
+    """Assignment maximizing mean pairwise SI-SDR (exhaustive, utterance level).
+
+    Scores are numpy values in float64; on a tie the permutation that
+    `itertools.permutations` yields first wins.
+    """
     n = len(targets)
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = si_sdr(targets[j], estimates[i])
-    return m
-
-
-def _best_perm(value_matrix: np.ndarray) -> tuple[tuple[int, ...], float]:
-    n = value_matrix.shape[0]
+    if len(estimates) != n:
+        raise DataError(f"cardinality mismatch: {n} targets vs {len(estimates)} estimates")
+    if n > MAX_SPEAKERS_EXHAUSTIVE:
+        raise ConfigError(f"exhaustive assignment search supports at most {MAX_SPEAKERS_EXHAUSTIVE} speakers")
+    values = np.array([[si_sdr(t, e) for t in targets] for e in estimates])
     best_perm, best_mean = None, -np.inf
     for perm in permutations(range(n)):
-        mean = float(np.mean([value_matrix[i, perm[i]] for i in range(n)]))
+        mean = float(np.mean([values[i, perm[i]] for i in range(n)]))
         if mean > best_mean:
             best_perm, best_mean = perm, mean
-    return best_perm, best_mean
-
-
-def pit_permutation(targets, estimates) -> PermutationResult:
-    """Assignment maximizing mean pairwise SI-SDR (exhaustive, utterance level)."""
-    if len(targets) != len(estimates):
-        raise DataError(f"cardinality mismatch: {len(targets)} targets vs {len(estimates)} estimates")
-    if len(targets) > MAX_SPEAKERS_EXHAUSTIVE:
-        raise ConfigError(f"exhaustive assignment search supports at most {MAX_SPEAKERS_EXHAUSTIVE} speakers")
-    values = _pair_matrix_values(targets, estimates)
-    perm, mean = _best_perm(values)
-    per_pair = np.array([values[i, perm[i]] for i in range(len(targets))])
-    return PermutationResult(perm=perm, per_pair_si_sdr=per_pair, mean_si_sdr=mean)
+    return PermutationResult(perm=best_perm, mean_si_sdr=best_mean)
 
 
 def pit_loss(targets, estimates) -> tuple[float, PermutationResult]:
@@ -128,39 +121,23 @@ def pit_loss(targets, estimates) -> tuple[float, PermutationResult]:
 
 
 def pit_loss_graph(targets, estimates: list[Tensor]) -> tuple[Tensor, PermutationResult]:
-    """Differentiable PIT loss; the permutation is chosen on values, the loss
-    tensor is built only from the winning pairs."""
-    if len(targets) != len(estimates):
-        raise DataError(f"cardinality mismatch: {len(targets)} targets vs {len(estimates)} estimates")
-    if len(targets) > MAX_SPEAKERS_EXHAUSTIVE:
-        raise ConfigError(f"exhaustive assignment search supports at most {MAX_SPEAKERS_EXHAUSTIVE} speakers")
-    n = len(targets)
-    pair: dict[tuple[int, int], Tensor] = {}
-    values = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            pair[(i, j)] = si_sdr_graph(targets[j], estimates[i])
-            values[i, j] = float(pair[(i, j)].data)
-    perm, mean = _best_perm(values)
-    chosen = [pair[(i, perm[i])] for i in range(n)]
-    total = chosen[0]
-    for extra in chosen[1:]:
-        total = ops.add(total, extra)
-    loss = ops.neg(ops.mul(total, ops.const(1.0 / n, dtype=estimates[0].dtype)))
-    per_pair = np.array([values[i, perm[i]] for i in range(n)])
-    return loss, PermutationResult(perm=perm, per_pair_si_sdr=per_pair, mean_si_sdr=mean)
+    """Differentiable PIT loss: the permutation is chosen on the estimates'
+    values, then only the n winning pairs are recorded."""
+    result = pit_permutation(targets, [e.data for e in estimates])
+    total = None
+    for i, estimate in enumerate(estimates):
+        pair = si_sdr_graph(targets[result.perm[i]], estimate)
+        total = pair if total is None else ops.add(total, pair)
+    loss = ops.neg(ops.mul(total, ops.const(1.0 / len(estimates), dtype=total.dtype)))
+    return loss, result
 
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Per-stage PIT losses and assignments; total is their mean."""
+    """Per-stage PIT losses and assignments; the loss tensor is their mean."""
 
     per_stage_neg_si_sdr: np.ndarray
     per_stage_perms: tuple[PermutationResult, ...]
-
-    @property
-    def total(self) -> float:
-        return float(np.mean(self.per_stage_neg_si_sdr))
 
 
 def multi_stage_loss_graph(stage_outputs: list[list[Tensor]], targets) -> tuple[Tensor, LossBreakdown]:
@@ -181,22 +158,9 @@ def multi_stage_loss_graph(stage_outputs: list[list[Tensor]], targets) -> tuple[
     return total, breakdown
 
 
-def id_loss(sep_embeddings, ref_embeddings, perm) -> float:
-    """Mean over speakers of the mean squared embedding distance."""
-    if len(sep_embeddings) != len(ref_embeddings):
-        raise DataError("embedding set sizes differ")
-    total = 0.0
-    for i, emb in enumerate(sep_embeddings):
-        a = np.asarray(getattr(emb, "values", emb), dtype=np.float64)
-        b = np.asarray(getattr(ref_embeddings[perm[i]], "values", ref_embeddings[perm[i]]), dtype=np.float64)
-        if a.shape != b.shape:
-            raise DataError(f"embedding dims differ: {a.shape} vs {b.shape}")
-        total += float(np.mean((a - b) ** 2))
-    return total / len(sep_embeddings)
-
-
 def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
-    """Differentiable identity loss; references are constants."""
+    """Differentiable identity loss: mean over speakers of the mean squared
+    distance to the matched reference embedding; references are constants."""
     if len(sep_embeddings) != len(ref_embeddings):
         raise DataError("embedding set sizes differ")
     n = len(sep_embeddings)
@@ -211,11 +175,18 @@ def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
     return ops.mul(total, ops.const(1.0 / n, dtype=total.dtype))
 
 
-def si_sdri(mixture, targets, estimates, perm) -> float:
-    """Mean SI-SDR of matched pairs minus the unprocessed-mixture baseline."""
-    matched = float(np.mean([si_sdr(targets[perm[i]], estimates[i]) for i in range(len(estimates))]))
+def id_loss(sep_embeddings, ref_embeddings, perm) -> float:
+    """`id_loss_graph` on float64 copies of the embeddings, recording no graph."""
+    with no_grad():
+        sep = [Tensor(getattr(e, "values", e), dtype=np.float64) for e in sep_embeddings]
+        return float(id_loss_graph(sep, ref_embeddings, perm).data)
+
+
+def si_sdri(mixture, targets, matched: PermutationResult) -> float:
+    """SI-SDR improvement: the PIT search's matched mean SI-SDR minus the
+    unprocessed mixture's mean SI-SDR against the same targets."""
     baseline = float(np.mean([si_sdr(t, mixture) for t in targets]))
-    return matched - baseline
+    return matched.mean_si_sdr - baseline
 
 
 def sdri(mixture, targets, estimates, perm) -> float:

@@ -55,13 +55,14 @@ def read_manifest(path) -> list[ManifestRecord]:
         parts = line.split("\t")
         if len(parts) != 6:
             raise DataError(f"{path}:{lineno}: expected 6 tab-separated fields, got {len(parts)}")
+        try:
+            snr_db, speaker_ids = float(parts[3]), (int(parts[4]), int(parts[5]))
+        except ValueError:
+            raise DataError(
+                f"{path}:{lineno}: snr_db must be a number and speaker ids integers, got {parts[3:]}"
+            ) from None
         records.append(
-            ManifestRecord(
-                mix_path=parts[0],
-                src_paths=(parts[1], parts[2]),
-                snr_db=float(parts[3]),
-                speaker_ids=(int(parts[4]), int(parts[5])),
-            )
+            ManifestRecord(mix_path=parts[0], src_paths=(parts[1], parts[2]), snr_db=snr_db, speaker_ids=speaker_ids)
         )
     return records
 

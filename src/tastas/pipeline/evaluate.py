@@ -112,7 +112,7 @@ def _score(example: LoadedExample, separate, idnet: IdNet | None = None) -> Utte
             id_val = objectives.id_loss(est_emb, ref_emb, perm)
         return UtteranceResult(
             utt_id=example.utt_id,
-            si_sdri=objectives.si_sdri(example.mixture, example.targets, estimates, perm),
+            si_sdri=objectives.si_sdri(example.mixture, example.targets, perm_result),
             sdri=objectives.sdri(example.mixture, example.targets, estimates, perm),
             perm=perm,
             id_loss=id_val,

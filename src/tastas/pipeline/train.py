@@ -273,11 +273,9 @@ class SepTrainer:
         for i, ex in enumerate(self.dev_set):
             embeddings = self._dev_target_embeddings[i] if self.idnet is not None else None
             with no_grad():
-                outs, loss, breakdown, _ = self._example_loss(ex, embeddings)
+                _, loss, breakdown, _ = self._example_loss(ex, embeddings)
             losses.append(float(loss.data))
-            estimates = [np.asarray(t.data, dtype=np.float64) for t in outs[-1]]
-            perm = breakdown.per_stage_perms[-1].perm
-            sisdris.append(objectives.si_sdri(ex.mixture, ex.targets, estimates, perm))
+            sisdris.append(objectives.si_sdri(ex.mixture, ex.targets, breakdown.per_stage_perms[-1]))
         return float(np.mean(losses)), float(np.mean(sisdris))
 
     # -- checkpointing --------------------------------------------------------

@@ -261,6 +261,16 @@ def test_train_sep_rejects_a_bad_width_before_reading_the_corpus(tmp_path, capsy
     assert not out.exists()
 
 
+def test_train_idnet_on_a_non_numeric_manifest_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_text("m.wav\ta.wav\tb.wav\t1.0\tzero\t1\n", encoding="utf-8")
+    assert main([
+        "train-idnet", "--train-manifest", str(manifest),
+        "--out-dir", str(tmp_path / "idnet"), "--epochs-max", "1",
+    ]) == 2
+    assert f"{manifest}:1: " in capsys.readouterr().err
+
+
 def test_finetune_rejects_model_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["finetune", "--idnet-ckpt", "x", "--num-filters", "8"])

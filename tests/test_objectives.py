@@ -1,6 +1,7 @@
 """Objective functions: hand-computed cases, invariances, and the
 brute-force assignment oracle (implemented independently in this file)."""
 
+import gc
 import math
 from itertools import permutations
 
@@ -9,7 +10,9 @@ import pytest
 
 from tastas import objectives as obj
 from tastas.errors import DataError
+from tastas.numerics import ops
 from tastas.numerics.tensor import Tensor
+from tastas.sepnet import TasTasModel, parse_preset
 
 
 def _oracle_si_sdr(target, estimate):
@@ -109,7 +112,8 @@ def test_matches_brute_force_oracle(speakers):
         oracle_perm, oracle_mean = _oracle_best_perm(targets, estimates)
         assert res.perm == oracle_perm
         assert -loss == pytest.approx(oracle_mean, abs=1e-9)
-        assert res.mean_si_sdr == pytest.approx(np.mean(res.per_pair_si_sdr), abs=1e-12)
+        matched = [_oracle_si_sdr(targets[res.perm[i]], estimates[i]) for i in range(speakers)]
+        assert res.mean_si_sdr == pytest.approx(np.mean(matched), abs=1e-9)
 
 
 @pytest.mark.parametrize("speakers", [2, 3])
@@ -138,6 +142,81 @@ def test_graph_pit_agrees_with_value_pit():
     assert float(loss_g.data) == pytest.approx(loss_v, abs=1e-9)
 
 
+def _all_pairs_pit_loss_graph(targets, estimates):
+    """All-pairs oracle: records every one of the n^2 pair graphs and searches
+    on their float32 values."""
+    n = len(targets)
+    pair, values = {}, np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            pair[(i, j)] = obj.si_sdr_graph(targets[j], estimates[i])
+            values[i, j] = float(pair[(i, j)].data)
+    best_perm, best_mean = None, -np.inf
+    for perm in permutations(range(n)):
+        mean = float(np.mean([values[i, perm[i]] for i in range(n)]))
+        if mean > best_mean:
+            best_perm, best_mean = perm, mean
+    total = pair[(0, best_perm[0])]
+    for i in range(1, n):
+        total = ops.add(total, pair[(i, best_perm[i])])
+    return ops.neg(ops.mul(total, ops.const(1.0 / n, dtype=total.dtype))), best_perm
+
+
+@pytest.mark.parametrize(
+    "speakers, tie",
+    [(2, False), (3, False), pytest.param(2, True, id="identical-estimates")],
+)
+def test_graph_pit_bytes_match_the_all_pairs_loop(speakers, tie):
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        targets = [rng.uniform(-1, 1, 160) for _ in range(speakers)]
+        samples = [rng.uniform(-1, 1, 160).astype(np.float32) for _ in range(speakers)]
+        if tie:
+            samples = [samples[0]] * speakers
+        ours = [Tensor(s.copy(), requires_grad=True) for s in samples]
+        theirs = [Tensor(s.copy(), requires_grad=True) for s in samples]
+        loss, result = obj.pit_loss_graph(targets, ours)
+        ref_loss, ref_perm = _all_pairs_pit_loss_graph(targets, theirs)
+        assert result.perm == ref_perm
+        if tie:
+            assert result.perm == tuple(range(speakers))
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        loss.backward()
+        ref_loss.backward()
+        for a, b in zip(ours, theirs, strict=True):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+
+@pytest.mark.parametrize("speakers", [2, 3])
+def test_graph_pit_records_only_the_winning_pairs(speakers, monkeypatch):
+    calls = []
+    log = ops.log
+    monkeypatch.setattr(ops, "log", lambda x: calls.append(x) or log(x))
+    rng = np.random.default_rng(19)
+    targets = [rng.uniform(-1, 1, 100) for _ in range(speakers)]
+    estimates = [Tensor(rng.uniform(-1, 1, 100), requires_grad=True) for _ in range(speakers)]
+    obj.pit_loss_graph(targets, estimates)
+    assert len(calls) == speakers
+
+
+def test_backpropagated_step_leaves_no_cycles():
+    """Every recorded node is reached by backward(), which frees it; a node left
+    off the loss's graph would keep its backward closure in a reference cycle."""
+    model = TasTasModel.initialize(parse_preset("tastas-1-1", num_filters=8, hidden_size=8, chunk_len=10), seed=0)
+    rng = np.random.default_rng(20)
+    targets = [rng.uniform(-1, 1, 800) for _ in range(2)]
+    mixture = targets[0] + targets[1]
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = obj.multi_stage_loss_graph(model.forward(mixture), targets)
+        loss.backward()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- multi-stage averaging ---------------------------------------------------------
 
 
@@ -152,7 +231,7 @@ def test_single_stage_equals_pit_loss():
     total, breakdown = obj.multi_stage_loss_graph(_graph_stages(estimates), targets)
     direct, result = obj.pit_loss(targets, estimates)
     assert float(total.data) == pytest.approx(direct, abs=1e-9)
-    assert breakdown.total == float(total.data)
+    assert np.mean(breakdown.per_stage_neg_si_sdr) == float(total.data)
     assert breakdown.per_stage_perms[0].perm == result.perm
 
 
@@ -169,9 +248,17 @@ def test_two_stage_mean():
 
 
 def test_stage_mean_of_known_losses():
-    # per-stage losses -10 and -14 average to -12
-    b = obj.LossBreakdown(per_stage_neg_si_sdr=np.array([-10.0, -14.0]), per_stage_perms=())
-    assert b.total == pytest.approx(-12.0)
+    # t1 and t2 are zero-mean, orthogonal and of equal power, so t1 + a * t2 has
+    # SI-SDR -20 log10(a) against t1; stages at 10 and 14 dB average to a loss of -12
+    t1, t2 = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+
+    def stage(db):
+        a = 10.0 ** (-db / 20.0)
+        return [t1 + a * t2, t2 + a * t1]
+
+    total, breakdown = obj.multi_stage_loss_graph(_graph_stages(stage(10.0), stage(14.0)), [t1, t2])
+    assert breakdown.per_stage_neg_si_sdr == pytest.approx([-10.0, -14.0], abs=1e-9)
+    assert float(total.data) == pytest.approx(-12.0, abs=1e-9)
 
 
 def test_stages_may_choose_different_permutations():
@@ -230,7 +317,7 @@ def test_si_sdri_zero_for_mixture_estimates():
     rng = np.random.default_rng(15)
     t1, t2 = rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)
     mixture = t1 + t2
-    improvement = obj.si_sdri(mixture, [t1, t2], [mixture, mixture], (0, 1))
+    improvement = obj.si_sdri(mixture, [t1, t2], obj.pit_permutation([t1, t2], [mixture, mixture]))
     assert improvement == pytest.approx(0.0, abs=1e-9)
 
 
@@ -238,7 +325,7 @@ def test_si_sdri_for_perfect_estimates_reaches_cap_margin():
     rng = np.random.default_rng(16)
     t1, t2 = rng.uniform(-1, 1, 300), rng.uniform(-1, 1, 300)
     mixture = t1 + t2
-    improvement = obj.si_sdri(mixture, [t1, t2], [t1, t2], (0, 1))
+    improvement = obj.si_sdri(mixture, [t1, t2], obj.pit_permutation([t1, t2], [t1, t2]))
     assert improvement > 100.0
     assert np.isfinite(improvement)
 

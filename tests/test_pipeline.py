@@ -153,6 +153,21 @@ def test_benchmark_configs_build_at_both_scales(tmp_path, monkeypatch):
         IdNetConfig(num_speakers=workload.SPEAKER_POOL, **scale.idnet_widths)
 
 
+def test_tracer_finds_every_name_it_wraps(monkeypatch):
+    """The benchmark's tracer wraps package functions by name; a renamed one fails here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer_module = importlib.import_module("tracer")
+    assert tracer_module.wrapped_attributes() == []
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        wrapped = set(tracer_module.wrapped_attributes())
+        assert {f"tastas.objectives.{name}" for name in tracer_module.OBJECTIVES} <= wrapped
+    finally:
+        tracer.restore()
+    assert tracer_module.wrapped_attributes() == []
+
+
 # -- manifests and corpus -----------------------------------------------------------
 
 
@@ -169,6 +184,19 @@ def test_manifest_rejects_malformed(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_text("only\tthree\tfields\n", encoding="utf-8")
     with pytest.raises(DataError):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "column", [pytest.param(3, id="snr_db"), pytest.param(4, id="speaker_a"), pytest.param(5, id="speaker_b")]
+)
+def test_manifest_rejects_a_non_numeric_field(tmp_path, column):
+    good = ["m.wav", "a.wav", "b.wav", "2.5", "0", "1"]
+    bad = list(good)
+    bad[column] = "x"
+    path = tmp_path / "m.tsv"
+    path.write_text("\t".join(good) + "\n" + "\t".join(bad) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"m\.tsv:2: "):
         read_manifest(path)
 
 
