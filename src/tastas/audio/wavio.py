@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import AudioIOError, DataError
 
 DEFAULT_SAMPLE_RATE = 8000
-_PCM_SCALE = 32767.0
+PCM_SCALE = 32767.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class Waveform:
 def wav_write(path, wave_out: Waveform) -> None:
     """Write 16-bit PCM mono; samples are clamped to [-1, 1] first."""
     clipped = np.clip(wave_out.samples, -1.0, 1.0)
-    ints = np.round(clipped * _PCM_SCALE).astype(np.int16)
+    ints = np.round(clipped * PCM_SCALE).astype(np.int16)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with wave.open(str(path), "wb") as fh:
@@ -81,4 +81,4 @@ def wav_read(path) -> Waveform:
     if len(raw) != 2 * n:
         raise AudioIOError(f"{path}: truncated data chunk ({len(raw)} bytes for {n} frames)")
     ints = np.frombuffer(raw, dtype="<i2")
-    return Waveform(ints.astype(np.float64) / _PCM_SCALE, sample_rate_hz=rate)
+    return Waveform(ints.astype(np.float64) / PCM_SCALE, sample_rate_hz=rate)

@@ -9,11 +9,11 @@ Layout (little-endian throughout):
     count   u32      number of named blobs
     blob*            u16 name length, name, u8 ndim, u32 dims..., f32 data
 
-The "model" header holds ``asdict`` of the network's config dataclass,
-and ``config_from_header`` is its inverse. Parameter blobs are float32,
-which is also the training dtype, so a save and reload round trip is
-bit-exact. ``save_container`` replaces the target atomically, so an
-interrupted save never corrupts an existing checkpoint.
+``save_network`` writes a trained network: ``asdict`` of its config under
+"model", the run's extras plus the BLAS threads under "extras", and one
+float32 ``param.<name>`` blob per parameter (float32 is the training
+dtype, so a round trip is bit-exact). ``save_container`` replaces the
+target atomically, so an interrupted save never corrupts a checkpoint.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CheckpointError
+from .numerics.optim import ParamSet
+from .numerics.tensor import Tensor
 
 MAGIC = b"TTCK"
 VERSION = 1
@@ -131,3 +133,22 @@ def config_from_header(cls, values, path):
             f"missing {sorted(names - keys)}, unexpected {sorted(keys - names)}"
         )
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+
+
+def save_network(path, kind: str, config, params: ParamSet, extras: dict, header=None, blobs=None) -> None:
+    """Save a network's config, extras and parameters, plus the caller's own header keys and blobs."""
+    payload = {"model": asdict(config), "extras": {**extras, "blas_threads": blas_threads()}, **(header or {})}
+    named = {f"param.{name}": tensor.data for name, tensor in params.items()}
+    save_container(path, kind, payload, {**named, **(blobs or {})})
+
+
+def load_network(path, kind: str, config_cls):
+    """(config, params, header, blobs) of a ``save_network`` container of ``kind``."""
+    found, header, blobs = load_container(path)
+    if found != kind:
+        raise CheckpointError(f"{path}: container holds '{found}', expected '{kind}'")
+    config = config_from_header(config_cls, header.get("model"), path)
+    params = ParamSet({name[len("param.") :]: Tensor(arr) for name, arr in blobs.items() if name.startswith("param.")})
+    if len(params) == 0:
+        raise CheckpointError(f"{path}: no parameters in container")
+    return config, params, header, blobs

@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--initial-lr", type=float)
         p.add_argument("--resume", default="")
         if phase == "sep":
-            p.add_argument("--model", help="preset such as tastas-6, tastas-6-6, tastas-i-6-6, tastas-8-9")
+            p.add_argument("--model", help="preset such as tastas-6, tastas-6-6, tastas-8-9")
             p.add_argument("--num-filters", type=int)
             p.add_argument("--hidden-size", type=int)
             p.add_argument("--chunk-len", type=int)
@@ -195,11 +195,7 @@ def _cmd_grad_check(args) -> int:
     ok = suite.passed
     if not args.skip_model:
         report = tiny_model_check(tolerance=max(args.tol, 1e-3), seed=args.seed)
-        mark = "pass" if report.passed else "FAIL"
-        print(
-            f"{mark}  full-model          max_rel_err={report.max_rel_err:.3e}  "
-            f"({report.param_count} parameters)"
-        )
+        print(report.line())
         ok = ok and report.passed
     print("gradient suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 2

@@ -5,15 +5,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..audio.wavio import Waveform
-from ..checkpoint import blas_threads, config_from_header, load_container, save_container
-from ..errors import CheckpointError, DataError
+from ..checkpoint import load_network, save_network
+from ..errors import DataError
 from ..numerics import ops
-from ..numerics.optim import GRAD_CLIP, AdamState, ParamSet, adam_step, clip_global_norm
+from ..numerics.optim import GRAD_CLIP, AdamState, adam_step, clip_global_norm
 from ..numerics.tensor import Tensor
 from .model import IdNet, IdNetConfig, slice_segments
 
@@ -168,25 +168,9 @@ def train_idnet(
 
 
 def save_idnet(path, net: IdNet, extras: dict | None = None) -> None:
-    header = {
-        "model": asdict(net.config),
-        "extras": {**(extras or {}), "blas_threads": blas_threads()},
-        "frozen": net.frozen,
-    }
-    blobs = {f"param.{name}": tensor.data for name, tensor in net.params.items()}
-    save_container(path, "idnet", header, blobs)
+    save_network(path, "idnet", net.config, net.params, extras or {}, header={"frozen": net.frozen})
 
 
 def load_idnet(path) -> IdNet:
-    kind, header, blobs = load_container(path)
-    if kind != "idnet":
-        raise CheckpointError(f"{path}: container holds '{kind}', expected 'idnet'")
-    config = config_from_header(IdNetConfig, header.get("model"), path)
-    params = ParamSet()
-    for name, arr in blobs.items():
-        if name.startswith("param."):
-            params.add(name[len("param.") :], Tensor(arr))
-    if len(params) == 0:
-        raise CheckpointError(f"{path}: no parameters in container")
-    net = IdNet(config, params, frozen=bool(header.get("frozen", True)))
-    return net
+    config, params, header, _ = load_network(path, "idnet", IdNetConfig)
+    return IdNet(config, params, frozen=bool(header.get("frozen", True)))

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import ops
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOL = 1e-4
@@ -38,6 +38,13 @@ class KindReport:
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
 
+    def line(self) -> str:
+        mark = "pass" if self.passed else "FAIL"
+        return (
+            f"{mark}  {self.kind:<18} max_rel_err={self.max_rel_err:.3e}  ({self.trials} trials)"
+            + (f"  worst: {self.worst_detail}" if not self.passed else "")
+        )
+
 
 @dataclass
 class SuiteReport:
@@ -49,15 +56,7 @@ class SuiteReport:
         return all(r.passed for r in self.kinds.values())
 
     def lines(self) -> list[str]:
-        out = []
-        for kind in sorted(self.kinds):
-            r = self.kinds[kind]
-            mark = "pass" if r.passed else "FAIL"
-            out.append(
-                f"{mark}  {kind:<18} max_rel_err={r.max_rel_err:.3e}  ({r.trials} trials)"
-                + (f"  worst: {r.worst_detail}" if not r.passed else "")
-            )
-        return out
+        return [self.kinds[kind].line() for kind in sorted(self.kinds)]
 
 
 def numeric_gradients(
@@ -69,7 +68,8 @@ def numeric_gradients(
     """Central finite differences of sum(forward(inputs) * proj) per input element."""
 
     def value(tensors: list[Tensor]) -> float:
-        out = forward(tensors)
+        with no_grad():  # forwards that wrap inputs as parameters would otherwise record graphs
+            out = forward(tensors)
         return float(np.sum(out.data * proj))
 
     grads = []

@@ -52,9 +52,6 @@ class ParamSet:
             for name, t in self._tensors.items()
         }
 
-    def num_values(self) -> int:
-        return sum(t.size for t in self._tensors.values())
-
     def copy(self) -> "ParamSet":
         return ParamSet({n: Tensor(t.data.copy()) for n, t in self.items()})
 

@@ -36,7 +36,7 @@ def _as_samples(x) -> np.ndarray:
 
 
 def si_sdr(target, estimate) -> float:
-    """Scale-invariant SDR of the estimate against the target, in dB."""
+    """Scale-invariant SDR of the estimate against the target, in dB; a DataError where undefined."""
     t = _as_samples(target)
     s = _as_samples(estimate)
     if t.shape != s.shape:
@@ -48,6 +48,8 @@ def si_sdr(target, estimate) -> float:
         raise DataError("silent target: SI-SDR undefined")
     scale = float(t @ s) / tt
     projected_power = scale * scale * tt
+    if projected_power == 0.0:
+        raise DataError("estimate has no projection onto the target: SI-SDR undefined")
     err = scale * t - s
     err_power = float(err @ err)
     return _LOG10_SCALE * math.log(projected_power / (err_power + _EPS_FRACTION * projected_power))

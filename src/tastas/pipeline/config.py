@@ -25,7 +25,7 @@ class TrainConfig:
     seed: int = 0
     train_manifest: str = ""
     dev_manifest: str = ""
-    model: str = "tastas-6-6"  # preset; its 'i' turns on the identity loss
+    model: str = "tastas-6-6"  # preset: the block count of each stage
     num_filters: int = ModelConfig.num_filters
     kernel_len: int = ModelConfig.kernel_len
     chunk_len: int = ModelConfig.chunk_len

@@ -18,10 +18,8 @@ import numpy as np
 
 from ..audio.mix import mix_at_snr
 from ..audio.synth import synth_speaker_source
-from ..audio.wavio import Waveform, wav_read, wav_write
+from ..audio.wavio import PCM_SCALE, Waveform, wav_read, wav_write
 from ..errors import DataError
-
-_PCM_SCALE = 32767.0
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def read_manifest(path) -> list[ManifestRecord]:
 
 
 def _quantize(x: np.ndarray) -> np.ndarray:
-    return np.round(np.clip(x, -1.0, 1.0) * _PCM_SCALE).astype(np.int64)
+    return np.round(np.clip(x, -1.0, 1.0) * PCM_SCALE).astype(np.int64)
 
 
 def synth_mixture_corpus(
@@ -105,7 +103,7 @@ def synth_mixture_corpus(
         _, a_used, b_scaled = mix_at_snr(a, b, snr)
         ia, ib = _quantize(a_used.samples), _quantize(b_scaled.samples)
         imix = ia + ib
-        if np.abs(imix).max() > 32767:
+        if np.abs(imix).max() > PCM_SCALE:
             raise DataError("mixture clipped; lower the source level")
         name = f"{split}_{i:05d}"
         paths = {
@@ -113,9 +111,9 @@ def synth_mixture_corpus(
             "s1": wav_dir / f"{name}_s1.wav",
             "s2": wav_dir / f"{name}_s2.wav",
         }
-        wav_write(paths["s1"], Waveform(ia / _PCM_SCALE, sample_rate_hz))
-        wav_write(paths["s2"], Waveform(ib / _PCM_SCALE, sample_rate_hz))
-        wav_write(paths["mix"], Waveform(imix / _PCM_SCALE, sample_rate_hz))
+        wav_write(paths["s1"], Waveform(ia / PCM_SCALE, sample_rate_hz))
+        wav_write(paths["s2"], Waveform(ib / PCM_SCALE, sample_rate_hz))
+        wav_write(paths["mix"], Waveform(imix / PCM_SCALE, sample_rate_hz))
         records.append(
             ManifestRecord(
                 mix_path=str(paths["mix"]),

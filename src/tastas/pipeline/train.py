@@ -16,18 +16,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .. import objectives
-from ..checkpoint import blas_threads, config_from_header, load_container, save_container
+from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig
 from ..idnet.train import load_idnet, save_idnet, train_idnet
 from ..numerics import ops
-from ..numerics.optim import GRAD_CLIP, AdamState, LrPolicy, ParamSet, adam_step, clip_global_norm, lr_for_epoch
+from ..numerics.optim import GRAD_CLIP, AdamState, LrPolicy, adam_step, clip_global_norm, lr_for_epoch
 from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
@@ -90,12 +90,12 @@ class EpochReport:
         return cls(*(int(v) if f.type == "int" else float(v) for f, v in zip(fields(cls), values, strict=True)))
 
 
-def write_report(path, rows: list[EpochReport]) -> None:
+def write_report(path, header: str, rows: list[str]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # renamed into place, so a run killed mid-write leaves the previous report for its resume
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(EpochReport.HEADER + "\n" + "".join(r.row() + "\n" for r in rows), encoding="utf-8")
+    tmp.write_text(header + "\n" + "".join(row + "\n" for row in rows), encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -121,50 +121,33 @@ def read_report(path) -> list[EpochReport]:
 # ---------------------------------------------------------------------------
 
 
+ADAM_HEADER = ("step", "beta1", "beta2", "eps")
+
+
 def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict) -> None:
-    header = {
-        "model": asdict(model.config),
-        "adam": {"step": adam.step, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps},
-        "extras": {**extras, "blas_threads": blas_threads()},
-    }
-    blobs: dict[str, np.ndarray] = {}
-    for name, tensor in model.params.items():
-        blobs[f"param.{name}"] = tensor.data
-    for name, m in adam.m.items():
-        blobs[f"adam.m.{name}"] = m
-    for name, v in adam.v.items():
-        blobs[f"adam.v.{name}"] = v
-    save_container(path, "sepnet", header, blobs)
+    blobs = {f"adam.m.{name}": m for name, m in adam.m.items()}
+    blobs.update((f"adam.v.{name}", v) for name, v in adam.v.items())
+    adam_header = {key: getattr(adam, key) for key in ADAM_HEADER}
+    save_network(path, "sepnet", model.config, model.params, extras, header={"adam": adam_header}, blobs=blobs)
 
 
 def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
-    kind, header, blobs = load_container(path)
-    if kind != "sepnet":
-        raise CheckpointError(f"{path}: container holds '{kind}', expected 'sepnet'")
-    config = config_from_header(ModelConfig, header.get("model"), path)
-    params = ParamSet()
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for name, arr in blobs.items():
-        if name.startswith("param."):
-            params.add(name[len("param.") :], Tensor(arr))
-        elif name.startswith("adam.m."):
-            adam_m[name[len("adam.m.") :]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v.") :]] = arr
-    if len(params) == 0:
-        raise CheckpointError(f"{path}: no parameters in container")
-    meta = header.get("adam", {})
+    config, params, header, blobs = load_network(path, "sepnet", ModelConfig)
+    meta = header.get("adam")
+    meta = meta if isinstance(meta, dict) else {}
+    moments = [f"adam.{m}.{name}" for m in ("m", "v") for name in params.names()]
+    missing = [f"adam.{key}" for key in ADAM_HEADER if key not in meta] + [b for b in moments if b not in blobs]
+    if missing:
+        raise CheckpointError(f"{path}: incomplete optimizer state (missing {', '.join(missing)})")
     adam = AdamState(
-        step=int(meta.get("step", 0)),
-        m=adam_m or {n: np.zeros_like(t.data) for n, t in params.items()},
-        v=adam_v or {n: np.zeros_like(t.data) for n, t in params.items()},
-        beta1=float(meta.get("beta1", 0.9)),
-        beta2=float(meta.get("beta2", 0.999)),
-        eps=float(meta.get("eps", 1e-8)),
+        step=int(meta["step"]),
+        m={name: blobs[f"adam.m.{name}"] for name in params.names()},
+        v={name: blobs[f"adam.v.{name}"] for name in params.names()},
+        beta1=float(meta["beta1"]),
+        beta2=float(meta["beta2"]),
+        eps=float(meta["eps"]),
     )
-    model = TasTasModel(config, params, dtype=np.float32)
-    return model, adam, header.get("extras", {})
+    return TasTasModel(config, params, dtype=np.float32), adam, header.get("extras", {})
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +355,14 @@ class SepTrainer:
                 self.worse_streak = 0
             # saved after the restart is applied, so a resume continues exactly
             self._save("last.ckpt")
-            write_report(report_path, earlier + reports)
+            write_report(report_path, EpochReport.HEADER, [r.row() for r in earlier + reports])
             if action == STOP:
                 break
 
         if not reports:
             # no epoch ran (say, resuming a finished run): last.ckpt still names the state
             self._save("last.ckpt")
-            write_report(report_path, earlier)
+            write_report(report_path, EpochReport.HEADER, [r.row() for r in earlier])
         return self.out_dir / "last.ckpt", reports
 
 
@@ -416,8 +399,5 @@ def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
     path = out_dir / "idnet.ckpt"
     save_idnet(path, net, extras={"best_accuracy": report.best_accuracy, "epochs": report.epochs_run})
     rows = report.rows()
-    (out_dir / "idnet_report.tsv").write_text(
-        report.HEADER + "\n" + "".join(r + "\n" for r in rows),
-        encoding="utf-8",
-    )
+    write_report(out_dir / "idnet_report.tsv", report.HEADER, rows)
     return path, rows

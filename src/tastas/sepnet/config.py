@@ -23,7 +23,7 @@ class ModelConfig:
     chunk_len: int = 50
     hidden_size: int = 64
     num_speakers: int = 2
-    use_id_loss: bool = False
+    use_id_loss: bool = False  # set by the finetune phase alone: its model is TasTas(I, ...)
 
     def __post_init__(self):
         if not self.stage_blocks:
@@ -68,23 +68,17 @@ class ModelConfig:
 
 
 def parse_preset(name: str, **overrides) -> ModelConfig:
-    """Parse a preset like 'tastas-6', 'tastas-6-6', 'tastas-i-6-6', 'tastas-8-9'.
+    """Parse a preset like 'tastas-6', 'tastas-6-6', 'tastas-8-9'.
 
-    The optional 'i' enables the identity-consistency loss; the remaining
-    numbers are per-stage dual-path block counts. Width overrides
-    (num_filters, hidden_size, ...) pass through as keyword arguments.
+    The numbers are per-stage dual-path block counts; a preset never sets
+    `use_id_loss`. Width overrides (num_filters, hidden_size, ...) pass
+    through as keyword arguments.
     """
     parts = name.strip().lower().split("-")
     if parts[0] != "tastas" or len(parts) < 2:
         raise ConfigError(f"unknown model preset '{name}'")
-    rest = parts[1:]
-    use_id = rest[0] == "i"
-    if use_id:
-        rest = rest[1:]
-    if not rest:
-        raise ConfigError(f"preset '{name}' names no stages")
     try:
-        blocks = tuple(int(p) for p in rest)
+        blocks = tuple(int(p) for p in parts[1:])
     except ValueError as exc:
         raise ConfigError(f"preset '{name}' has non-numeric stage sizes") from exc
-    return ModelConfig(stage_blocks=blocks, use_id_loss=use_id, **overrides)
+    return ModelConfig(stage_blocks=blocks, **overrides)

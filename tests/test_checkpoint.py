@@ -9,7 +9,7 @@ from tastas.errors import CheckpointError
 from tastas.idnet import IdNet, IdNetConfig, load_idnet, save_idnet
 from tastas.numerics.optim import AdamState
 from tastas.pipeline.train import load_sep_checkpoint, save_sep_checkpoint
-from tastas.sepnet import ModelConfig, TasTasModel, parse_preset
+from tastas.sepnet import ModelConfig, TasTasModel
 
 
 def test_container_round_trip(tmp_path):
@@ -177,7 +177,9 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path):
 
 
 def test_sep_header_layout_and_round_trip(tmp_path):
-    config = parse_preset("tastas-i-1-2", num_filters=8, kernel_len=8, chunk_len=6, hidden_size=4, num_speakers=3)
+    config = ModelConfig(
+        stage_blocks=(1, 2), num_filters=8, kernel_len=8, chunk_len=6, hidden_size=4, num_speakers=3, use_id_loss=True
+    )
     model = TasTasModel.initialize(config, seed=0)
     path = tmp_path / "sep.ckpt"
     save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
@@ -229,3 +231,25 @@ def test_model_header_must_match_config_fields(tmp_path, edit):
     save_container(path, kind, header, blobs)
     with pytest.raises(CheckpointError, match="ModelConfig"):
         load_sep_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", ["one adam.v blob", "adam header", "adam step"])
+def test_sep_loader_requires_the_whole_optimizer_state(tmp_path, edit):
+    # a resume from moments that silently start at zero would not continue the run it claims to
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=4, chunk_len=4, hidden_size=4), seed=0)
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    kind, header, blobs = load_container(path)
+    if edit == "one adam.v blob":
+        missing = f"adam.v.{model.params.names()[-1]}"
+        del blobs[missing]
+    elif edit == "adam header":
+        missing = "adam.step"
+        del header["adam"]
+    else:
+        missing = "adam.step"
+        del header["adam"]["step"]
+    save_container(path, kind, header, blobs)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: incomplete optimizer state")) as info:
+        load_sep_checkpoint(path)
+    assert missing in str(info.value)

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -249,6 +252,32 @@ def test_train_idnet_takes_its_classes_from_the_manifest(tmp_path):
     assert net.config.num_speakers == 4
     assert net.params["head.weight"].shape[0] == 4
     assert sorted(p.name for p in (tmp_path / "idnet").iterdir()) == ["idnet.ckpt", "idnet_report.tsv"]
+
+
+@pytest.mark.filterwarnings("ignore:speaker class")
+def test_killed_train_idnet_keeps_the_previous_report(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    assert main([
+        "synth-data", "--speakers", "4", "--dur", "0.5", "--seed", "0",
+        "--train-mixes", "4", "--dev-mixes", "1", "--test-mixes", "1", "--out", str(corpus),
+    ]) == 0
+    report = tmp_path / "idnet" / "idnet_report.tsv"
+    report.parent.mkdir()
+    report.write_text("previous\n", encoding="utf-8")
+    real_replace = os.replace
+
+    def killed_before_the_report_lands(src, dst):
+        if Path(dst).name == report.name:
+            raise KeyboardInterrupt
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", killed_before_the_report_lands)
+    with pytest.raises(KeyboardInterrupt):
+        main([
+            "train-idnet", "--train-manifest", str(corpus / "train.tsv"),
+            "--out-dir", str(report.parent), "--epochs-max", "1", "--seed", "0",
+        ])
+    assert report.read_text(encoding="utf-8") == "previous\n"
 
 
 def test_train_sep_rejects_a_bad_width_before_reading_the_corpus(tmp_path, capsys):

@@ -67,6 +67,25 @@ def test_silent_target_errors():
         obj.si_sdr(np.zeros(100), np.ones(100))
 
 
+@pytest.mark.parametrize(
+    "estimate",
+    [np.zeros(100), np.full(100, 0.3), np.tile([1.0, 0.0, -1.0, 0.0], 25)],
+    ids=["zero", "constant", "orthogonal"],
+)
+def test_estimate_without_projection_is_a_data_error(estimate):
+    # 0/0 for a constant estimate, log(0) for an orthogonal one
+    target = np.tile([0.0, 1.0, 0.0, -1.0], 25)
+    with pytest.raises(DataError, match="no projection"):
+        obj.si_sdr(target, estimate)
+
+
+def test_graph_loss_on_zero_estimates_is_a_data_error():
+    rng = np.random.default_rng(3)
+    targets = [rng.uniform(-1, 1, 64) for _ in range(2)]
+    with pytest.raises(DataError, match="no projection"):
+        obj.pit_loss_graph(targets, [Tensor(np.zeros(64)), Tensor(np.zeros(64))])
+
+
 def test_graph_and_value_paths_agree():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -34,6 +34,17 @@ def test_kind_matches_finite_differences(kind):
     assert report.passed, f"{kind}: {report.max_rel_err:.3e} ({report.worst_detail})"
 
 
+def test_full_model_check_runs_the_op_suite_check_on_every_parameter():
+    from tastas.sepnet import ModelConfig
+    from tastas.verify import tiny_model_check
+
+    # narrower than the CLI's tiny model, so the 2 forwards per parameter stay fast
+    config = ModelConfig(stage_blocks=(1,), num_filters=2, kernel_len=4, chunk_len=4, hidden_size=2)
+    report = tiny_model_check(seed=1, config=config, num_samples=42)
+    assert (report.kind, report.trials) == ("full-model", 1)
+    assert report.passed, report.line()
+
+
 def test_spec_kinds_all_registered():
     for kind in SPEC_KINDS:
         assert kind in BUILDERS

@@ -25,7 +25,7 @@ from tastas.pipeline import (
 from tastas.pipeline.data import load_examples
 from tastas.pipeline.evaluate import evaluate
 from tastas.pipeline.train import EpochReport, read_report
-from tastas.sepnet import parse_preset
+from tastas.sepnet import ModelConfig, parse_preset
 
 
 # -- restart controller -----------------------------------------------------------
@@ -68,7 +68,7 @@ batch_size=2
 initial_lr=0.002
 decay_factor=0.99
 id_weight=0.25   # inline comment
-model=tastas-i-2-2
+model=tastas-2-2
 train_manifest=a.tsv
 dev_manifest=b.tsv
 seed=11
@@ -81,8 +81,8 @@ seed=11
     assert cfg.batch_size == 2
     assert cfg.initial_lr == pytest.approx(0.002)
     assert cfg.id_weight == pytest.approx(0.25)
-    assert cfg.model == "tastas-i-2-2"
-    assert cfg.model_config().use_id_loss is True
+    assert cfg.model == "tastas-2-2"
+    assert cfg.model_config() == ModelConfig(stage_blocks=(2, 2))
     assert cfg.seed == 11
 
 
@@ -151,6 +151,22 @@ def test_benchmark_configs_build_at_both_scales(tmp_path, monkeypatch):
         assert config.phase == "finetune" and config.sep_ckpt and config.idnet_ckpt
         assert config.model_config() == model
         IdNetConfig(num_speakers=workload.SPEAKER_POOL, **scale.idnet_widths)
+
+
+def test_benchmark_train_loop_passes_its_checks(tmp_path, monkeypatch):
+    """Two train-1s calls at the smoke scale: one adam_step per example through the
+    patch point the benchmark wraps, last.ckpt reloads to the trained parameters,
+    and the second epoch repeats the first bit for bit."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workload = importlib.import_module("workload")
+    scale = workload.SCALES["tiny"]
+    ctx = workload.setup_train(scale, 0, tmp_path)
+    tally = workload.Tally()
+    loop = workload.TrainLoop(scale, 0, ctx["root"], tally)
+    with loop.coarse():
+        assert loop.call() and loop.call()
+    assert tally.failed == 0, tally.checks
+    assert tally.attempted > 0 and len(loop.stamps) == scale.n_train
 
 
 def test_tracer_finds_every_name_it_wraps(monkeypatch):
@@ -466,6 +482,17 @@ def test_evaluate_handles_bad_utterance(tiny_corpus, tmp_path):
     table = summary.table("tiny")
     assert "ERROR" in table
     assert "unsupported" in table
+
+
+def test_evaluate_writes_an_error_row_for_a_zero_estimate(tiny_corpus):
+    from tastas.sepnet import TasTasModel
+
+    records = read_manifest(tiny_corpus / "test.tsv")
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=8, hidden_size=8, chunk_len=10), seed=0)
+    model.separate = lambda mixture: [np.zeros_like(mixture), np.zeros_like(mixture)]
+    summary = evaluate(model, records[:1], include_irm=False)
+    assert "undefined" in summary.results[0].error
+    assert "ERROR" in summary.table("tiny")
 
 
 def test_evaluate_deterministic(tiny_corpus):

@@ -31,12 +31,11 @@ def test_preset_parsing():
     assert parse_preset("tastas-6-6").stage_blocks == (6, 6)
     assert parse_preset("tastas-8-9").stage_blocks == (8, 9)
     assert not parse_preset("tastas-6-6").use_id_loss
-    assert parse_preset("tastas-i-6-6").use_id_loss
-    assert parse_preset("tastas-i-2-2").stage_blocks == (2, 2)
 
 
 def test_preset_rejects_garbage():
-    for bad in ("dprnn-6", "tastas", "tastas-i", "tastas-x-6"):
+    # only the finetune phase trains with the identity loss, so no preset takes an "i"
+    for bad in ("dprnn-6", "tastas", "tastas-i", "tastas-x-6", "tastas-i-6-6", "tastas-i-1"):
         with pytest.raises(ConfigError):
             parse_preset(bad)
 
@@ -67,7 +66,7 @@ def test_three_stage_config_warns():
 
 def test_describe_matches_block_notation():
     assert _tiny_two_stage().describe() == "TasTas(1, 1)"
-    cfg = parse_preset("tastas-i-6-6")
+    cfg = ModelConfig(stage_blocks=(6, 6), use_id_loss=True)
     assert cfg.describe() == "TasTas(I, 6, 6)"
 
 
