@@ -3,7 +3,7 @@
 from .wavio import DEFAULT_SAMPLE_RATE, Waveform, wav_read, wav_write
 from .stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, Spectrogram, hann_window, istft, stft
 from .mix import measure_snr_db, mix_at_snr
-from .synth import f0_band, synth_speaker_source
+from .synth import check_speaker, f0_band, synth_speaker_source
 from .irm import irm_masks, irm_separate
 
 __all__ = [
@@ -19,6 +19,7 @@ __all__ = [
     "stft",
     "mix_at_snr",
     "measure_snr_db",
+    "check_speaker",
     "f0_band",
     "synth_speaker_source",
     "irm_masks",

@@ -19,6 +19,7 @@ target atomically, so an interrupted save never corrupts a checkpoint.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, fields
@@ -72,7 +73,7 @@ def save_container(path, kind: str, header: dict, blobs: dict[str, np.ndarray]) 
                 fh.write(struct.pack("<B", data.ndim))
                 for dim in data.shape:
                     fh.write(struct.pack("<I", dim))
-                fh.write(data.tobytes())
+                fh.write(data)  # straight from the array's buffer
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -81,15 +82,21 @@ def save_container(path, kind: str, header: dict, blobs: dict[str, np.ndarray]) 
         raise
 
 
+def _truncated(fh, what: str) -> CheckpointError:
+    return CheckpointError(f"{fh.name}: truncated checkpoint while reading {what}")
+
+
 def _read_exact(fh, count: int, what: str) -> bytes:
     buf = fh.read(count)
     if len(buf) != count:
-        raise CheckpointError(f"{fh.name}: truncated checkpoint while reading {what}")
+        raise _truncated(fh, what)
     return buf
 
 
-def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
+def load_container(path, prefix: str = "") -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, header, blobs) of a container; blobs whose names lack ``prefix`` are skipped unread."""
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, "magic") != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint container (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
@@ -117,9 +124,14 @@ def load_container(path) -> tuple[str, dict, dict[str, np.ndarray]]:
             dims = tuple(
                 struct.unpack("<I", _read_exact(fh, 4, "blob dim"))[0] for _ in range(ndim)
             )
-            size = int(np.prod(dims)) if dims else 1
-            raw = _read_exact(fh, 4 * size, f"blob '{name}' data")
-            blobs[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            nbytes = 4 * math.prod(dims)
+            if fh.tell() + nbytes > file_size:
+                raise _truncated(fh, f"blob '{name}' data")
+            if name.startswith(prefix):
+                blobs[name] = np.empty(dims, dtype="<f4")
+                fh.readinto(blobs[name])  # straight into the array's buffer
+            else:
+                fh.seek(nbytes, os.SEEK_CUR)
         return kind, header, blobs
 
 
@@ -142,9 +154,13 @@ def save_network(path, kind: str, config, params: ParamSet, extras: dict, header
     save_container(path, kind, payload, {**named, **(blobs or {})})
 
 
-def load_network(path, kind: str, config_cls):
-    """(config, params, header, blobs) of a ``save_network`` container of ``kind``."""
-    found, header, blobs = load_container(path)
+def load_network(path, kind: str, config_cls, weights_only: bool = False):
+    """(config, params, header, blobs) of a ``save_network`` container of ``kind``.
+
+    With ``weights_only`` the caller's own blobs (optimizer moments) are
+    skipped unread, and ``blobs`` holds the parameters alone.
+    """
+    found, header, blobs = load_container(path, prefix="param." if weights_only else "")
     if found != kind:
         raise CheckpointError(f"{path}: container holds '{found}', expected '{kind}'")
     config = config_from_header(config_cls, header.get("model"), path)

@@ -106,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth_data(args) -> int:
+    from .audio.synth import check_speaker
     from .pipeline.data import slice_wav_folder, synth_mixture_corpus
 
     out = Path(args.out)
@@ -117,6 +118,11 @@ def _cmd_synth_data(args) -> int:
         return 0
     if args.speakers < 2:
         print("error: --speakers must be at least 2", file=sys.stderr)
+        return 1
+    try:
+        check_speaker(args.speakers - 1)
+    except TasTasError as exc:
+        print(f"error: --speakers {args.speakers}: {exc}", file=sys.stderr)
         return 1
     per_split = {
         "train": args.train_mixes or (args.speakers * args.utts_per) // 2,
@@ -157,9 +163,9 @@ def _cmd_train(args, phase: str) -> int:
 
 def _cmd_separate(args) -> int:
     from .audio.wavio import Waveform, wav_read, wav_write
-    from .pipeline.train import load_sep_checkpoint
+    from .pipeline.train import load_sep_model
 
-    model, _, _ = load_sep_checkpoint(args.ckpt)
+    model = load_sep_model(args.ckpt)
     mixture = wav_read(args.input)
     estimates = model.separate(mixture.samples)
     out_dir = Path(args.out)
@@ -174,9 +180,9 @@ def _cmd_eval(args) -> int:
     from .idnet.train import load_idnet
     from .pipeline.data import read_manifest
     from .pipeline.evaluate import evaluate, write_eval_table
-    from .pipeline.train import load_sep_checkpoint
+    from .pipeline.train import load_sep_model
 
-    model, _, _ = load_sep_checkpoint(args.ckpt)
+    model = load_sep_model(args.ckpt)
     records = read_manifest(args.manifest)
     idnet = load_idnet(args.idnet_ckpt) if args.idnet_ckpt else None
     summary = evaluate(model, records, include_irm=not args.no_irm, idnet=idnet)

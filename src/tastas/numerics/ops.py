@@ -303,11 +303,22 @@ def conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
             if weight.requires_grad:
                 weight._accum_grad((g @ saved_cols.T).reshape(weight.shape))
             if x.requires_grad:
-                g_cols = (w2.T @ g).reshape(c_in, kh, kw, out_h, out_w)
-                gxp = np.zeros(padded_shape, dtype=x.dtype)
+                # Each slab is laid out on the padded rows, its entries past
+                # out_w zero, so that its add is one run along the flattened
+                # padded input, not out_h runs of out_w floats. The sums start
+                # at +0.0 and so never hold -0.0: adding those zeros changes
+                # no bit.
+                _, padded_h, padded_w = padded_shape
+                wide = np.zeros((c_in, kh * kw, out_h, padded_w), dtype=x.dtype)
+                wide[..., :out_w] = (w2.T @ g).reshape(c_in, kh * kw, out_h, out_w)
+                wide = wide.reshape(c_in, kh * kw, out_h * padded_w)
+                span = (out_h - 1) * padded_w + out_w
+                gxp = np.zeros((c_in, padded_h * padded_w), dtype=x.dtype)
                 for i in range(kh):
                     for j in range(kw):
-                        gxp[:, i : i + out_h, j : j + out_w] += g_cols[:, i, j]
+                        start = i * padded_w + j
+                        gxp[:, start : start + span] += wide[:, i * kw + j, :span]
+                gxp = gxp.reshape(padded_shape)
                 x._accum_grad(gxp[:, padding : padding + height, padding : padding + width])
 
         out._backward = backward

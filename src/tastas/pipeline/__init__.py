@@ -19,6 +19,7 @@ from .train import (
     EpochReport,
     SepTrainer,
     load_sep_checkpoint,
+    load_sep_model,
     restart_decision,
     run_phase,
     save_sep_checkpoint,
@@ -45,6 +46,7 @@ __all__ = [
     "EpochReport",
     "SepTrainer",
     "load_sep_checkpoint",
+    "load_sep_model",
     "restart_decision",
     "run_phase",
     "save_sep_checkpoint",

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..audio.mix import mix_at_snr
-from ..audio.synth import synth_speaker_source
+from ..audio.synth import check_speaker, synth_speaker_source
 from ..audio.wavio import PCM_SCALE, Waveform, wav_read, wav_write
 from ..errors import DataError
 
@@ -87,6 +87,7 @@ def synth_mixture_corpus(
     """
     if num_speakers < 2:
         raise DataError(f"need at least 2 speakers to form mixtures, got {num_speakers}")
+    check_speaker(num_speakers - 1, sample_rate_hz)  # before any file is written
     out_dir = Path(out_dir)
     wav_dir = out_dir / split
     split_offset = {"train": 0, "dev": 1, "test": 2}.get(split)

@@ -131,6 +131,12 @@ def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict)
     save_network(path, "sepnet", model.config, model.params, extras, header={"adam": adam_header}, blobs=blobs)
 
 
+def load_sep_model(path) -> TasTasModel:
+    """The separator of a checkpoint, for inference: its optimizer state is never read."""
+    config, params, _, _ = load_network(path, "sepnet", ModelConfig, weights_only=True)
+    return TasTasModel(config, params, dtype=np.float32)
+
+
 def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
     config, params, header, blobs = load_network(path, "sepnet", ModelConfig)
     meta = header.get("adam")

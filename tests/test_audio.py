@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tastas.audio import (
     Waveform,
+    check_speaker,
     f0_band,
     hann_window,
     irm_masks,
@@ -19,6 +20,7 @@ from tastas.audio import (
     wav_read,
     wav_write,
 )
+from tastas.audio import synth
 from tastas.audio.stft import Spectrogram
 from tastas.errors import AudioIOError, ConfigError, DataError
 
@@ -283,6 +285,77 @@ def test_synth_rejects_bad_args():
         synth_speaker_source(-1, 1.0, 0)
     with pytest.raises(DataError):
         synth_speaker_source(0, 0.2, 0)
+
+
+def test_speaker_without_a_harmonic_below_the_ceiling_is_a_data_error():
+    # at 8 kHz speaker 113's band tops out at 3502 Hz with maximum vibrato, 114's at 3626 Hz
+    check_speaker(113)
+    for speaker_id in (114, 116):
+        with pytest.raises(DataError, match=rf"speaker {speaker_id} .*8000 Hz"):
+            synth_speaker_source(speaker_id, 1.0, 0)
+    with pytest.raises(DataError, match="speaker 56 .*4000 Hz"):
+        synth_speaker_source(56, 1.0, 0, sample_rate_hz=4000)
+
+
+def test_corpus_with_a_voiceless_speaker_writes_nothing(tmp_path):
+    from tastas.pipeline.data import synth_mixture_corpus
+
+    with pytest.raises(DataError, match="speaker 119 "):
+        synth_mixture_corpus(tmp_path, "train", 40, 120, 0.5, 0.0, 5.0, seed=0)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _direct_harmonic_stack(amps, harmonic_phases, phase):
+    """The reference sum: one sine per harmonic over a (K, n) table."""
+    k = np.arange(1, len(amps) + 1)
+    return (amps[:, None] * np.sin(np.outer(k, phase) + harmonic_phases[:, None])).sum(axis=0)
+
+
+def test_horner_harmonic_stack_matches_the_direct_sum(monkeypatch):
+    horner = synth._harmonic_stack
+    calls = []
+
+    def recording(amps, harmonic_phases, phase):
+        calls.append((amps, harmonic_phases, phase))
+        return horner(amps, harmonic_phases, phase)
+
+    monkeypatch.setattr(synth, "_harmonic_stack", recording)
+    for duration_s in (0.5, 4.0):
+        for speaker_id in range(8):
+            synth_speaker_source(speaker_id, duration_s, seed=speaker_id)
+    assert len(calls) == 16
+    for amps, harmonic_phases, phase in calls:
+        got = horner(amps, harmonic_phases, phase)
+        np.testing.assert_allclose(got, _direct_harmonic_stack(amps, harmonic_phases, phase), rtol=0, atol=1e-9)
+
+
+def test_horner_corpus_pcm_equals_the_direct_sum_corpus(tmp_path, monkeypatch):
+    from tastas.pipeline.data import synth_mixture_corpus
+
+    def build(root):
+        # the benchmark's seed-0 corpora: 6 train and 2 dev mixtures of 1 s, 8 test of 4 s
+        for split, count, duration_s in (("train", 6, 1.0), ("dev", 2, 1.0), ("test", 8, 4.0)):
+            synth_mixture_corpus(root, split, count, 8, duration_s, 0.0, 5.0, seed=0)
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*.wav"))}
+
+    horner = build(tmp_path / "horner")
+    monkeypatch.setattr(synth, "_harmonic_stack", _direct_harmonic_stack)
+    direct = build(tmp_path / "direct")
+    assert len(horner) == 48
+    assert horner == direct
+
+
+def test_long_source_memory_is_linear_in_length():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        synth_speaker_source(0, 60.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 480000-sample output is 3.7 MiB; a (48, n) sine table alone would be 176 MiB
+    assert peak < 64 * 2**20
 
 
 def test_synth_waveform_sane():

@@ -8,7 +8,7 @@ from tastas.checkpoint import MAGIC, config_from_header, load_container, save_co
 from tastas.errors import CheckpointError
 from tastas.idnet import IdNet, IdNetConfig, load_idnet, save_idnet
 from tastas.numerics.optim import AdamState
-from tastas.pipeline.train import load_sep_checkpoint, save_sep_checkpoint
+from tastas.pipeline.train import load_sep_checkpoint, load_sep_model, save_sep_checkpoint
 from tastas.sepnet import ModelConfig, TasTasModel
 
 
@@ -46,11 +46,37 @@ def test_container_rejects_unknown_version(tmp_path):
 
 def test_container_rejects_truncation(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_container(path, "sepnet", {}, {"param.w": np.ones(100, dtype=np.float32)})
+    blobs = {"param.w": np.ones(100, dtype=np.float32), "adam.m.w": np.ones(100, dtype=np.float32)}
+    save_container(path, "sepnet", {}, blobs)
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 50])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_container(path)
+    # a blob the reader skips unread is checked against the file size all the same
+    for prefix in ("", "param."):
+        with pytest.raises(CheckpointError, match="truncated checkpoint while reading blob 'adam.m.w' data"):
+            load_container(path, prefix=prefix)
+
+
+def test_container_bytes_follow_the_documented_layout(tmp_path):
+    # blobs are written from the array's buffer, so check the bytes against the layout itself,
+    # with inputs that need a conversion: float64, a transposed view, a 0-d and an empty array
+    blobs = {
+        "a": np.arange(6, dtype=np.float64).reshape(2, 3),
+        "b": np.arange(6, dtype=np.float32).reshape(2, 3).T,
+        "c": np.ones((), dtype=np.float32),
+        "d": np.zeros((0, 2), dtype=np.float32),
+    }
+    path = tmp_path / "c.ckpt"
+    save_container(path, "sepnet", {"extras": {}}, blobs)
+    header = b'{"extras": {}, "kind": "sepnet"}'
+    expected = MAGIC + struct.pack("<II", 1, len(header)) + header + struct.pack("<I", len(blobs))
+    for name, arr in blobs.items():
+        expected += struct.pack("<H", len(name)) + name.encode()
+        expected += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape) + arr.astype("<f4").tobytes()
+    assert path.read_bytes() == expected
+    _, _, loaded = load_container(path)
+    for name, arr in blobs.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].flags.c_contiguous
+        assert np.array_equal(loaded[name], arr)
 
 
 def test_truncation_error_names_the_file(tmp_path):
@@ -107,6 +133,31 @@ def test_sep_checkpoint_round_trip(tmp_path):
         assert np.array_equal(adam.m[n], adam2.m[n])
     assert extras2["epoch"] == 4
     assert extras2["best_dev_loss"] == -3.5
+
+
+def test_weights_only_load_never_reads_the_optimizer_state(tmp_path):
+    import tracemalloc
+
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,)), seed=3)
+    adam = AdamState.for_params(model.params)
+    adam.m = {n: np.full_like(t.data, 0.25) for n, t in model.params.items()}
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, adam, {"epoch": 1})
+    tracemalloc.start()
+    try:
+        weights = load_sep_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full, _, _ = load_sep_checkpoint(path)
+    assert weights.config == full.config
+    assert weights.params.names() == full.params.names()
+    for name, tensor in full.params.items():
+        assert weights.params[name].data.dtype == np.float32
+        assert np.array_equal(weights.params[name].data, tensor.data)
+    # the parameters alone, not the two moment sets of the same size
+    param_bytes = sum(t.data.nbytes for _, t in full.params.items())
+    assert peak < 1.5 * param_bytes
 
 
 def test_sep_loader_rejects_idnet_container(tmp_path):

@@ -68,6 +68,14 @@ def test_synth_data_too_few_speakers_exits_1(tmp_path):
     assert main(["synth-data", "--speakers", "1", "--out", str(tmp_path)]) == 1
 
 
+def test_synth_data_with_a_voiceless_speaker_exits_1(tmp_path, capsys):
+    # speaker 114's f0 band reaches 3626 Hz at maximum vibrato, above 0.45 x 8000 Hz
+    assert main(["synth-data", "--speakers", "115", "--out", str(tmp_path / "c")]) == 1
+    err = capsys.readouterr().err
+    assert "speaker 114" in err and "8000 Hz" in err
+    assert not (tmp_path / "c").exists()
+
+
 def test_grad_check_command_passes(capsys):
     assert main(["grad-check", "--trials", "2", "--seed", "1", "--skip-model"]) == 0
     out = capsys.readouterr().out
