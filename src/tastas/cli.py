@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-mixes", type=int, default=0, help="override mixture count for the train split")
     p.add_argument("--dev-mixes", type=int, default=0)
     p.add_argument("--test-mixes", type=int, default=0)
-    p.add_argument("--from-wavs", default="", help="slice labeled WAV subfolders instead of toy speakers")
 
     _train_parser(sub, "train-idnet", "train and freeze the speaker classifier (a class per manifest speaker id)")
 
@@ -107,15 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth_data(args) -> int:
     from .audio.synth import check_speaker
-    from .pipeline.data import slice_wav_folder, synth_mixture_corpus
+    from .pipeline.data import synth_mixture_corpus
 
     out = Path(args.out)
-    if args.from_wavs:
-        utterances, label_map = slice_wav_folder(args.from_wavs, out / "utterances", args.dur)
-        lines = [f"{name}\t{idx}" for name, idx in label_map.items()]
-        (out / "speakers.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"sliced {len(utterances)} utterances from {len(label_map)} speakers into {out}")
-        return 0
     if args.speakers < 2:
         print("error: --speakers must be at least 2", file=sys.stderr)
         return 1
@@ -177,7 +170,7 @@ def _cmd_separate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .idnet.train import load_idnet
+    from .idnet import load_idnet
     from .pipeline.data import read_manifest
     from .pipeline.evaluate import evaluate, write_eval_table
     from .pipeline.train import load_sep_model

@@ -1,15 +1,14 @@
-"""Speaker identity network: training, freezing, embedding extraction."""
+"""Speaker identity network: the model, embedding extraction and its checkpoints.
 
-from .model import IdNet, IdNetConfig, SpeakerEmbedding, slice_segments
-from .train import IdNetTrainReport, load_idnet, save_idnet, train_idnet
+It is trained by the "idnet" phase of `tastas.pipeline.train`.
+"""
+
+from .model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
 
 __all__ = [
     "IdNet",
     "IdNetConfig",
-    "SpeakerEmbedding",
     "slice_segments",
-    "IdNetTrainReport",
     "load_idnet",
     "save_idnet",
-    "train_idnet",
 ]

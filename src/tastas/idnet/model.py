@@ -10,12 +10,13 @@ into the waveform being embedded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..audio.stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, hann_window
 from ..audio.wavio import DEFAULT_SAMPLE_RATE, Waveform
+from ..checkpoint import load_network, save_network
 from ..errors import ConfigError, DataError
 from ..numerics import ops
 from ..numerics.optim import ParamSet, uniform_fan_in
@@ -43,17 +44,6 @@ class IdNetConfig:
     @property
     def segment_len(self) -> int:
         return int(round(self.segment_s * self.sample_rate_hz))
-
-
-@dataclass(frozen=True)
-class SpeakerEmbedding:
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
-            raise DataError("embedding contains non-finite values")
-        object.__setattr__(self, "values", v)
 
 
 def init_idnet_params(config: IdNetConfig, seed: int, dtype=np.float32) -> ParamSet:
@@ -143,11 +133,14 @@ class IdNet:
             total = emb if total is None else ops.add(total, emb)
         return ops.mul(total, ops.const(1.0 / count, dtype=wave.dtype))
 
-    def embed_utterance(self, wave: Waveform) -> SpeakerEmbedding:
-        """Embedding of a whole utterance; no graph is recorded."""
+    def embed_utterance(self, wave: Waveform) -> np.ndarray:
+        """Float64 embedding of a whole utterance; no graph is recorded."""
         with no_grad():
             emb = self.embed_segments_graph(Tensor(np.asarray(wave.samples, dtype=np.float32)))
-        return SpeakerEmbedding(values=np.asarray(emb.data, dtype=np.float64))
+        values = np.asarray(emb.data, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise DataError("embedding contains non-finite values")
+        return values
 
     def classify_segment(self, segment_samples: np.ndarray) -> int:
         with no_grad():
@@ -166,3 +159,12 @@ def slice_segments(samples: np.ndarray, segment_len: int) -> list[np.ndarray]:
             piece = np.concatenate([piece, np.zeros(segment_len - len(piece))])
         out.append(piece)
     return out
+
+
+def save_idnet(path, net: IdNet, extras: dict | None = None) -> None:
+    save_network(path, "idnet", net.config, net.params, extras or {}, header={"frozen": net.frozen})
+
+
+def load_idnet(path) -> IdNet:
+    config, params, header, _ = load_network(path, "idnet", IdNetConfig)
+    return IdNet(config, params, frozen=bool(header.get("frozen", True)))

@@ -168,7 +168,7 @@ def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
     n = len(sep_embeddings)
     total = None
     for i, emb in enumerate(sep_embeddings):
-        ref = np.asarray(getattr(ref_embeddings[perm[i]], "values", ref_embeddings[perm[i]]))
+        ref = np.asarray(ref_embeddings[perm[i]])
         if ref.shape != emb.shape:
             raise DataError(f"embedding dims differ: {emb.shape} vs {ref.shape}")
         diff = ops.sub(emb, ops.const(ref, dtype=emb.dtype))
@@ -180,7 +180,7 @@ def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
 def id_loss(sep_embeddings, ref_embeddings, perm) -> float:
     """`id_loss_graph` on float64 copies of the embeddings, recording no graph."""
     with no_grad():
-        sep = [Tensor(getattr(e, "values", e), dtype=np.float64) for e in sep_embeddings]
+        sep = [Tensor(e, dtype=np.float64) for e in sep_embeddings]
         return float(id_loss_graph(sep, ref_embeddings, perm).data)
 
 

@@ -23,6 +23,7 @@ from .train import (
     restart_decision,
     run_phase,
     save_sep_checkpoint,
+    train_idnet,
     write_report,
 )
 
@@ -50,5 +51,6 @@ __all__ = [
     "restart_decision",
     "run_phase",
     "save_sep_checkpoint",
+    "train_idnet",
     "write_report",
 ]

@@ -163,40 +163,3 @@ def idnet_corpus_from_manifest(records: list[ManifestRecord]) -> list[tuple[Wave
             corpus.append((wav_read(path), speaker))
     return corpus
 
-
-def slice_wav_folder(
-    root,
-    out_dir,
-    duration_s: float,
-    sample_rate_hz: int = 8000,
-) -> tuple[list[tuple[str, int]], dict[str, int]]:
-    """Slice labeled subfolders of WAVs into fixed-length utterances.
-
-    Each direct subfolder of root is one speaker; returns (utterance WAV
-    paths with class indices, speaker-name to index map).
-    """
-    root = Path(root)
-    speakers = sorted(p.name for p in root.iterdir() if p.is_dir())
-    if len(speakers) < 2:
-        raise DataError(f"{root}: need at least 2 speaker subfolders, found {len(speakers)}")
-    label_map = {name: i for i, name in enumerate(speakers)}
-    out_dir = Path(out_dir)
-    utt_len = int(round(duration_s * sample_rate_hz))
-    utterances = []
-    for name in speakers:
-        count = 0
-        for wav_path in sorted((root / name).glob("*.wav")):
-            wave = wav_read(wav_path)
-            if wave.sample_rate_hz != sample_rate_hz:
-                raise DataError(
-                    f"{wav_path}: sample rate {wave.sample_rate_hz} != expected {sample_rate_hz}"
-                )
-            for start in range(0, len(wave) - utt_len + 1, utt_len):
-                piece = Waveform(wave.samples[start : start + utt_len], sample_rate_hz)
-                out_path = out_dir / name / f"{wav_path.stem}_{count:04d}.wav"
-                wav_write(out_path, piece)
-                utterances.append((str(out_path), label_map[name]))
-                count += 1
-        if count == 0:
-            raise DataError(f"{root / name}: no usable utterances of {duration_s} s")
-    return utterances, label_map

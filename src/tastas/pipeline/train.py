@@ -16,16 +16,18 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, fields, replace
+import warnings
+from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .. import objectives
+from ..audio.wavio import Waveform
 from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
-from ..idnet.model import IdNet, IdNetConfig
-from ..idnet.train import load_idnet, save_idnet, train_idnet
+from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
 from ..numerics import ops
 from ..numerics.optim import GRAD_CLIP, AdamState, LrPolicy, adam_step, clip_global_norm, lr_for_epoch
 from ..numerics.tensor import Tensor, no_grad
@@ -46,16 +48,89 @@ def restart_decision(worse_streak: int, patience: int, restarts_done: int, max_r
     return STOP if restarts_done >= max_restarts else RESTART
 
 
+# ---------------------------------------------------------------------------
+# the training pass both networks share, and the reports it feeds
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class EpochTelemetry:
+    """The columns both training reports carry: the epoch's wall seconds, train
+    examples per second of its training pass, the mean and max global gradient
+    norm before clipping, and the fraction of optimizer steps that clipping
+    scaled down."""
+
+    epoch_s: float
+    examples_per_s: float
+    grad_norm_mean: float
+    grad_norm_max: float
+    clip_rate: float
+
+    HEADER = "epoch_s\texamples_per_s\tgrad_norm_mean\tgrad_norm_max\tclip_rate"
+
+    def columns(self) -> str:
+        return (
+            f"{self.epoch_s:.3f}\t{self.examples_per_s:.4f}\t{self.grad_norm_mean:.6f}"
+            f"\t{self.grad_norm_max:.6f}\t{self.clip_rate:.4f}"
+        )
+
+
+@dataclass
+class TrainPass:
+    """One epoch's minibatch pass: its start, its seconds, each example's loss
+    and each optimizer step's gradient norm before clipping."""
+
+    start: float
+    seconds: float
+    losses: list[float]
+    grad_norms: list[float]
+
+    def mean_loss(self) -> float:
+        return float(np.mean(self.losses))
+
+    def telemetry(self) -> EpochTelemetry:
+        """The epoch's telemetry, its wall seconds counted from the pass's start to now."""
+        return EpochTelemetry(
+            epoch_s=time.perf_counter() - self.start,
+            examples_per_s=len(self.losses) / self.seconds,
+            grad_norm_mean=float(np.mean(self.grad_norms)),
+            grad_norm_max=float(np.max(self.grad_norms)),
+            clip_rate=float(np.mean([n > GRAD_CLIP for n in self.grad_norms])),
+        )
+
+
+def train_pass(owner, lr: float, order, batch_size: int, example_loss) -> TrainPass:
+    """One pass over the examples `order` names, in minibatches of `batch_size`.
+
+    Per minibatch: zero the gradients of `owner.model.params`, backpropagate
+    each example's scalar loss `example_loss(i)` with seed 1/len(batch), clip
+    the global norm at GRAD_CLIP and take one Adam step at `lr`. `owner` is a
+    SepTrainer or any object with its `model` and `adam` attributes. Each
+    step replaces `owner.model.params` and `owner.adam` on the owner itself,
+    so no caller's reference keeps an earlier Adam state (two moments per
+    parameter) alive beside the current one.
+    """
+    start = time.perf_counter()
+    losses, grad_norms = [], []
+    for first in range(0, len(order), batch_size):
+        batch = order[first : first + batch_size]
+        owner.model.params.zero_grads()
+        scale = 1.0 / len(batch)
+        for i in batch:
+            loss = example_loss(i)
+            losses.append(float(loss.data))
+            loss.backward(seed=np.asarray(scale, dtype=loss.dtype))
+        grads, norm = clip_global_norm(owner.model.params.grads(), GRAD_CLIP)
+        grad_norms.append(norm)
+        owner.model.params, owner.adam = adam_step(owner.model.params, grads, owner.adam, lr)
+    return TrainPass(start, time.perf_counter() - start, losses, grad_norms)
+
+
 @dataclass
 class EpochReport:
-    """One row of train_report.tsv.
-
-    The telemetry after `restarts`: the epoch's wall seconds, train examples
-    per second of its training pass, the mean and max global gradient norm
-    before clipping, the fraction of optimizer steps that clipping scaled
-    down, and the mean identity-consistency term over the training examples
-    (before id_weight; 0 outside finetune).
-    """
+    """One row of train_report.tsv. After the telemetry comes the mean
+    identity-consistency term over the training examples (before id_weight;
+    0 outside finetune)."""
 
     epoch: int
     lr: float
@@ -63,31 +138,41 @@ class EpochReport:
     dev_loss: float
     dev_si_sdri: float
     restarts: int
-    epoch_s: float
-    examples_per_s: float
-    grad_norm_mean: float
-    grad_norm_max: float
-    clip_rate: float
+    telemetry: EpochTelemetry
     id_loss: float
 
-    HEADER = (
-        "epoch\tlr\ttrain_loss\tdev_loss\tdev_si_sdri\trestarts"
-        "\tepoch_s\texamples_per_s\tgrad_norm_mean\tgrad_norm_max\tclip_rate\tid_loss"
-    )
+    HEADER = "epoch\tlr\ttrain_loss\tdev_loss\tdev_si_sdri\trestarts\t" + EpochTelemetry.HEADER + "\tid_loss"
 
     def row(self) -> str:
         return (
             f"{self.epoch}\t{self.lr:.8f}\t{self.train_loss:.6f}\t{self.dev_loss:.6f}"
-            f"\t{self.dev_si_sdri:.4f}\t{self.restarts}"
-            f"\t{self.epoch_s:.3f}\t{self.examples_per_s:.4f}\t{self.grad_norm_mean:.6f}"
-            f"\t{self.grad_norm_max:.6f}\t{self.clip_rate:.4f}\t{self.id_loss:.6f}"
+            f"\t{self.dev_si_sdri:.4f}\t{self.restarts}\t{self.telemetry.columns()}\t{self.id_loss:.6f}"
         )
 
     @classmethod
     def parse(cls, line: str) -> "EpochReport":
-        values = line.split("\t")
-        # the field types are the strings "int" and "float" under postponed annotations
-        return cls(*(int(v) if f.type == "int" else float(v) for f, v in zip(fields(cls), values, strict=True)))
+        v = line.split("\t")
+        expected = len(cls.HEADER.split("\t"))
+        if len(v) != expected:
+            raise ValueError(f"{len(v)} columns, expected {expected}")
+        telemetry = EpochTelemetry(*map(float, v[6:11]))
+        return cls(int(v[0]), float(v[1]), float(v[2]), float(v[3]), float(v[4]), int(v[5]), telemetry, float(v[11]))
+
+
+@dataclass
+class IdNetEpoch:
+    """One row of idnet_report.tsv: the mean training cross-entropy and the
+    held-out accuracy, then the telemetry."""
+
+    epoch: int
+    train_loss: float
+    holdout_accuracy: float
+    telemetry: EpochTelemetry
+
+    HEADER = "epoch\ttrain_loss\tholdout_accuracy\t" + EpochTelemetry.HEADER
+
+    def row(self) -> str:
+        return f"{self.epoch}\t{self.train_loss:.6f}\t{self.holdout_accuracy:.4f}\t{self.telemetry.columns()}"
 
 
 def write_report(path, header: str, rows: list[str]) -> None:
@@ -303,26 +388,17 @@ class SepTrainer:
         earlier = [r for r in read_report(report_path) if r.epoch <= self.epoch]
         reports: list[EpochReport] = []
         while self.epoch < self.config.epochs_max:
-            epoch_start = time.perf_counter()
             lr = lr_for_epoch(self.policy, self.epoch_in_restart)
             order = self.rng.permutation(len(self.train_set))
-            train_losses, id_terms, grad_norms = [], [], []
-            for start in range(0, len(order), self.config.batch_size):
-                batch = order[start : start + self.config.batch_size]
-                self.model.params.zero_grads()
-                scale = 1.0 / len(batch)
-                for idx in batch:
-                    ex = self.train_set[idx]
-                    embeddings = self._target_embeddings[idx] if self.idnet is not None else None
-                    _, loss, _, id_term = self._example_loss(ex, embeddings)
-                    train_losses.append(float(loss.data))
-                    id_terms.append(id_term)
-                    loss.backward(seed=np.asarray(scale, dtype=loss.dtype))
-                grads, norm = clip_global_norm(self.model.params.grads(), GRAD_CLIP)
-                grad_norms.append(norm)
-                self.model.params, self.adam = adam_step(self.model.params, grads, self.adam, lr)
-            train_s = time.perf_counter() - epoch_start
+            id_terms = []
 
+            def example_loss(idx):
+                embeddings = self._target_embeddings[idx] if self.idnet is not None else None
+                _, loss, _, id_term = self._example_loss(self.train_set[idx], embeddings)
+                id_terms.append(id_term)
+                return loss
+
+            done = train_pass(self, lr, order, self.config.batch_size, example_loss)
             dev_loss, dev_si_sdri = self._dev_metrics()
             self.epoch += 1
             self.epoch_in_restart += 1
@@ -338,15 +414,11 @@ class SepTrainer:
                 EpochReport(
                     epoch=self.epoch,
                     lr=lr,
-                    train_loss=float(np.mean(train_losses)),
+                    train_loss=done.mean_loss(),
                     dev_loss=dev_loss,
                     dev_si_sdri=dev_si_sdri,
                     restarts=self.policy.restart_halvings,
-                    epoch_s=time.perf_counter() - epoch_start,
-                    examples_per_s=len(order) / train_s,
-                    grad_norm_mean=float(np.mean(grad_norms)),
-                    grad_norm_max=float(np.max(grad_norms)),
-                    clip_rate=float(np.mean([n > GRAD_CLIP for n in grad_norms])),
+                    telemetry=done.telemetry(),
                     id_loss=float(np.mean(id_terms)),
                 )
             )
@@ -373,6 +445,111 @@ class SepTrainer:
 
 
 # ---------------------------------------------------------------------------
+# the speaker network
+# ---------------------------------------------------------------------------
+
+
+IDNET_LR = 1e-3
+IDNET_BATCH_SIZE = 8
+IDNET_HOLDOUT_FRACTION = 0.2
+# training stops at the first epoch whose held-out accuracy reaches this
+IDNET_TARGET_ACCURACY = 0.98
+MIN_SEGMENTS_PER_SPEAKER = 20
+
+
+def _segment_corpus(utterances: list[tuple[Waveform, int]], config: IdNetConfig):
+    segments: list[tuple[np.ndarray, int]] = []
+    labels_seen = set()
+    for wave, label in utterances:
+        if not 0 <= label < config.num_speakers:
+            raise DataError(f"label {label} outside [0, {config.num_speakers})")
+        labels_seen.add(label)
+        for piece in slice_segments(np.asarray(wave.samples), config.segment_len):
+            segments.append((piece.astype(np.float32), label))
+    if len(labels_seen) < 2:
+        raise DataError(f"need utterances from >= 2 speakers, got {len(labels_seen)}")
+    counts = np.zeros(config.num_speakers, dtype=int)
+    for _, label in segments:
+        counts[label] += 1
+    for label in range(config.num_speakers):
+        if counts[label] == 0:
+            raise DataError(f"speaker class {label} has zero segments")
+        if counts[label] < MIN_SEGMENTS_PER_SPEAKER:
+            warnings.warn(
+                f"speaker class {label} has only {counts[label]} segments; "
+                f"at least {MIN_SEGMENTS_PER_SPEAKER} recommended",
+                stacklevel=3,
+            )
+    return segments
+
+
+def _holdout_split(segments, rng: np.random.Generator):
+    """Train and held-out segment indices; each speaker holds out at least one."""
+    by_class: dict[int, list[int]] = {}
+    for idx, (_, label) in enumerate(segments):
+        by_class.setdefault(label, []).append(idx)
+    train_idx, hold_idx = [], []
+    for label in sorted(by_class):
+        indices = np.array(by_class[label])
+        rng.shuffle(indices)
+        n_hold = max(1, int(round(IDNET_HOLDOUT_FRACTION * len(indices))))
+        hold_idx.extend(indices[:n_hold].tolist())
+        train_idx.extend(indices[n_hold:].tolist())
+    if not train_idx:
+        raise DataError(
+            f"the holdout split leaves no training segment: all {len(hold_idx)} of {len(segments)} segments "
+            "are held out, at least one per speaker; a speaker needs 2 or more segments to train on"
+        )
+    return sorted(train_idx), sorted(hold_idx)
+
+
+def _accuracy(net: IdNet, segments, indices) -> float:
+    hits = 0
+    for i in indices:
+        samples, label = segments[i]
+        if net.classify_segment(samples) == label:
+            hits += 1
+    return hits / len(indices)
+
+
+def train_idnet(
+    utterances: list[tuple[Waveform, int]], config: IdNetConfig, seed: int = 0, epochs_max: int = 30
+) -> tuple[IdNet, list[IdNetEpoch]]:
+    """Train the speaker classifier on sliced segments until the held-out
+    accuracy reaches IDNET_TARGET_ACCURACY; returns it frozen at its best
+    held-out epoch, with one report row per epoch run."""
+    segments = _segment_corpus(utterances, config)
+    rng = np.random.default_rng(seed)
+    train_idx, hold_idx = _holdout_split(segments, rng)
+
+    net = IdNet.initialize(config, seed=seed)
+    # the model and Adam state that train_pass steps, as on a SepTrainer
+    training = SimpleNamespace(model=net, adam=AdamState.for_params(net.params))
+    best_accuracy, best_params = 0.0, net.params.copy()
+
+    def example_loss(i):
+        samples, label = segments[i]
+        logits, _ = net.forward(Tensor(samples))
+        return ops.neg(ops.getitem(ops.log_softmax(logits, axis=0), (label,)))
+
+    rows: list[IdNetEpoch] = []
+    order = np.array(train_idx)
+    for epoch in range(1, epochs_max + 1):
+        rng.shuffle(order)
+        done = train_pass(training, IDNET_LR, order, IDNET_BATCH_SIZE, example_loss)
+        accuracy = _accuracy(net, segments, hold_idx)
+        rows.append(IdNetEpoch(epoch, done.mean_loss(), accuracy, done.telemetry()))
+        if accuracy > best_accuracy:
+            best_accuracy, best_params = accuracy, net.params.copy()
+        if accuracy >= IDNET_TARGET_ACCURACY:
+            break
+
+    net.params = best_params
+    net.freeze()
+    return net, rows
+
+
+# ---------------------------------------------------------------------------
 # phase dispatch
 # ---------------------------------------------------------------------------
 
@@ -394,16 +571,11 @@ def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
         segment_s=config.idnet_segment_s,
         embedding_dim=config.idnet_embedding_dim,
     )
-    net, report = train_idnet(
-        corpus,
-        net_config,
-        seed=config.seed,
-        epochs_max=config.epochs_max,
-    )
+    net, rows = train_idnet(corpus, net_config, seed=config.seed, epochs_max=config.epochs_max)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "idnet.ckpt"
-    save_idnet(path, net, extras={"best_accuracy": report.best_accuracy, "epochs": report.epochs_run})
-    rows = report.rows()
-    write_report(out_dir / "idnet_report.tsv", report.HEADER, rows)
+    best_accuracy = max((r.holdout_accuracy for r in rows), default=0.0)
+    save_idnet(path, net, extras={"best_accuracy": best_accuracy, "epochs": len(rows)})
+    write_report(out_dir / "idnet_report.tsv", IdNetEpoch.HEADER, [r.row() for r in rows])
     return path, rows

@@ -199,7 +199,7 @@ def test_eval_idempotent(cli_run, tmp_path):
 @pytest.mark.filterwarnings("ignore:speaker class")
 def test_full_recipe_with_speaker_network(tmp_path):
     """synth-data -> train-idnet -> train-sep -> finetune -> eval at tiny widths."""
-    from tastas.idnet.train import load_idnet
+    from tastas.idnet import load_idnet
 
     corpus = tmp_path / "corpus"
     assert main([
@@ -244,7 +244,7 @@ def test_full_recipe_with_speaker_network(tmp_path):
 # four toy speakers and eight source utterances are far below the recommended segment count
 @pytest.mark.filterwarnings("ignore:speaker class")
 def test_train_idnet_takes_its_classes_from_the_manifest(tmp_path):
-    from tastas.idnet.train import load_idnet
+    from tastas.idnet import load_idnet
 
     corpus = tmp_path / "corpus"
     assert main([

@@ -5,10 +5,12 @@ import pytest
 
 from tastas.audio import Waveform, synth_speaker_source
 from tastas.errors import DataError
-from tastas.idnet import IdNet, IdNetConfig, slice_segments, train_idnet
+from tastas.idnet import IdNet, IdNetConfig, slice_segments
 from tastas.numerics import ops
 from tastas.numerics.gradcheck import check_case
 from tastas.numerics.tensor import Tensor
+from tastas.pipeline import train
+from tastas.pipeline.train import IdNetEpoch, train_idnet
 
 TINY = IdNetConfig(
     num_speakers=3,
@@ -67,7 +69,8 @@ def test_embedding_of_exact_segment_matches_forward():
     seg = np.random.default_rng(7).uniform(-0.5, 0.5, TINY.segment_len).astype(np.float32)
     _, emb = net.forward(Tensor(seg))
     utt = net.embed_utterance(Waveform(seg.astype(np.float64)))
-    assert np.allclose(utt.values, emb.data, atol=1e-6)
+    assert utt.dtype == np.float64
+    assert np.allclose(utt, emb.data, atol=1e-6)
 
 
 def test_embedding_mean_of_repeated_segment_is_unchanged():
@@ -75,7 +78,15 @@ def test_embedding_mean_of_repeated_segment_is_unchanged():
     seg = np.random.default_rng(9).uniform(-0.5, 0.5, TINY.segment_len)
     one = net.embed_utterance(Waveform(seg))
     two = net.embed_utterance(Waveform(np.concatenate([seg, seg])))
-    assert np.allclose(one.values, two.values, atol=1e-5)
+    assert np.allclose(one, two, atol=1e-5)
+
+
+def test_non_finite_embedding_is_a_data_error():
+    net = IdNet.initialize(TINY, seed=8)
+    net.params["conv0.weight"].data[0, 0, 1, 1] = np.nan
+    seg = np.random.default_rng(9).uniform(-0.5, 0.5, TINY.segment_len)
+    with pytest.raises(DataError, match="non-finite"):
+        net.embed_utterance(Waveform(seg))
 
 
 def test_slice_segments_pads_trailing():
@@ -112,23 +123,30 @@ def _two_speaker_corpus():
     return [(synth_speaker_source(spk, 2.0, seed=spk), spk) for spk in range(2)]
 
 
-def test_train_reports_epoch_telemetry():
-    _, report = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=2, target_accuracy=1.1)
-    assert report.epochs_run == 2
-    for column in (report.epoch_s, report.examples_per_s, report.grad_norm_mean, report.grad_norm_max):
-        assert len(column) == 2 and all(v > 0 for v in column)
-    assert all(0 < m <= x for m, x in zip(report.grad_norm_mean, report.grad_norm_max))
-    assert all(0.0 <= r <= 1.0 for r in report.clip_rate)
-    rows = report.rows()
-    assert len(rows) == 2
-    assert [len(r.split("\t")) for r in rows] == [len(report.HEADER.split("\t"))] * 2
-    assert rows[1].startswith("2\t")
+def test_train_reports_epoch_telemetry(monkeypatch):
+    monkeypatch.setattr(train, "IDNET_TARGET_ACCURACY", 1.1)
+    _, rows = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=2)
+    assert [r.epoch for r in rows] == [1, 2]
+    for t in (r.telemetry for r in rows):
+        assert t.epoch_s > 0 and t.examples_per_s > 0
+        assert 0 < t.grad_norm_mean <= t.grad_norm_max
+        assert 0.0 <= t.clip_rate <= 1.0
+    lines = [r.row() for r in rows]
+    assert [len(line.split("\t")) for line in lines] == [len(IdNetEpoch.HEADER.split("\t"))] * 2
+    assert lines[1].startswith("2\t")
 
 
 def test_idnet_clip_rate_is_one_when_every_step_clips(monkeypatch):
-    from tastas.idnet import train
-
     monkeypatch.setattr(train, "GRAD_CLIP", 1e-9)
-    _, report = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=1)
-    assert report.clip_rate == [1.0]
-    assert report.grad_norm_max[0] > 1e-9
+    _, rows = train_idnet(_two_speaker_corpus(), replace(TINY, num_speakers=2), epochs_max=1)
+    assert rows[0].telemetry.clip_rate == 1.0
+    assert rows[0].telemetry.grad_norm_max > 1e-9
+
+
+# one segment per speaker is far below the recommended count; the warning is not under test
+@pytest.mark.filterwarnings("ignore:speaker class")
+def test_train_without_a_training_segment_is_a_data_error():
+    # one 0.5 s utterance per speaker is one segment each, and the holdout takes it
+    corpus = [(synth_speaker_source(spk, 0.5, seed=spk), spk) for spk in range(2)]
+    with pytest.raises(DataError, match="all 2 of 2 segments"):
+        train_idnet(corpus, IdNetConfig(num_speakers=2), epochs_max=1)

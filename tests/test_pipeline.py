@@ -410,9 +410,10 @@ def test_malformed_report_row_is_a_data_error(tmp_path):
 def test_report_carries_epoch_telemetry(tiny_corpus, tmp_path):
     _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "telemetry", epochs_max=1))
     row = rows[0]
-    assert row.epoch_s > 0 and row.examples_per_s > 0
-    assert 0 < row.grad_norm_mean <= row.grad_norm_max
-    assert 0.0 <= row.clip_rate <= 1.0
+    telemetry = row.telemetry
+    assert telemetry.epoch_s > 0 and telemetry.examples_per_s > 0
+    assert 0 < telemetry.grad_norm_mean <= telemetry.grad_norm_max
+    assert 0.0 <= telemetry.clip_rate <= 1.0
     assert row.id_loss == 0.0  # no speaker network outside finetune
     (parsed,) = read_report(tmp_path / "telemetry" / "train_report.tsv")
     assert parsed.row() == row.row()
@@ -423,13 +424,12 @@ def test_clip_rate_is_one_when_every_step_clips(tiny_corpus, tmp_path, monkeypat
 
     monkeypatch.setattr(train, "GRAD_CLIP", 1e-9)
     _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "clipped", epochs_max=1))
-    assert rows[0].clip_rate == 1.0
-    assert rows[0].grad_norm_max > 1e-9
+    assert rows[0].telemetry.clip_rate == 1.0
+    assert rows[0].telemetry.grad_norm_max > 1e-9
 
 
 def test_finetune_reports_the_identity_term(tiny_corpus, tmp_path):
-    from tastas.idnet.model import IdNet, IdNetConfig
-    from tastas.idnet.train import save_idnet
+    from tastas.idnet import IdNet, IdNetConfig, save_idnet
 
     idnet_ckpt = tmp_path / "idnet.ckpt"
     save_idnet(idnet_ckpt, IdNet.initialize(IdNetConfig(num_speakers=4, embedding_dim=16), seed=0).freeze())
