@@ -1,7 +1,7 @@
 """Audio I/O, spectral analysis, mixing, and toy sources."""
 
 from .wavio import DEFAULT_SAMPLE_RATE, Waveform, wav_read, wav_write
-from .stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, Spectrogram, hann_window, istft, stft
+from .stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, hann_window, istft, stft
 from .mix import measure_snr_db, mix_at_snr
 from .synth import check_speaker, f0_band, synth_speaker_source
 from .irm import irm_masks, irm_separate
@@ -13,7 +13,6 @@ __all__ = [
     "wav_write",
     "DEFAULT_HOP",
     "DEFAULT_WINDOW_LEN",
-    "Spectrogram",
     "hann_window",
     "istft",
     "stft",

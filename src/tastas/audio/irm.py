@@ -12,15 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .stft import DEFAULT_HOP, DEFAULT_WINDOW_LEN, Spectrogram, istft, stft
+from .stft import istft, stft
 from .wavio import Waveform
 
 
-def irm_masks(refs: list[Waveform], window_len: int = DEFAULT_WINDOW_LEN, hop: int = DEFAULT_HOP) -> list[np.ndarray]:
+def irm_masks(refs: list[Waveform]) -> list[np.ndarray]:
     """Per-source ratio masks; non-negative and summing to one at every bin."""
     if len(refs) < 2:
         raise DataError("ratio masks need at least two reference sources")
-    mags = [stft(r, window_len, hop).magnitude() for r in refs]
+    mags = [np.abs(stft(r.samples)) for r in refs]
     total = np.sum(mags, axis=0)
     silent = total <= 0.0
     safe_total = np.where(silent, 1.0, total)
@@ -28,27 +28,13 @@ def irm_masks(refs: list[Waveform], window_len: int = DEFAULT_WINDOW_LEN, hop: i
     return [np.where(silent, uniform, m / safe_total) for m in mags]
 
 
-def irm_separate(
-    mixture: Waveform,
-    refs: list[Waveform],
-    window_len: int = DEFAULT_WINDOW_LEN,
-    hop: int = DEFAULT_HOP,
-) -> list[Waveform]:
+def irm_separate(mixture: Waveform, refs: list[Waveform]) -> list[Waveform]:
     """Oracle separation of the mixture using reference-derived ratio masks."""
     for r in refs:
         if len(r) != len(mixture):
             raise DataError(f"reference length {len(r)} != mixture length {len(mixture)}")
-    mix_spec = stft(mixture, window_len, hop)
-    masks = irm_masks(refs, window_len, hop)
-    outs = []
-    for mask in masks:
-        masked = Spectrogram(
-            bins=mix_spec.bins * mask,
-            window_len=mix_spec.window_len,
-            hop=mix_spec.hop,
-            window=mix_spec.window,
-            original_len=mix_spec.original_len,
-            sample_rate_hz=mix_spec.sample_rate_hz,
-        )
-        outs.append(istft(masked))
-    return outs
+    mix_bins = stft(mixture.samples)
+    return [
+        Waveform(istft(mix_bins * mask, len(mixture)), sample_rate_hz=mixture.sample_rate_hz)
+        for mask in irm_masks(refs)
+    ]

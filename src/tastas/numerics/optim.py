@@ -160,6 +160,13 @@ class LrPolicy:
     decay_every_epochs: int = 2
     restart_halvings: int = 0
 
+    def __post_init__(self):
+        for name in ("initial_lr", "decay_factor"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.decay_every_epochs < 1:
+            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
+
     def halved(self) -> "LrPolicy":
         return replace(self, restart_halvings=self.restart_halvings + 1)
 

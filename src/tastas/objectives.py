@@ -1,15 +1,15 @@
 """Separation objectives and evaluation metrics.
 
-Each quantity is computed once. The numpy `si_sdr` scores every
-estimate-target pair for the exhaustive PIT search, which runs on values
-only; `pit_loss_graph` then records `si_sdr_graph`, the same math
-differentiable in the estimate, for the n winning pairs alone, and
-`si_sdri` reads the search's matched mean. Both SI-SDR versions
-mean-subtract first, project the target onto the estimate to absorb scale,
-and regularize the error power with 1e-12 of the projected power, which
-caps perfect reconstructions near 120 dB instead of dividing by zero. The
-identity loss has one definition, `id_loss_graph`; `id_loss` is it run in
-float64 without a graph.
+Each quantity has one definition. `si_sdr_graph` is SI-SDR differentiable
+in the estimate: it mean-subtracts both signals, projects the target onto
+the estimate to absorb scale, and regularizes the error power with 1e-12
+of the projected power, which caps perfect reconstructions near 120 dB
+instead of dividing by zero. `si_sdr` is it run on a float64 copy of the
+estimate without a graph. The exhaustive PIT search scores every
+estimate-target pair with `si_sdr`; `pit_loss_graph` then records
+`si_sdr_graph` for the n winning pairs alone, and `si_sdri` reads the
+search's matched mean. The identity loss likewise has one definition,
+`id_loss_graph`; `id_loss` is it run in float64 without a graph.
 """
 
 from __future__ import annotations
@@ -35,26 +35,6 @@ def _as_samples(x) -> np.ndarray:
     return np.asarray(samples, dtype=np.float64)
 
 
-def si_sdr(target, estimate) -> float:
-    """Scale-invariant SDR of the estimate against the target, in dB; a DataError where undefined."""
-    t = _as_samples(target)
-    s = _as_samples(estimate)
-    if t.shape != s.shape:
-        raise DataError(f"length mismatch: target {t.shape} vs estimate {s.shape}")
-    t = t - t.mean()
-    s = s - s.mean()
-    tt = float(t @ t)
-    if tt / max(len(t), 1) <= _SILENCE_POWER:
-        raise DataError("silent target: SI-SDR undefined")
-    scale = float(t @ s) / tt
-    projected_power = scale * scale * tt
-    if projected_power == 0.0:
-        raise DataError("estimate has no projection onto the target: SI-SDR undefined")
-    err = scale * t - s
-    err_power = float(err @ err)
-    return _LOG10_SCALE * math.log(projected_power / (err_power + _EPS_FRACTION * projected_power))
-
-
 def si_sdr_graph(target, estimate: Tensor) -> Tensor:
     """Differentiable SI-SDR; gradient flows into the estimate only."""
     t = _as_samples(target)
@@ -68,10 +48,18 @@ def si_sdr_graph(target, estimate: Tensor) -> Tensor:
     s = ops.sub(estimate, ops.tmean(estimate))
     scale = ops.mul(ops.tsum(ops.mul(t_const, s)), ops.const(1.0 / tt, dtype=estimate.dtype))
     projected_power = ops.mul(ops.mul(scale, scale), ops.const(tt, dtype=estimate.dtype))
+    if float(projected_power.data) == 0.0:
+        raise DataError("estimate has no projection onto the target: SI-SDR undefined")
     err = ops.sub(ops.mul(scale, t_const), s)
     err_power = ops.tsum(ops.mul(err, err))
     denom = ops.add(err_power, ops.mul(ops.const(_EPS_FRACTION, dtype=estimate.dtype), projected_power))
     return ops.mul(ops.log(ops.div(projected_power, denom)), ops.const(_LOG10_SCALE, dtype=estimate.dtype))
+
+
+def si_sdr(target, estimate) -> float:
+    """`si_sdr_graph` on a float64 copy of the estimate, recording no graph; in dB."""
+    with no_grad():
+        return float(si_sdr_graph(target, Tensor(_as_samples(estimate))).data)
 
 
 def snr_sdr(target, estimate) -> float:
@@ -99,7 +87,7 @@ class PermutationResult:
 def pit_permutation(targets, estimates) -> PermutationResult:
     """Assignment maximizing mean pairwise SI-SDR (exhaustive, utterance level).
 
-    Scores are numpy values in float64; on a tie the permutation that
+    Scores are `si_sdr` values in float64; on a tie the permutation that
     `itertools.permutations` yields first wins.
     """
     n = len(targets)
@@ -117,7 +105,7 @@ def pit_permutation(targets, estimates) -> PermutationResult:
 
 
 def pit_loss(targets, estimates) -> tuple[float, PermutationResult]:
-    """Negative of the best mean pairwise SI-SDR (numpy path)."""
+    """Negative of the best mean pairwise SI-SDR, recording no graph."""
     result = pit_permutation(targets, estimates)
     return -result.mean_si_sdr, result
 

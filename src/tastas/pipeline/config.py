@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..numerics.optim import LrPolicy
 from ..sepnet.config import ModelConfig, parse_preset
 
 PHASES = ("idnet", "sep", "finetune")
@@ -33,8 +34,6 @@ class TrainConfig:
     sep_ckpt: str = ""
     idnet_ckpt: str = ""
     out_dir: str = "runs"
-    idnet_segment_s: float = 0.5
-    idnet_embedding_dim: int = 128
 
     def __post_init__(self):
         if self.phase not in PHASES:
@@ -45,6 +44,7 @@ class TrainConfig:
             raise ConfigError("finetune phase requires idnet_ckpt (a frozen speaker network)")
         if self.phase == "finetune" and not self.sep_ckpt:
             raise ConfigError("finetune phase requires sep_ckpt (the separator to fine-tune)")
+        self.lr_policy()  # a bad schedule fails here, before any corpus is read
         if self.phase == "sep":
             self.model_config()  # a bad preset or width fails here, before any corpus is read
 
@@ -52,6 +52,10 @@ class TrainConfig:
         """The preset, with the widths of every ModelConfig field this config shares."""
         widths = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if hasattr(self, f.name)}
         return parse_preset(self.model, **widths)
+
+    def lr_policy(self, restart_halvings: int = 0) -> LrPolicy:
+        """The learning-rate schedule, after the given number of restarts."""
+        return LrPolicy(self.initial_lr, self.decay_factor, self.decay_every_epochs, restart_halvings)
 
 
 # what a finetune run takes from its sep_ckpt instead of its config

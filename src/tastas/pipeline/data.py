@@ -139,7 +139,11 @@ class LoadedExample:
 def load_example(record: ManifestRecord) -> LoadedExample:
     mix = wav_read(record.mix_path)
     sources = [wav_read(p) for p in record.src_paths]
-    for s in sources:
+    for path, s in zip(record.src_paths, sources):
+        if s.sample_rate_hz != mix.sample_rate_hz:
+            raise DataError(
+                f"{record.utt_id}: source {path} is at {s.sample_rate_hz} Hz, the mixture at {mix.sample_rate_hz} Hz"
+            )
         if len(s) != len(mix):
             raise DataError(f"{record.utt_id}: source length {len(s)} != mixture length {len(mix)}")
     return LoadedExample(

@@ -29,7 +29,7 @@ from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
 from ..numerics import ops
-from ..numerics.optim import GRAD_CLIP, AdamState, LrPolicy, adam_step, clip_global_norm, lr_for_epoch
+from ..numerics.optim import GRAD_CLIP, AdamState, adam_step, clip_global_norm, lr_for_epoch
 from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
@@ -304,12 +304,7 @@ class SepTrainer:
             self.best_dev_loss = float("inf")
             self.worse_streak = 0
             self.rng = np.random.default_rng(config.seed)
-        self.policy = LrPolicy(
-            initial_lr=config.initial_lr,
-            decay_factor=config.decay_factor,
-            decay_every_epochs=config.decay_every_epochs,
-            restart_halvings=restart_halvings,
-        )
+        self.policy = config.lr_policy(restart_halvings)
 
         if self.idnet is not None:
             self._target_embeddings = self._embed_targets(self.train_set)
@@ -460,9 +455,14 @@ MIN_SEGMENTS_PER_SPEAKER = 20
 def _segment_corpus(utterances: list[tuple[Waveform, int]], config: IdNetConfig):
     segments: list[tuple[np.ndarray, int]] = []
     labels_seen = set()
-    for wave, label in utterances:
+    for index, (wave, label) in enumerate(utterances):
         if not 0 <= label < config.num_speakers:
             raise DataError(f"label {label} outside [0, {config.num_speakers})")
+        if wave.sample_rate_hz != config.sample_rate_hz:
+            raise DataError(
+                f"utterance {index} (speaker {label}) is at {wave.sample_rate_hz} Hz, "
+                f"the speaker network at {config.sample_rate_hz} Hz"
+            )
         labels_seen.add(label)
         for piece in slice_segments(np.asarray(wave.samples), config.segment_len):
             segments.append((piece.astype(np.float32), label))
@@ -565,12 +565,8 @@ def run_phase(config: TrainConfig, resume_from: str | None = None) -> tuple[Path
 def _run_idnet_phase(config: TrainConfig) -> tuple[Path, list]:
     records = read_manifest(config.train_manifest)
     corpus = idnet_corpus_from_manifest(records)
-    net_config = IdNetConfig(
-        # speaker ids index the classes, so every id from 0 to the largest needs one
-        num_speakers=1 + max((speaker for _, speaker in corpus), default=-1),
-        segment_s=config.idnet_segment_s,
-        embedding_dim=config.idnet_embedding_dim,
-    )
+    # speaker ids index the classes, so every id from 0 to the largest needs one
+    net_config = IdNetConfig(num_speakers=1 + max((speaker for _, speaker in corpus), default=-1))
     net, rows = train_idnet(corpus, net_config, seed=config.seed, epochs_max=config.epochs_max)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -143,6 +143,16 @@ def test_idnet_clip_rate_is_one_when_every_step_clips(monkeypatch):
     assert rows[0].telemetry.grad_norm_max > 1e-9
 
 
+def test_utterance_at_another_sample_rate_is_a_data_error():
+    # a 16 kHz utterance would slice into segments of half the configured length in seconds
+    corpus = [
+        (synth_speaker_source(0, 1.0, seed=0), 0),
+        (synth_speaker_source(1, 1.0, seed=1, sample_rate_hz=16000), 1),
+    ]
+    with pytest.raises(DataError, match="utterance 1 .speaker 1. is at 16000 Hz, the speaker network at 8000 Hz"):
+        train_idnet(corpus, IdNetConfig(num_speakers=2), epochs_max=1)
+
+
 # one segment per speaker is far below the recommended count; the warning is not under test
 @pytest.mark.filterwarnings("ignore:speaker class")
 def test_train_without_a_training_segment_is_a_data_error():

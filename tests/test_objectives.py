@@ -77,6 +77,8 @@ def test_estimate_without_projection_is_a_data_error(estimate):
     target = np.tile([0.0, 1.0, 0.0, -1.0], 25)
     with pytest.raises(DataError, match="no projection"):
         obj.si_sdr(target, estimate)
+    with pytest.raises(DataError, match="no projection"):
+        obj.si_sdr_graph(target, Tensor(estimate.astype(np.float32), requires_grad=True))
 
 
 def test_graph_loss_on_zero_estimates_is_a_data_error():
@@ -210,7 +212,15 @@ def test_graph_pit_bytes_match_the_all_pairs_loop(speakers, tie):
 def test_graph_pit_records_only_the_winning_pairs(speakers, monkeypatch):
     calls = []
     log = ops.log
-    monkeypatch.setattr(ops, "log", lambda x: calls.append(x) or log(x))
+
+    def recorded_log(x):
+        # the PIT search scores every pair with ops too, but records no node
+        out = log(x)
+        if out.requires_grad:
+            calls.append(out)
+        return out
+
+    monkeypatch.setattr(ops, "log", recorded_log)
     rng = np.random.default_rng(19)
     targets = [rng.uniform(-1, 1, 100) for _ in range(speakers)]
     estimates = [Tensor(rng.uniform(-1, 1, 100), requires_grad=True) for _ in range(speakers)]

@@ -1,11 +1,13 @@
 import importlib
 import wave
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tastas import objectives as obj
+from tastas.audio import Waveform, wav_read, wav_write
 from tastas.errors import ConfigError, DataError
 from tastas.idnet import IdNetConfig
 from tastas.pipeline import (
@@ -88,8 +90,8 @@ seed=11
 
 def test_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
-    # early_stop_dev_si_sdri was a field once; a file that still sets it fails loudly
-    for key in ("no_such_field", "early_stop_dev_si_sdri"):
+    # these were fields once; a file that still sets one fails loudly
+    for key in ("no_such_field", "early_stop_dev_si_sdri", "idnet_segment_s", "idnet_embedding_dim"):
         path.write_text(f"{key}=1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
             load_train_config(path)
@@ -137,6 +139,13 @@ def test_config_validates_fields():
         TrainConfig(model="dprnn-6")
     # finetune and idnet take no architecture from the config
     TrainConfig(phase="idnet", chunk_len=9)
+
+
+@pytest.mark.parametrize("key,value", [("initial_lr", 0.0), ("decay_factor", -0.5), ("decay_every_epochs", 0)])
+def test_config_rejects_a_schedule_that_cannot_run(key, value):
+    # the schedule is built at construction, so it fails before any corpus is read
+    with pytest.raises(ConfigError, match=key):
+        TrainConfig(**{key: value})
 
 
 def test_benchmark_configs_build_at_both_scales(tmp_path, monkeypatch):
@@ -512,6 +521,16 @@ def test_examples_load_with_matching_lengths(tiny_corpus):
     examples = load_examples(read_manifest(tiny_corpus / "train.tsv"))
     for ex in examples:
         assert all(len(t) == len(ex.mixture) for t in ex.targets)
+
+
+def test_source_at_another_sample_rate_is_a_data_error(tiny_corpus, tmp_path):
+    record = read_manifest(tiny_corpus / "train.tsv")[0]
+    source = wav_read(record.src_paths[1])
+    wide = tmp_path / "wide.wav"
+    wav_write(wide, Waveform(np.repeat(source.samples, 2), sample_rate_hz=2 * source.sample_rate_hz))
+    mismatched = replace(record, src_paths=(record.src_paths[0], str(wide)))
+    with pytest.raises(DataError, match=f"{record.utt_id}: source .*wide.wav is at 16000 Hz, the mixture at 8000 Hz"):
+        load_examples([mismatched])
 
 
 def test_write_manifest_empty(tmp_path):
