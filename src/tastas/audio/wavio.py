@@ -34,10 +34,6 @@ class Waveform:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
     def power(self) -> float:
         return float(np.mean(self.samples**2))
 

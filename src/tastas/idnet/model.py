@@ -135,6 +135,9 @@ class IdNet:
 
     def embed_utterance(self, wave: Waveform) -> np.ndarray:
         """Float64 embedding of a whole utterance; no graph is recorded."""
+        rate = self.config.sample_rate_hz
+        if wave.sample_rate_hz != rate:
+            raise DataError(f"the wave is at {wave.sample_rate_hz} Hz, the speaker network at {rate} Hz")
         with no_grad():
             emb = self.embed_segments_graph(Tensor(np.asarray(wave.samples, dtype=np.float32)))
         values = np.asarray(emb.data, dtype=np.float64)

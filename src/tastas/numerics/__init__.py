@@ -2,16 +2,14 @@
 
 from .tensor import Tensor
 from . import ops
-from .optim import AdamState, LrPolicy, ParamSet, adam_step, clip_global_norm, lr_for_epoch, uniform_fan_in
+from .optim import AdamState, ParamSet, adam_step, clip_global_norm, uniform_fan_in
 
 __all__ = [
     "Tensor",
     "ops",
     "AdamState",
-    "LrPolicy",
     "ParamSet",
     "adam_step",
     "clip_global_norm",
-    "lr_for_epoch",
     "uniform_fan_in",
 ]

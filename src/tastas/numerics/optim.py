@@ -1,4 +1,5 @@
-"""Named parameter sets, the Adam optimizer, and the learning-rate policy."""
+"""Named parameter sets, the Adam optimizer and the global-norm gradient clip;
+the caller passes the learning rate of each step."""
 
 from __future__ import annotations
 
@@ -145,34 +146,3 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dic
         return grads, norm
     scale = max_norm / norm
     return {n: g * np.asarray(scale, dtype=g.dtype) for n, g in grads.items()}, norm
-
-
-@dataclass
-class LrPolicy:
-    """Decaying learning rate with halved restarts.
-
-    Restart k begins at initial_lr / 2^k and decays by decay_factor every
-    decay_every_epochs epochs (epoch counted from the restart).
-    """
-
-    initial_lr: float = 0.001
-    decay_factor: float = 0.98
-    decay_every_epochs: int = 2
-    restart_halvings: int = 0
-
-    def __post_init__(self):
-        for name in ("initial_lr", "decay_factor"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.decay_every_epochs < 1:
-            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
-
-    def halved(self) -> "LrPolicy":
-        return replace(self, restart_halvings=self.restart_halvings + 1)
-
-
-def lr_for_epoch(policy: LrPolicy, epoch: int) -> float:
-    if epoch < 0:
-        raise ConfigError(f"lr_for_epoch: epoch must be >= 0, got {epoch}")
-    base = policy.initial_lr / (2.0**policy.restart_halvings)
-    return base * policy.decay_factor ** (epoch // policy.decay_every_epochs)

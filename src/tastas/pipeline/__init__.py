@@ -13,14 +13,10 @@ from .data import (
 )
 from .evaluate import EvalSummary, evaluate, write_eval_table
 from .train import (
-    CONTINUE,
-    RESTART,
-    STOP,
     EpochReport,
     SepTrainer,
     load_sep_checkpoint,
     load_sep_model,
-    restart_decision,
     run_phase,
     save_sep_checkpoint,
     train_idnet,
@@ -41,14 +37,10 @@ __all__ = [
     "EvalSummary",
     "evaluate",
     "write_eval_table",
-    "CONTINUE",
-    "RESTART",
-    "STOP",
     "EpochReport",
     "SepTrainer",
     "load_sep_checkpoint",
     "load_sep_model",
-    "restart_decision",
     "run_phase",
     "save_sep_checkpoint",
     "train_idnet",

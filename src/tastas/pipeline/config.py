@@ -6,7 +6,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..numerics.optim import LrPolicy
 from ..sepnet.config import ModelConfig, parse_preset
 
 PHASES = ("idnet", "sep", "finetune")
@@ -44,7 +43,12 @@ class TrainConfig:
             raise ConfigError("finetune phase requires idnet_ckpt (a frozen speaker network)")
         if self.phase == "finetune" and not self.sep_ckpt:
             raise ConfigError("finetune phase requires sep_ckpt (the separator to fine-tune)")
-        self.lr_policy()  # a bad schedule fails here, before any corpus is read
+        # a schedule that cannot run fails here, before any corpus is read
+        for name in ("initial_lr", "decay_factor"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.decay_every_epochs < 1:
+            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
         if self.phase == "sep":
             self.model_config()  # a bad preset or width fails here, before any corpus is read
 
@@ -53,9 +57,11 @@ class TrainConfig:
         widths = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if hasattr(self, f.name)}
         return parse_preset(self.model, **widths)
 
-    def lr_policy(self, restart_halvings: int = 0) -> LrPolicy:
-        """The learning-rate schedule, after the given number of restarts."""
-        return LrPolicy(self.initial_lr, self.decay_factor, self.decay_every_epochs, restart_halvings)
+    def learning_rate(self, restarts: int, epoch_in_restart: int) -> float:
+        """Restart k starts at initial_lr / 2^k and decays by decay_factor every
+        decay_every_epochs epochs, counted from the restart."""
+        base = self.initial_lr / (2.0**restarts)
+        return base * self.decay_factor ** (epoch_in_restart // self.decay_every_epochs)
 
 
 # what a finetune run takes from its sep_ckpt instead of its config

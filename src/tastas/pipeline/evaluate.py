@@ -18,7 +18,7 @@ import numpy as np
 from .. import objectives
 from ..audio.irm import irm_separate
 from ..audio.wavio import Waveform
-from ..errors import TasTasError
+from ..errors import ConfigError, TasTasError
 from ..idnet.model import IdNet
 from ..sepnet.model import TasTasModel
 from .data import LoadedExample, ManifestRecord, load_example
@@ -142,11 +142,11 @@ def _eval_record(
 
 
 def worker_count() -> int:
+    """Threads `evaluate` scores records on, from TASTAS_THREADS (unset, 0 or 1: serial)."""
     raw = os.environ.get("TASTAS_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    if not raw.isdecimal():
+        raise ConfigError(f"TASTAS_THREADS must be a non-negative integer, got '{raw}'")
+    return int(raw)
 
 
 def evaluate(

@@ -5,10 +5,11 @@ minimizes the stage-averaged permutation-invariant SI-SDR loss alone.
 Phase "finetune" starts from a separation checkpoint and adds the
 identity-consistency term (frozen classifier, final-stage assignment).
 
-The restart controller watches the development loss: after `patience`
-consecutive epochs worse than the best seen, training reloads the best
-checkpoint and begins again with the initial learning rate halved;
-after `max_restarts` such reloads the next trigger stops the run.
+`SepTrainer.run()` holds the restart controller. It watches the
+development loss: after `patience` consecutive epochs worse than the best
+seen, training reloads best.ckpt and begins again at half the learning
+rate (`TrainConfig.learning_rate`); once `max_restarts` reloads are spent,
+the next trigger stops the run.
 """
 
 from __future__ import annotations
@@ -29,24 +30,12 @@ from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
 from ..numerics import ops
-from ..numerics.optim import GRAD_CLIP, AdamState, adam_step, clip_global_norm, lr_for_epoch
+from ..numerics.optim import GRAD_CLIP, AdamState, adam_step, clip_global_norm
 from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
 from .config import TrainConfig
 from .data import LoadedExample, idnet_corpus_from_manifest, load_examples, read_manifest
-
-CONTINUE = "continue"
-RESTART = "restart_with_halved_lr"
-STOP = "stop"
-
-
-def restart_decision(worse_streak: int, patience: int, restarts_done: int, max_restarts: int) -> str:
-    """Controller action given how many consecutive epochs were worse than best."""
-    if worse_streak < patience:
-        return CONTINUE
-    return STOP if restarts_done >= max_restarts else RESTART
-
 
 # ---------------------------------------------------------------------------
 # the training pass both networks share, and the reports it feeds
@@ -247,7 +236,7 @@ def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
 
 
 # the extras keys a resume reads; a checkpoint saved without them holds weights only
-TRAINER_STATE = ("restart_halvings", "epoch", "epoch_in_restart", "best_dev_loss", "worse_streak", "rng_state")
+TRAINER_STATE = ("phase", "restart_halvings", "epoch", "epoch_in_restart", "best_dev_loss", "worse_streak", "rng_state")
 
 
 def _rng_state_to_json(rng: np.random.Generator) -> str:
@@ -284,7 +273,12 @@ class SepTrainer:
             missing = [key for key in TRAINER_STATE if key not in extras]
             if missing:
                 raise CheckpointError(f"{resume_from}: no trainer state to resume from (missing {', '.join(missing)})")
-            restart_halvings = int(extras["restart_halvings"])
+            if extras["phase"] != config.phase:
+                raise CheckpointError(f"{resume_from}: a {extras['phase']} checkpoint cannot resume {config.phase}")
+            for key in ("restart_halvings", "epoch", "epoch_in_restart", "worse_streak"):
+                if int(extras[key]) < 0:
+                    raise CheckpointError(f"{resume_from}: {key} must be >= 0, got {extras[key]}")
+            self.restarts = int(extras["restart_halvings"])
             self.epoch = int(extras["epoch"])
             self.epoch_in_restart = int(extras["epoch_in_restart"])
             self.best_dev_loss = float(extras["best_dev_loss"])
@@ -298,15 +292,18 @@ class SepTrainer:
             else:
                 self.model = TasTasModel.initialize(config.model_config(), seed=config.seed, dtype=np.float32)
                 self.adam = AdamState.for_params(self.model.params)
-            restart_halvings = 0
+            self.restarts = 0
             self.epoch = 0
             self.epoch_in_restart = 0
             self.best_dev_loss = float("inf")
             self.worse_streak = 0
             self.rng = np.random.default_rng(config.seed)
-        self.policy = config.lr_policy(restart_halvings)
 
         if self.idnet is not None:
+            rate = self.idnet.config.sample_rate_hz
+            for ex in self.train_set + self.dev_set:
+                if ex.sample_rate_hz != rate:
+                    raise DataError(f"{ex.utt_id} is at {ex.sample_rate_hz} Hz, the speaker network at {rate} Hz")
             self._target_embeddings = self._embed_targets(self.train_set)
             self._dev_target_embeddings = self._embed_targets(self.dev_set)
 
@@ -335,14 +332,14 @@ class SepTrainer:
                 loss, ops.mul(id_graph, ops.const(self.config.id_weight, dtype=loss.dtype))
             )
             id_term = float(id_graph.data)
-        return outs, loss, breakdown, id_term
+        return loss, breakdown, id_term
 
     def _dev_metrics(self) -> tuple[float, float]:
         losses, sisdris = [], []
         for i, ex in enumerate(self.dev_set):
             embeddings = self._dev_target_embeddings[i] if self.idnet is not None else None
             with no_grad():
-                _, loss, breakdown, _ = self._example_loss(ex, embeddings)
+                loss, breakdown, _ = self._example_loss(ex, embeddings)
             losses.append(float(loss.data))
             sisdris.append(objectives.si_sdri(ex.mixture, ex.targets, breakdown.per_stage_perms[-1]))
         return float(np.mean(losses)), float(np.mean(sisdris))
@@ -354,7 +351,7 @@ class SepTrainer:
             "phase": self.config.phase,
             "epoch": self.epoch,
             "epoch_in_restart": self.epoch_in_restart,
-            "restart_halvings": self.policy.restart_halvings,
+            "restart_halvings": self.restarts,
             "best_dev_loss": self.best_dev_loss,
             "worse_streak": self.worse_streak,
             "rng_state": _rng_state_to_json(self.rng),
@@ -383,13 +380,13 @@ class SepTrainer:
         earlier = [r for r in read_report(report_path) if r.epoch <= self.epoch]
         reports: list[EpochReport] = []
         while self.epoch < self.config.epochs_max:
-            lr = lr_for_epoch(self.policy, self.epoch_in_restart)
+            lr = self.config.learning_rate(self.restarts, self.epoch_in_restart)
             order = self.rng.permutation(len(self.train_set))
             id_terms = []
 
             def example_loss(idx):
                 embeddings = self._target_embeddings[idx] if self.idnet is not None else None
-                _, loss, _, id_term = self._example_loss(self.train_set[idx], embeddings)
+                loss, _, id_term = self._example_loss(self.train_set[idx], embeddings)
                 id_terms.append(id_term)
                 return loss
 
@@ -412,24 +409,24 @@ class SepTrainer:
                     train_loss=done.mean_loss(),
                     dev_loss=dev_loss,
                     dev_si_sdri=dev_si_sdri,
-                    restarts=self.policy.restart_halvings,
+                    restarts=self.restarts,
                     telemetry=done.telemetry(),
                     id_loss=float(np.mean(id_terms)),
                 )
             )
 
-            action = restart_decision(
-                self.worse_streak, self.config.patience, self.policy.restart_halvings, self.config.max_restarts
-            )
-            if action == RESTART:
-                self._reload_best()
-                self.policy = self.policy.halved()
-                self.epoch_in_restart = 0
-                self.worse_streak = 0
+            # `patience` worse epochs restart from best.ckpt at half the LR, or stop once the restarts are spent
+            stop = False
+            if self.worse_streak >= self.config.patience:
+                stop = self.restarts >= self.config.max_restarts
+                if not stop:
+                    self._reload_best()
+                    self.restarts += 1
+                    self.epoch_in_restart = self.worse_streak = 0
             # saved after the restart is applied, so a resume continues exactly
             self._save("last.ckpt")
             write_report(report_path, EpochReport.HEADER, [r.row() for r in earlier + reports])
-            if action == STOP:
+            if stop:
                 break
 
         if not reports:

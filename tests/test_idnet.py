@@ -89,6 +89,13 @@ def test_non_finite_embedding_is_a_data_error():
         net.embed_utterance(Waveform(seg))
 
 
+def test_embedding_at_another_sample_rate_is_a_data_error():
+    net = IdNet.initialize(TINY, seed=8)
+    seg = np.random.default_rng(9).uniform(-0.5, 0.5, TINY.segment_len)
+    with pytest.raises(DataError, match="16000 Hz, the speaker network at 8000 Hz"):
+        net.embed_utterance(Waveform(seg, 16000))
+
+
 def test_slice_segments_pads_trailing():
     pieces = slice_segments(np.ones(10), 4)
     assert len(pieces) == 3

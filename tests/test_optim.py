@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from tastas.errors import ConfigError, NonFiniteGradientError
-from tastas.numerics.optim import (
-    AdamState,
-    LrPolicy,
-    ParamSet,
-    adam_step,
-    clip_global_norm,
-    lr_for_epoch,
-)
+from tastas.numerics.optim import AdamState, ParamSet, adam_step, clip_global_norm
 from tastas.numerics.tensor import Tensor
+from tastas.pipeline import TrainConfig
 
 
 def _params(values):
@@ -77,39 +71,33 @@ def test_clip_global_norm():
     assert total == pytest.approx(1.0)
 
 
-# -- learning-rate policy -------------------------------------------------------
+# -- learning-rate schedule (TrainConfig) -----------------------------------------
 
 
 def test_lr_first_two_epochs_at_initial():
-    policy = LrPolicy()
-    assert lr_for_epoch(policy, 0) == pytest.approx(0.001)
-    assert lr_for_epoch(policy, 1) == pytest.approx(0.001)
+    config = TrainConfig()
+    assert config.learning_rate(0, 0) == pytest.approx(0.001)
+    assert config.learning_rate(0, 1) == pytest.approx(0.001)
 
 
 def test_lr_decays_every_two_epochs():
-    policy = LrPolicy()
-    assert lr_for_epoch(policy, 2) == pytest.approx(0.00098)
-    assert lr_for_epoch(policy, 3) == pytest.approx(0.00098)
-    assert lr_for_epoch(policy, 4) == pytest.approx(0.001 * 0.98**2)
+    config = TrainConfig()
+    assert config.learning_rate(0, 2) == pytest.approx(0.00098)
+    assert config.learning_rate(0, 3) == pytest.approx(0.00098)
+    assert config.learning_rate(0, 4) == pytest.approx(0.001 * 0.98**2)
 
 
 def test_restart_halvings_sequence():
-    lrs = [lr_for_epoch(LrPolicy(restart_halvings=k), 0) for k in range(3)]
+    lrs = [TrainConfig().learning_rate(k, 0) for k in range(3)]
     assert lrs == pytest.approx([0.001, 0.0005, 0.00025])
 
 
 def test_lr_non_increasing_and_halves_exactly():
-    policy = LrPolicy()
-    values = [lr_for_epoch(policy, e) for e in range(40)]
+    config = TrainConfig()
+    values = [config.learning_rate(0, e) for e in range(40)]
     assert all(a >= b for a, b in zip(values, values[1:]))
-    halved = policy.halved()
     for e in range(40):
-        assert lr_for_epoch(halved, e) == pytest.approx(lr_for_epoch(policy, e) / 2.0)
-
-
-def test_lr_rejects_negative_epoch():
-    with pytest.raises(ConfigError):
-        lr_for_epoch(LrPolicy(), -1)
+        assert config.learning_rate(1, e) == config.learning_rate(0, e) / 2.0
 
 
 def test_paramset_rejects_duplicates_and_checksums():

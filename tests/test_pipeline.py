@@ -1,4 +1,5 @@
 import importlib
+import re
 import wave
 from dataclasses import replace
 from pathlib import Path
@@ -8,52 +9,22 @@ import pytest
 
 from tastas import objectives as obj
 from tastas.audio import Waveform, wav_read, wav_write
-from tastas.errors import ConfigError, DataError
+from tastas.errors import CheckpointError, ConfigError, DataError
 from tastas.idnet import IdNetConfig
 from tastas.pipeline import (
-    CONTINUE,
-    RESTART,
-    STOP,
     SepTrainer,
     TrainConfig,
     load_sep_checkpoint,
     load_train_config,
     read_manifest,
-    restart_decision,
     run_phase,
     synth_mixture_corpus,
     write_manifest,
 )
 from tastas.pipeline.data import load_examples
 from tastas.pipeline.evaluate import evaluate
-from tastas.pipeline.train import EpochReport, read_report
+from tastas.pipeline.train import EpochReport, read_report, save_sep_checkpoint
 from tastas.sepnet import ModelConfig, parse_preset
-
-
-# -- restart controller -----------------------------------------------------------
-
-
-def _streak(dev_losses):
-    best = min(dev_losses)
-    streak = 0
-    for loss in reversed(dev_losses):
-        if loss > best:
-            streak += 1
-        else:
-            break
-    return streak
-
-
-def test_controller_continues_while_improving():
-    assert restart_decision(_streak([5.0, 4.0, 3.0]), patience=2, restarts_done=0, max_restarts=3) == CONTINUE
-
-
-def test_controller_restarts_after_patience():
-    assert restart_decision(_streak([3.0, 3.5, 3.6]), patience=2, restarts_done=0, max_restarts=3) == RESTART
-
-
-def test_controller_stops_after_budget():
-    assert restart_decision(2, patience=2, restarts_done=3, max_restarts=3) == STOP
 
 
 # -- config files ------------------------------------------------------------------
@@ -392,6 +363,86 @@ def test_restarts_halve_the_lr_and_survive_a_resume(tiny_corpus, tmp_path):
     ]
 
 
+def _scripted_run(tiny_corpus, out_dir, monkeypatch, dev_losses, **kw):
+    """Runs SepTrainer with the given dev losses; returns (reloads, report rows).
+
+    Each reload is (epoch it happened after, epoch of best.ckpt, whether the
+    weights now equal best.ckpt's).
+    """
+    losses = iter(dev_losses)
+    monkeypatch.setattr(SepTrainer, "_dev_metrics", lambda self: (next(losses), 0.0))
+    reloads = []
+    reload_best = SepTrainer._reload_best
+
+    def checked_reload(self):
+        reload_best(self)
+        best, _, extras = load_sep_checkpoint(self.out_dir / "best.ckpt")
+        reloads.append((self.epoch, extras["epoch"], self.model.params.checksum() == best.params.checksum()))
+
+    monkeypatch.setattr(SepTrainer, "_reload_best", checked_reload)
+    _, rows = run_phase(_tiny_train_config(tiny_corpus, out_dir, **kw))
+    return reloads, [(r.epoch, r.lr, r.restarts) for r in rows]
+
+
+def test_controller_continues_while_improving(tiny_corpus, tmp_path, monkeypatch):
+    reloads, rows = _scripted_run(
+        tiny_corpus, tmp_path / "improving", monkeypatch, [3.0, 2.0, 1.5, 1.0], epochs_max=4, patience=1, max_restarts=1
+    )
+    assert reloads == []
+    assert rows == [(1, 0.001, 0), (2, 0.001, 0), (3, 0.00098, 0), (4, 0.00098, 0)]
+
+
+def test_controller_restarts_after_patience(tiny_corpus, tmp_path, monkeypatch):
+    # two improve, then two worse ones trigger the restart
+    reloads, rows = _scripted_run(
+        tiny_corpus, tmp_path / "restart", monkeypatch, [3.0, 2.0, 2.5, 2.6, 1.0], epochs_max=5, patience=2, max_restarts=1
+    )
+    assert reloads == [(4, 2, True)]  # after epoch 4, the weights of epoch 2
+    assert rows == [(1, 0.001, 0), (2, 0.001, 0), (3, 0.00098, 0), (4, 0.00098, 0), (5, 0.0005, 1)]
+
+
+def test_controller_stops_after_budget(tiny_corpus, tmp_path, monkeypatch):
+    # the restart after epoch 4 spends max_restarts; two more worse epochs stop the run well before epochs_max
+    reloads, rows = _scripted_run(
+        tiny_corpus,
+        tmp_path / "stop",
+        monkeypatch,
+        [3.0, 2.0, 2.5, 2.6, 2.4, 2.2],
+        epochs_max=10,
+        patience=2,
+        max_restarts=1,
+    )
+    assert reloads == [(4, 2, True)]
+    assert rows == [(1, 0.001, 0), (2, 0.001, 0), (3, 0.00098, 0), (4, 0.00098, 0), (5, 0.0005, 1), (6, 0.0005, 1)]
+
+
+def test_resume_rejects_a_negative_counter(tiny_corpus, tmp_path):
+    config = _tiny_train_config(tiny_corpus, tmp_path / "run", epochs_max=1)
+    last, _ = run_phase(config)
+    model, adam, extras = load_sep_checkpoint(last)
+    for key in ("epoch", "epoch_in_restart", "restart_halvings", "worse_streak"):
+        bad = tmp_path / f"{key}.ckpt"
+        save_sep_checkpoint(bad, model, adam, {**extras, key: -1})
+        with pytest.raises(CheckpointError, match=re.escape(f"{bad}: {key} must be >= 0, got -1")):
+            SepTrainer(config, resume_from=str(bad))
+
+
+def test_resume_rejects_a_checkpoint_of_the_other_phase(tiny_corpus, tmp_path):
+    from tastas.idnet import IdNet, save_idnet
+
+    idnet_ckpt = tmp_path / "idnet.ckpt"
+    save_idnet(idnet_ckpt, IdNet.initialize(IdNetConfig(num_speakers=4, embedding_dim=16), seed=0).freeze())
+    sep_ckpt, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "sep", epochs_max=1))
+    finetune = _tiny_train_config(
+        tiny_corpus, tmp_path / "ft", phase="finetune", epochs_max=1, sep_ckpt=str(sep_ckpt), idnet_ckpt=str(idnet_ckpt)
+    )
+    with pytest.raises(CheckpointError, match=re.escape(f"{sep_ckpt}: a sep checkpoint cannot resume finetune")):
+        SepTrainer(finetune, resume_from=str(sep_ckpt))
+    ft_ckpt, _ = run_phase(finetune)
+    with pytest.raises(CheckpointError, match=re.escape(f"{ft_ckpt}: a finetune checkpoint cannot resume sep")):
+        SepTrainer(_tiny_train_config(tiny_corpus, tmp_path / "sep2", epochs_max=2), resume_from=str(ft_ckpt))
+
+
 def test_resumed_run_keeps_earlier_report_rows(tiny_corpus, tmp_path):
     out = tmp_path / "resumed_in_place"
     _, first_rows = run_phase(_tiny_train_config(tiny_corpus, out, epochs_max=2))
@@ -456,11 +507,35 @@ def test_finetune_reports_the_identity_term(tiny_corpus, tmp_path):
     assert read_report(tmp_path / "ft" / "train_report.tsv")[0].id_loss > 0.0
 
 
+def test_speaker_network_at_another_sample_rate_is_a_data_error(tiny_corpus, tmp_path, monkeypatch):
+    from tastas.idnet import IdNet, save_idnet
+    from tastas.sepnet import TasTasModel
+
+    net = IdNet.initialize(IdNetConfig(num_speakers=4, embedding_dim=16, sample_rate_hz=16000), seed=0).freeze()
+    idnet_ckpt = tmp_path / "idnet16k.ckpt"
+    save_idnet(idnet_ckpt, net)
+    sep_ckpt, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "sep", epochs_max=1))
+    config = _tiny_train_config(
+        tiny_corpus, tmp_path / "ft", phase="finetune", epochs_max=1, sep_ckpt=str(sep_ckpt), idnet_ckpt=str(idnet_ckpt)
+    )
+    embedded = []
+    monkeypatch.setattr(SepTrainer, "_embed_targets", lambda self, examples: embedded.append(examples))
+    # the corpus is at 8 kHz: fine-tuning fails before it embeds any target
+    with pytest.raises(DataError, match="is at 8000 Hz, the speaker network at 16000 Hz"):
+        SepTrainer(config)
+    assert embedded == []
+    # eval scores the separator's rows but turns the identity term into an error row
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=8, hidden_size=8, chunk_len=10), seed=0)
+    summary = evaluate(model, read_manifest(tiny_corpus / "test.tsv"), include_irm=False, idnet=net)
+    assert all("at 8000 Hz, the speaker network at 16000 Hz" in r.error for r in summary.results)
+
+
 def test_trainer_loss_matches_objectives_module(tiny_corpus, tmp_path):
     config = _tiny_train_config(tiny_corpus, tmp_path / "consistency", epochs_max=1)
     trainer = SepTrainer(config)
     example = trainer.train_set[0]
-    outs, loss, breakdown, _ = trainer._example_loss(example)
+    loss, _, _ = trainer._example_loss(example)
+    outs = trainer.model.forward(example.mixture)
     stage_values = [[np.asarray(t.data, dtype=np.float64) for t in stage] for stage in outs]
     reference = np.mean([obj.pit_loss(example.targets, stage)[0] for stage in stage_values])
     assert float(loss.data) == pytest.approx(reference, abs=1e-5)
