@@ -405,7 +405,8 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # h(t) = o(t) * tanh(c(t)), of both directions, with the same float32
 # operations the forward ran, so both come back bit for bit; then the
 # projection output, with the forward's own matrix product on those hidden
-# states; then the norm backward, and last the BPTT loops. The kernel reads its
+# states; then the norm backward and the projection's weight grad, and last the
+# BPTT loops, one direction at a time. The kernel reads its
 # input as (D, T, B): the chunks (F, K, C) themselves for the intra-chunk
 # recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
 # right-to-left pass is the same kernel run on the time-flipped input.
@@ -521,6 +522,7 @@ def _lstm_grad(x: np.ndarray, gates: np.ndarray, states: tuple, w_ih: np.ndarray
         np.multiply(dc, f, out=dc_carry)
     # one (4H, T*B) copy turns the weight grads and dx into single matrix products
     dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
+    del dzs, sig, cand, dz  # the step grads and their views: the copy is all the tail reads
     h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)  # h(t-1), (H, (T-1)*B)
     dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
     dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
@@ -601,6 +603,8 @@ def bilstm_layer(
     if out.requires_grad:
 
         def backward():
+            # each array is dropped once spent (see the graph lifetime notes in tensor.py)
+            nonlocal gates_f, gates_b
             g = out.grad
             states_f, states_b = _lstm_states(gates_f), _lstm_states(gates_b)
             h = _join_directions(states_f[2], states_b[2])
@@ -608,19 +612,25 @@ def bilstm_layer(
             if chunks.requires_grad:
                 chunks._accum_grad(g)  # the residual
             g_y = _normalize_backward(g, y, mu, inv_std, gain, bias, norm_axes)
+            del y
             g_y = np.ascontiguousarray(_as_fbt(g_y, axis)).reshape(features, batch * steps)
+            if proj.requires_grad:
+                proj._accum_grad(g_y @ h)
+            del h
             g_h = (proj.data.T @ g_y).reshape(2 * hidden, batch, steps)
+            del g_y
             g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
+            del g_h
             x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
             dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, gates_f, states_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            gates_f = states_f = None
             dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
                 x_dtb[:, ::-1], gates_b, states_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
             )
+            gates_b = states_b = None
             if chunks.requires_grad:
                 dx_f += dx_b[:, ::-1]
                 chunks._accum_grad(_as_dtb(dx_f, axis))
-            if proj.requires_grad:
-                proj._accum_grad(g_y @ h)
             for tensor, grad in (
                 (w_ih_f, dwi_f),
                 (w_hh_f, dwh_f),

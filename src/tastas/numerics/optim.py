@@ -3,7 +3,7 @@ the caller passes the learning rate of each step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,34 +102,44 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> tuple[ParamSet, AdamState]:
-    """One bias-corrected Adam update. Pure: returns fresh params and state."""
+    """One bias-corrected Adam update, in place: each parameter's array and
+    both of its moments are overwritten, and the same params and state are
+    returned. Every gradient is checked first (present, of its parameter's
+    shape, finite), so a rejected step changes nothing."""
     if lr <= 0:
         raise ConfigError(f"adam_step: lr must be positive, got {lr}")
-    for name in params.names():
+    for name, tensor in params.items():
         if name not in grads:
             raise ConfigError(f"adam_step: missing gradient for '{name}'")
+        if grads[name].shape != tensor.shape:
+            raise ConfigError(
+                f"adam_step: gradient shape {grads[name].shape} != param shape {tensor.shape} for '{name}'"
+            )
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradientError(name)
-    step = state.step + 1
+    state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    bias1 = 1.0 - b1**step
-    bias2 = 1.0 - b2**step
-    new_params: dict[str, Tensor] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
+    bias1 = 1.0 - b1**state.step
+    bias2 = 1.0 - b2**state.step
     for name, tensor in params.items():
         g = grads[name].astype(tensor.dtype, copy=False)
-        if g.shape != tensor.shape:
-            raise ConfigError(f"adam_step: gradient shape {g.shape} != param shape {tensor.shape} for '{name}'")
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        update = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_params[name] = Tensor(update.astype(tensor.dtype, copy=False))
-        new_m[name] = m
-        new_v[name] = v
-    return ParamSet(new_params), replace(state, step=step, m=new_m, v=new_v)
+        m, v = state.m[name], state.v[name]
+        # m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g^2, rounded as written
+        m *= b1
+        m += (1.0 - b1) * g
+        g2 = g * g
+        g2 *= 1.0 - b2
+        v *= b2
+        v += g2
+        # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        update = np.divide(m, bias1)
+        update *= lr
+        denom = np.divide(v, bias2, out=g2)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        update /= denom
+        tensor.data -= update
+    return params, state
 
 
 # the global-norm gradient clip of every training phase

@@ -17,7 +17,12 @@ values from its input; ``bilstm_layer``, a whole half of a dual-path
 block (BiLSTM, output projection, layer norm and residual), saves only its
 activated gates and the norm's per-slice mean and inverse std, and
 re-forms the cell states c(t), the hidden states h(t) and the projection
-output from them; ``conv2d`` saves its
+output from them. That backward drops each array once it is spent: the
+projection output, its grad and the joined hidden states go once the
+projection's weight grad is taken, and each direction's gates and re-formed
+states once its BPTT returns, so at its fullest it holds both directions'
+re-formed states, the hidden-state grads and one direction's step grads
+with their flat copy, beside the gates; ``conv2d`` saves its
 im2col matrix only when the weight requires grad, so a conv through a
 frozen weight keeps neither that matrix nor the padded input;
 ``max_pool2d`` saves nothing and finds each window's winner again from

@@ -91,27 +91,30 @@ class TrainPass:
 def train_pass(owner, lr: float, order, batch_size: int, example_loss) -> TrainPass:
     """One pass over the examples `order` names, in minibatches of `batch_size`.
 
-    Per minibatch: zero the gradients of `owner.model.params`, backpropagate
-    each example's scalar loss `example_loss(i)` with seed 1/len(batch), clip
-    the global norm at GRAD_CLIP and take one Adam step at `lr`. `owner` is a
-    SepTrainer or any object with its `model` and `adam` attributes. Each
-    step replaces `owner.model.params` and `owner.adam` on the owner itself,
-    so no caller's reference keeps an earlier Adam state (two moments per
-    parameter) alive beside the current one.
+    Per minibatch: backpropagate each example's scalar loss
+    `example_loss(i)` with seed 1/len(batch) into the gradients of
+    `owner.model.params`, clip their global norm at GRAD_CLIP and take one Adam
+    step at `lr`, which updates `owner.model.params` and `owner.adam` in place.
+    `owner` is a SepTrainer or any object with its `model` and `adam`
+    attributes. The step's gradients are dropped as soon as it has taken
+    them, so none is alive while the next minibatch's losses are computed.
     """
     start = time.perf_counter()
     losses, grad_norms = [], []
+    params = owner.model.params
+    params.zero_grads()
     for first in range(0, len(order), batch_size):
         batch = order[first : first + batch_size]
-        owner.model.params.zero_grads()
         scale = 1.0 / len(batch)
         for i in batch:
             loss = example_loss(i)
             losses.append(float(loss.data))
             loss.backward(seed=np.asarray(scale, dtype=loss.dtype))
-        grads, norm = clip_global_norm(owner.model.params.grads(), GRAD_CLIP)
+        grads, norm = clip_global_norm(params.grads(), GRAD_CLIP)
         grad_norms.append(norm)
-        owner.model.params, owner.adam = adam_step(owner.model.params, grads, owner.adam, lr)
+        adam_step(params, grads, owner.adam, lr)
+        del grads
+        params.zero_grads()
     return TrainPass(start, time.perf_counter() - start, losses, grad_norms)
 
 
@@ -284,6 +287,8 @@ class SepTrainer:
             self.best_dev_loss = float(extras["best_dev_loss"])
             self.worse_streak = int(extras["worse_streak"])
             self.rng = _rng_from_json(extras["rng_state"])
+            if np.isfinite(self.best_dev_loss):
+                self._carry_best_checkpoint(resume_from)
         else:
             if config.phase == "finetune":
                 self.model, self.adam, _ = load_sep_checkpoint(config.sep_ckpt)
@@ -362,6 +367,27 @@ class SepTrainer:
         path = self.out_dir / name
         save_sep_checkpoint(path, self.model, self.adam, self._extras())
         return path
+
+    def _carry_best_checkpoint(self, resume_from: str) -> None:
+        """A restart reloads out_dir/best.ckpt, so a resume that carries a best
+        dev loss over needs that file, saved at that loss, before any epoch
+        runs. A resume into another directory brings it over from beside the
+        resumed checkpoint."""
+        path = self.out_dir / "best.ckpt"
+        source = path if path.exists() else Path(resume_from).with_name("best.ckpt")
+        if not source.exists():
+            raise CheckpointError(
+                f"{path}: missing, and no {source.name} beside {resume_from}, "
+                f"which carries best_dev_loss {self.best_dev_loss} over"
+            )
+        model, adam, extras = load_sep_checkpoint(source)
+        if extras.get("best_dev_loss") != self.best_dev_loss:
+            raise CheckpointError(
+                f"{source}: records best_dev_loss {extras.get('best_dev_loss')}, "
+                f"but {resume_from} carries {self.best_dev_loss}"
+            )
+        if source != path:
+            save_sep_checkpoint(path, model, adam, extras)
 
     def _reload_best(self) -> None:
         self.model, self.adam, extras = load_sep_checkpoint(self.out_dir / "best.ckpt")

@@ -361,6 +361,39 @@ def test_bilstm_graph_keeps_gates_only():
         assert held <= 1.05 * expected, f"axis {axis}: {held} bytes held, {held / expected:.3f}x the gates and output"
 
 
+def test_bilstm_backward_peak_holds_one_directions_step_grads():
+    # At its fullest a backward holds, in N = T*B columns: the output grad and
+    # the residual's copy of it (F each), an (F, T, B) copy of the chunks when
+    # the recurrence runs across them, the re-formed c(t), tanh c(t) and h(t)
+    # of both directions (6H), the hidden-state grads (2H), and one direction's
+    # step grads with their flat copy (8H); beside them the weight-sized
+    # w_hh^T (4H x H) and projection grad (F x 2H). The joined hidden states,
+    # the projection output and its grad are gone by then, and so are a spent
+    # direction's gates and states. The gates themselves are held since the
+    # forward, so they are not part of the peak.
+    features, steps, batch, hidden = 16, 16, 8, 16
+    columns = steps * batch
+    for axis in (1, 2):
+        arrays, g_out = _half_case(np.random.default_rng(0), _chunk_shape(axis, features, batch, steps), hidden)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        out = ops.bilstm_layer(tensors[0], axis, *tensors[1:])
+        chunk_copy = features if axis == 2 else 0
+        floats = (2 * features + chunk_copy + 16 * hidden) * columns + 4 * hidden * hidden + 2 * hidden * features
+        expected = floats * g_out.itemsize
+        # numpy's ufunc iterator buffers (np.getbufsize() elements per operand,
+        # 64 KiB by default) would outweigh these arrays at this small shape
+        bufsize = np.setbufsize(128)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out.backward(seed=g_out)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            np.setbufsize(bufsize)
+        assert peak <= 1.1 * expected, f"axis {axis}: peak {peak} bytes, {peak / expected:.3f}x the arrays it needs"
+
+
 def _assert_bytes_equal(out, grads, ref_out, ref_grads):
     assert out.dtype == np.float32 and out.tobytes() == np.ascontiguousarray(ref_out).tobytes()
     for grad, ref in zip(grads, ref_grads, strict=True):

@@ -60,6 +60,65 @@ def test_adam_rejects_bad_lr_and_shapes():
         adam_step(params, {}, state, lr=0.1)
 
 
+def _functional_adam(values, m, v, grads, step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as a pure function of fresh arrays: the float operations, in the
+    order, that the in-place step must round exactly as."""
+    bias1 = 1.0 - b1**step
+    bias2 = 1.0 - b2**step
+    out_values, out_m, out_v = {}, {}, {}
+    for name, x in values.items():
+        g = grads[name].astype(x.dtype, copy=False)
+        out_m[name] = b1 * m[name] + (1.0 - b1) * g
+        out_v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat = out_m[name] / bias1
+        v_hat = out_v[name] / bias2
+        out_values[name] = (x - lr * m_hat / (np.sqrt(v_hat) + eps)).astype(x.dtype, copy=False)
+    return out_values, out_m, out_v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_in_place_adam_equals_the_functional_update_bit_for_bit(dtype):
+    rng = np.random.default_rng(7)
+    shapes = {"w": (3, 4), "b": (5,)}
+    params = ParamSet({name: Tensor(rng.standard_normal(shape).astype(dtype)) for name, shape in shapes.items()})
+    state = AdamState.for_params(params)
+    values = {name: t.data.copy() for name, t in params.items()}
+    m = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape, dtype=dtype) for name, shape in shapes.items()}
+    for step, lr in enumerate((0.01, 0.003, 0.001), start=1):
+        grads = {name: rng.standard_normal(shape).astype(dtype) for name, shape in shapes.items()}
+        values, m, v = _functional_adam(values, m, v, grads, step, lr)
+        returned = adam_step(params, grads, state, lr)
+        assert returned[0] is params and returned[1] is state
+        assert state.step == step
+        for name in shapes:
+            for got, want in ((params[name].data, values[name]), (state.m[name], m[name]), (state.v[name], v[name])):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def _adam_arrays(params, state):
+    return {n: t.data for n, t in params.items()}, state.m, state.v
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [(np.array([1.0, np.nan]), NonFiniteGradientError), (np.zeros(3), ConfigError)],
+    ids=["nan", "mis-shaped"],
+)
+def test_rejected_adam_step_changes_nothing(bad, error):
+    # the bad gradient is the last-named parameter's, so every other one would have been updated first
+    params = _params({"a": [1.0, -2.0], "b": [0.5], "c": [0.25, 3.0]})
+    state = AdamState.for_params(params)
+    adam_step(params, {"a": np.array([0.1, 0.2]), "b": np.array([-0.3]), "c": np.array([0.4, 0.5])}, state, lr=0.01)
+    before = [{n: a.copy() for n, a in arrays.items()} for arrays in _adam_arrays(params, state)]
+    with pytest.raises(error):
+        adam_step(params, {"a": np.array([1.0, 1.0]), "b": np.array([1.0]), "c": bad}, state, lr=0.01)
+    assert state.step == 1
+    for kept, now in zip(before, _adam_arrays(params, state)):
+        assert all(np.array_equal(kept[n], now[n]) for n in ("a", "b", "c"))
+
+
 def test_clip_global_norm():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
     clipped, norm = clip_global_norm(grads, 5.0)

@@ -1,8 +1,10 @@
 import importlib
 import re
 import wave
+import weakref
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from tastas import objectives as obj
 from tastas.audio import Waveform, wav_read, wav_write
 from tastas.errors import CheckpointError, ConfigError, DataError
 from tastas.idnet import IdNetConfig
+from tastas.numerics import ops
+from tastas.numerics.optim import GRAD_CLIP, AdamState, ParamSet
+from tastas.numerics.tensor import Tensor
 from tastas.pipeline import (
     SepTrainer,
     TrainConfig,
@@ -23,7 +28,7 @@ from tastas.pipeline import (
 )
 from tastas.pipeline.data import load_examples
 from tastas.pipeline.evaluate import evaluate
-from tastas.pipeline.train import EpochReport, read_report, save_sep_checkpoint
+from tastas.pipeline.train import EpochReport, read_report, save_sep_checkpoint, train_pass
 from tastas.sepnet import ModelConfig, parse_preset
 
 
@@ -441,6 +446,61 @@ def test_resume_rejects_a_checkpoint_of_the_other_phase(tiny_corpus, tmp_path):
     ft_ckpt, _ = run_phase(finetune)
     with pytest.raises(CheckpointError, match=re.escape(f"{ft_ckpt}: a finetune checkpoint cannot resume sep")):
         SepTrainer(_tiny_train_config(tiny_corpus, tmp_path / "sep2", epochs_max=2), resume_from=str(ft_ckpt))
+
+
+def test_resume_into_another_directory_brings_best_ckpt_or_fails_before_training(tiny_corpus, tmp_path):
+    # a restart reloads out_dir/best.ckpt, so it must hold the best dev loss the resume carries over
+    old, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "old", epochs_max=1))
+    carried = load_sep_checkpoint(old)[2]["best_dev_loss"]
+    assert np.isfinite(carried)
+
+    SepTrainer(_tiny_train_config(tiny_corpus, tmp_path / "new", epochs_max=3), resume_from=str(old))
+    brought, _, extras = load_sep_checkpoint(tmp_path / "new" / "best.ckpt")
+    assert extras["best_dev_loss"] == carried
+    assert brought.params.checksum() == load_sep_checkpoint(tmp_path / "old" / "best.ckpt")[0].params.checksum()
+
+    # a stale best.ckpt in the new directory is neither reloaded nor replaced
+    model, adam, extras = load_sep_checkpoint(old)
+    stale = tmp_path / "stale" / "best.ckpt"
+    save_sep_checkpoint(stale, model, adam, {**extras, "best_dev_loss": carried + 1.0})
+    with pytest.raises(CheckpointError, match=re.escape(f"{stale}: records best_dev_loss {carried + 1.0}")):
+        SepTrainer(_tiny_train_config(tiny_corpus, stale.parent, epochs_max=3), resume_from=str(old))
+    assert load_sep_checkpoint(stale)[2]["best_dev_loss"] == carried + 1.0
+
+    # no best.ckpt in either directory
+    alone = tmp_path / "alone" / "last.ckpt"
+    alone.parent.mkdir()
+    alone.write_bytes(old.read_bytes())
+    fresh = tmp_path / "fresh"
+    with pytest.raises(CheckpointError, match=re.escape(f"{fresh / 'best.ckpt'}: missing")):
+        SepTrainer(_tiny_train_config(tiny_corpus, fresh, epochs_max=3), resume_from=str(alone))
+
+
+def test_train_pass_keeps_no_gradient_of_the_previous_step(monkeypatch):
+    from tastas.pipeline import train
+
+    params = ParamSet({"w": Tensor(np.ones(3)), "b": Tensor(np.zeros(1))})
+    owner = SimpleNamespace(model=SimpleNamespace(params=params), adam=AdamState.for_params(params))
+    taken = []  # weakrefs to every gradient array an Adam step was given
+    real_step = train.adam_step
+
+    def recording_step(step_params, grads, state, lr):
+        taken.extend(weakref.ref(g) for g in grads.values())
+        return real_step(step_params, grads, state, lr)
+
+    monkeypatch.setattr(train, "adam_step", recording_step)
+    alive = []
+
+    def example_loss(i):
+        alive.append(sum(ref() is not None for ref in taken))
+        # the gradient norm is about 3.5 * (i + 1): example 0's step is not clipped, example 1's is
+        w, b = owner.model.params["w"], owner.model.params["b"]
+        return ops.add(ops.tsum(ops.mul(ops.mul(w, w), ops.const(float(i + 1)))), ops.tsum(b))
+
+    done = train_pass(owner, 0.01, [0, 1, 0, 1], 1, example_loss)
+    assert [n > GRAD_CLIP for n in done.grad_norms] == [False, True, False, True]
+    assert len(taken) == 8
+    assert alive == [0, 0, 0, 0]
 
 
 def test_resumed_run_keeps_earlier_report_rows(tiny_corpus, tmp_path):
