@@ -111,9 +111,7 @@ class IdNet:
         x = ops.log(ops.add(magnitude, ops.const(1.0, dtype=segment.dtype)))
         x = ops.reshape(x, (1, *x.shape))
         for i in range(len(self.config.conv_channels)):
-            x = ops.conv2d(x, self.params[f"conv{i}.weight"], padding=1)
-            x = ops.prelu(x, self.params[f"conv{i}.prelu"])
-            x = ops.max_pool2d(x, 2)
+            x = ops.conv_block(x, self.params[f"conv{i}.weight"], self.params[f"conv{i}.prelu"])
         pooled = ops.tmean(x, axis=(1, 2))  # (C,)
         embedding = ops.add(ops.linear(self.params["embed.weight"], pooled), self.params["embed.bias"])
         logits = ops.add(ops.linear(self.params["head.weight"], embedding), self.params["head.bias"])

@@ -195,26 +195,40 @@ def _build_conv1d(rng):
     return [x, w], lambda ts: ops.conv1d(ts[0], ts[1], stride=2)
 
 
-def _build_conv2d(rng):
-    x = _u(rng, 2, 5, 6)
-    w = _u(rng, 3, 2, 3, 3)
-    return [x, w], lambda ts: ops.conv2d(ts[0], ts[1], padding=1)
+def _conv_block_case(rng):
+    """x (2, 5, 6), weight (3, 2, 3, 3) and slope (1,) whose pooled conv
+    outputs all lie at least 0.01 from PReLU's kink at 0 and whose pool
+    windows all lead by at least 0.01, so no +-step perturbation crosses
+    the kink or flips a window's winner; drawn again until both hold."""
+    while True:
+        x, w = _u(rng, 2, 5, 6), _u(rng, 3, 2, 3, 3)
+        slope = rng.uniform(0.1, 0.5, size=(1,))
+        windows = _conv_windows(x.data, w.data)
+        act = np.sort(np.where(windows > 0, windows, slope * windows), axis=-1)
+        if np.min(np.abs(windows)) >= 0.01 and np.min(act[..., -1] - act[..., -2]) >= 0.01:
+            return x, w, Tensor(slope)
 
 
-def _build_conv2d_frozen_weight(rng):
-    # the weight is a constant, as in the frozen speaker network: only the
-    # input-gradient branch runs, and the node keeps no im2col
-    x = _u(rng, 2, 5, 6)
-    w = _u(rng, 3, 2, 3, 3)
-    return [x], lambda ts: ops.conv2d(ts[0], w, padding=1)
+def _conv_windows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The 2x2 pool windows (C_out, H//2, W//2, 4) of the padded convolution of x by w."""
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    conv = np.tensordot(w, windows, axes=([1, 2, 3], [0, 3, 4]))
+    h, wd = conv.shape[1] // 2, conv.shape[2] // 2
+    return conv[:, : 2 * h, : 2 * wd].reshape(c_out, h, 2, wd, 2).transpose(0, 1, 3, 2, 4).reshape(c_out, h, wd, 4)
 
 
-def _build_max_pool2d(rng):
-    # distinct values 2/59 apart (plus jitter under a third of that), so no
-    # +-step perturbation can flip the argmax of a pooling window
-    grid = np.linspace(-1.0, 1.0, 60) + rng.uniform(0.0, 0.01, size=60)
-    x = Tensor(rng.permutation(grid).reshape(2, 5, 6))
-    return [x], lambda ts: ops.max_pool2d(ts[0], 2)
+def _build_conv_block(rng):
+    x, w, slope = _conv_block_case(rng)
+    return [x, w, slope], lambda ts: ops.conv_block(ts[0], ts[1], ts[2])
+
+
+def _build_conv_block_frozen(rng):
+    # the weight and slope are constants, as in the frozen speaker network:
+    # only the input-gradient branch runs, and the node keeps no im2col
+    x, w, slope = _conv_block_case(rng)
+    return [x], lambda ts: ops.conv_block(ts[0], w, slope)
 
 
 def _build_bilstm_layer(rng):
@@ -318,9 +332,8 @@ BUILDERS: dict[str, Builder] = {
     "prelu": _build_prelu,
     "linear": _build_linear,
     "conv1d": _build_conv1d,
-    "conv2d": _build_conv2d,
-    "conv2d_frozen_weight": _build_conv2d_frozen_weight,
-    "max_pool2d": _build_max_pool2d,
+    "conv_block": _build_conv_block,
+    "conv_block_frozen": _build_conv_block_frozen,
     "bilstm_layer": _build_bilstm_layer,
     "layer_norm": _build_layer_norm,
     "softmax": _build_softmax,

@@ -189,17 +189,31 @@ def sqrt(x: Tensor) -> Tensor:
     return out
 
 
+def _prelu(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max(0, x) + slope * min(0, x), and where x is positive."""
+    positive = x > 0
+    return np.where(positive, x, slope * x), positive
+
+
+def _prelu_input_grad(g: np.ndarray, positive: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    return np.where(positive, g, slope * g)
+
+
+def _prelu_slope_grad(g: np.ndarray, positive: np.ndarray, x: np.ndarray, slope_shape) -> np.ndarray:
+    return _unbroadcast(np.where(positive, 0.0, x) * g, slope_shape)
+
+
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     """max(0, x) + slope * min(0, x); slope broadcasts over x."""
-    positive = x.data > 0
-    out = Tensor._from_op(np.where(positive, x.data, slope.data * x.data), (x, slope))
+    out_data, positive = _prelu(x.data, slope.data)
+    out = Tensor._from_op(out_data, (x, slope))
     if out.requires_grad:
 
         def backward():
             if x.requires_grad:
-                x._accum_grad(np.where(positive, out.grad, slope.data * out.grad))
+                x._accum_grad(_prelu_input_grad(out.grad, positive, slope.data))
             if slope.requires_grad:
-                slope._accum_grad(_unbroadcast(np.where(positive, 0.0, x.data) * out.grad, slope.shape))
+                slope._accum_grad(_prelu_slope_grad(out.grad, positive, x.data, slope.shape))
 
         out._backward = backward
     return out
@@ -267,113 +281,141 @@ def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
     return out
 
 
-def conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
-    """2-D convolution, stride 1. x is (C_in, H, W), weight is (C_out, C_in, kh, kw).
-
-    One im2col matrix (C_in*kh*kw, out_h*out_w) is built from kh*kw slabs of
-    the zero-padded input, and every product is a plain 2-D matmul against it.
-    The node keeps that matrix only when the weight requires grad: the input
-    gradient needs the weight alone.
-    """
-    if x.ndim != 3 or weight.ndim != 4:
-        raise ConfigError(f"conv2d: expected (C,H,W) input and (O,C,kh,kw) weight, got {x.shape}, {weight.shape}")
+def _im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """The (C*kh*kw, out_h*out_w) im2col matrix of x (C, H, W) zero-padded
+    by one sample on each side, built from kh*kw slabs, and the padded shape."""
     c_in, height, width = x.shape
-    c_out, c_in_w, kh, kw = weight.shape
-    if c_in != c_in_w:
-        raise ConfigError(f"conv2d: input channels {c_in} != weight channels {c_in_w}")
-    out_h = height + 2 * padding - kh + 1
-    out_w = width + 2 * padding - kw + 1
-    if out_h < 1 or out_w < 1:
-        raise ConfigError(f"conv2d: input {x.shape} too small for kernel ({kh},{kw})")
-    padded_shape = (c_in, height + 2 * padding, width + 2 * padding)
+    out_h, out_w = height + 3 - kh, width + 3 - kw
+    padded_shape = (c_in, height + 2, width + 2)
     xp = np.zeros(padded_shape, dtype=x.dtype)
-    xp[:, padding : padding + height, padding : padding + width] = x.data
+    xp[:, 1 : 1 + height, 1 : 1 + width] = x
     cols = np.empty((c_in, kh, kw, out_h, out_w), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, i : i + out_h, j : j + out_w]
-    cols = cols.reshape(c_in * kh * kw, out_h * out_w)
-    w2 = weight.data.reshape(c_out, -1)
-    out = Tensor._from_op((w2 @ cols).reshape(c_out, out_h, out_w), (x, weight))
-    if out.requires_grad:
-        saved_cols = cols if weight.requires_grad else None
-
-        def backward():
-            g = out.grad.reshape(c_out, -1)
-            if weight.requires_grad:
-                weight._accum_grad((g @ saved_cols.T).reshape(weight.shape))
-            if x.requires_grad:
-                # Each slab is laid out on the padded rows, its entries past
-                # out_w zero, so that its add is one run along the flattened
-                # padded input, not out_h runs of out_w floats. The sums start
-                # at +0.0 and so never hold -0.0: adding those zeros changes
-                # no bit.
-                _, padded_h, padded_w = padded_shape
-                wide = np.zeros((c_in, kh * kw, out_h, padded_w), dtype=x.dtype)
-                wide[..., :out_w] = (w2.T @ g).reshape(c_in, kh * kw, out_h, out_w)
-                wide = wide.reshape(c_in, kh * kw, out_h * padded_w)
-                span = (out_h - 1) * padded_w + out_w
-                gxp = np.zeros((c_in, padded_h * padded_w), dtype=x.dtype)
-                for i in range(kh):
-                    for j in range(kw):
-                        start = i * padded_w + j
-                        gxp[:, start : start + span] += wide[:, i * kw + j, :span]
-                gxp = gxp.reshape(padded_shape)
-                x._accum_grad(gxp[:, padding : padding + height, padding : padding + width])
-
-        out._backward = backward
-    return out
+    return cols.reshape(c_in * kh * kw, out_h * out_w), padded_shape
 
 
-def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
-    """Non-overlapping max pooling; trailing rows/cols that do not fit are dropped.
+def _col2im(g_cols: np.ndarray, padded_shape: tuple[int, int, int], kh: int, kw: int) -> np.ndarray:
+    """Adjoint of _im2col: sum the (C*kh*kw, out_h*out_w) column grads back
+    into the grad of the unpadded input (C, H, W)."""
+    c_in, padded_h, padded_w = padded_shape
+    out_h, out_w = padded_h - kh + 1, padded_w - kw + 1
+    # Each slab is laid out on the padded rows, its entries past out_w zero,
+    # so that its add is one run along the flattened padded input, not out_h
+    # runs of out_w floats. The sums start at +0.0 and so never hold -0.0:
+    # adding those zeros changes no bit.
+    wide = np.zeros((c_in, kh * kw, out_h, padded_w), dtype=g_cols.dtype)
+    wide[..., :out_w] = g_cols.reshape(c_in, kh * kw, out_h, out_w)
+    wide = wide.reshape(c_in, kh * kw, out_h * padded_w)
+    span = (out_h - 1) * padded_w + out_w
+    gxp = np.zeros((c_in, padded_h * padded_w), dtype=g_cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            start = i * padded_w + j
+            gxp[:, start : start + span] += wide[:, i * kw + j, :span]
+    return gxp.reshape(padded_shape)[:, 1 : padded_h - 1, 1 : padded_w - 1]
 
-    The output is the running maximum of the size*size strided views of x, one
-    per window entry, in row-major window order. Backward gives each output's
-    gradient to the first window entry that equals the maximum.
+
+def _pool_entry(data: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
+    """Entry k, in row-major order, of every 2x2 window of data (C, H, W): a
+    strided (C, out_h, out_w) view."""
+    i, j = divmod(k, 2)
+    return data[:, i : 2 * out_h : 2, j : 2 * out_w : 2]
+
+
+def conv_block(x: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
+    """One speaker-network block as one node: max_pool(PReLU(conv(x, weight)), 2).
+
+    x is (C_in, H, W) and weight (C_out, C_in, kh, kw); the convolution has
+    stride 1 and one sample of zero padding on each side, PReLU's slope
+    broadcasts over its output, and the 2x2 max pooling drops a trailing
+    row or column that does not fit. The convolution is one matrix product
+    against an im2col matrix of the padded input. The pooled value is the
+    running maximum of the four window entries in row-major order, and each
+    window's winner, the first entry equal to its maximum, is recorded as it
+    goes, one uint8 per output. The node keeps its output, the winners and
+    the sign PReLU saw at each winner; only a trainable weight or slope adds
+    the im2col matrix and the convolution's output, whose grads need them.
     """
-    if x.ndim != 3:
-        raise ConfigError(f"max_pool2d: expected (C,H,W), got {x.shape}")
-    _, height, width = x.shape
-    out_h, out_w = height // size, width // size
+    if x.ndim != 3 or weight.ndim != 4:
+        raise ConfigError(f"conv_block: expected (C,H,W) input and (O,C,kh,kw) weight, got {x.shape}, {weight.shape}")
+    c_in, height, width = x.shape
+    c_out, c_in_w, kh, kw = weight.shape
+    if c_in != c_in_w:
+        raise ConfigError(f"conv_block: input channels {c_in} != weight channels {c_in_w}")
+    conv_h, conv_w = height + 3 - kh, width + 3 - kw
+    out_h, out_w = conv_h // 2, conv_w // 2
     if out_h < 1 or out_w < 1:
-        raise ConfigError(f"max_pool2d: input {x.shape} smaller than pool {size}")
-
-    def entry(data: np.ndarray, k: int) -> np.ndarray:
-        i, j = divmod(k, size)
-        return data[:, i : out_h * size : size, j : out_w * size : size]
-
-    out_data = entry(x.data, 0).copy()
-    for k in range(1, size * size):
+        raise ConfigError(f"conv_block: input {x.shape} too small for kernel ({kh},{kw}) and a 2x2 pool")
+    cols, padded_shape = _im2col(x.data, kh, kw)
+    w2 = weight.data.reshape(c_out, -1)
+    conv = (w2 @ cols).reshape(c_out, conv_h, conv_w)
+    act, positive = _prelu(conv, slope.data)
+    out_data = _pool_entry(act, 0, out_h, out_w).copy()
+    record = is_recording((x, weight, slope))
+    winner = np.zeros(out_data.shape, dtype=np.uint8)  # the index of each window's winning entry
+    won = np.empty(out_data.shape, dtype=bool)
+    for k in range(1, 4):
+        entry = _pool_entry(act, k, out_h, out_w)
+        if record:
+            # A later entry wins only if it is strictly greater, so the first
+            # maximum wins, and the last entry that won is the window's winner.
+            np.greater(entry, out_data, out=won)
+            np.maximum(winner, won.view(np.uint8) * np.uint8(k), out=winner)
         # np.maximum returns its second argument on a tie, so the running
-        # maximum keeps the earlier entry, as a first-max argmax does
-        np.maximum(entry(x.data, k), out_data, out=out_data)
-    out = Tensor._from_op(out_data, (x,))
+        # maximum keeps the earlier entry too
+        np.maximum(entry, out_data, out=out_data)
+    del act, won
+    winner_positive = np.zeros(out_data.shape, dtype=bool)  # the sign PReLU saw at each winner
+    if record:
+        for k in range(4):
+            winner_positive |= (winner == k) & _pool_entry(positive, k, out_h, out_w)
+    del positive
+    out = Tensor._from_op(out_data, (x, weight, slope))
     if out.requires_grad:
+        trainable = weight.requires_grad or slope.requires_grad
+        saved_cols, saved_conv = (cols, conv) if trainable else (None, None)
+        del cols, conv
 
         def backward():
-            # The gradient is routed as raw bits: g's bits ANDed with an
-            # all-ones mask where the entry won and an all-zeros one elsewhere
-            # give g or +0.0, several times faster than a masked copy into a
-            # strided view.
-            bits = np.dtype(f"u{x.data.itemsize}")
-            g_bits = out.grad.view(bits)
-            gx = np.zeros_like(x.data)
-            unplaced = None
-            for k in range(size * size):
-                hit = entry(x.data, k) == out_data
-                if unplaced is None:
-                    unplaced = ~hit
-                else:
-                    hit &= unplaced
-                    unplaced &= ~hit
-                mask = hit.astype(bits)
-                np.negative(mask, out=mask)  # 1 -> all ones
-                np.bitwise_and(g_bits, mask, out=entry(gx.view(bits), k))
-            x._accum_grad(gx)
+            g = out.grad
+            if trainable:
+                # the pool's grad in full, PReLU's as its own backward forms it
+                g_act = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
+                _route_to_winners(g, winner, g_act, out_h, out_w)
+                conv_positive = saved_conv > 0
+                if slope.requires_grad:
+                    slope._accum_grad(_prelu_slope_grad(g_act, conv_positive, saved_conv, slope.shape))
+                g_conv = _prelu_input_grad(g_act, conv_positive, slope.data)
+            else:
+                # PReLU's grad at the winners alone; every other entry is +0.0,
+                # where PReLU would give slope * +0.0 off its positive side,
+                # a zero of either sign that the input grad's sums turn into +0.0
+                g_conv = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
+                _route_to_winners(_prelu_input_grad(g, winner_positive, slope.data), winner, g_conv, out_h, out_w)
+            g_conv = g_conv.reshape(c_out, -1)
+            if weight.requires_grad:
+                weight._accum_grad((g_conv @ saved_cols.T).reshape(weight.shape))
+            if x.requires_grad:
+                x._accum_grad(_col2im(w2.T @ g_conv, padded_shape, kh, kw))
 
         out._backward = backward
     return out
+
+
+def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h: int, out_w: int) -> None:
+    """Write each window's grad g (C, out_h, out_w) to the entry of dest
+    (C, H, W), zeros beforehand, that won the window."""
+    # The gradient is routed as raw bits: g's bits ANDed with an all-ones
+    # mask where the entry won and an all-zeros one elsewhere give g or +0.0,
+    # several times faster than a masked copy into a strided view.
+    bits = np.dtype(f"u{g.itemsize}")
+    g_bits = g.view(bits)
+    for k in range(4):
+        mask = (winner == k).astype(bits)
+        np.negative(mask, out=mask)  # 1 -> all ones
+        np.bitwise_and(g_bits, mask, out=_pool_entry(dest.view(bits), k, out_h, out_w))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +448,10 @@ def max_pool2d(x: Tensor, size: int = 2) -> Tensor:
 # operations the forward ran, so both come back bit for bit; then the
 # projection output, with the forward's own matrix product on those hidden
 # states; then the norm backward and the projection's weight grad, and last the
-# BPTT loops, one direction at a time. The kernel reads its
+# BPTT loops, one direction at a time. Each direction's _lstm_grad takes its
+# gates and re-formed states over from the node and frees the gates, c(t) and
+# tanh c(t) once its loop has run, so the first direction's are gone before
+# its tail products and the second direction's BPTT. The kernel reads its
 # input as (D, T, B): the chunks (F, K, C) themselves for the intra-chunk
 # recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
 # right-to-left pass is the same kernel run on the time-flipped input.
@@ -477,21 +522,21 @@ def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return cs, tanh_cs, np.multiply(tanh_cs, gates[:, 2 * hidden : 3 * hidden])
 
 
-def _lstm_grad(x: np.ndarray, gates: np.ndarray, states: tuple, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
+def _lstm_grad(x: np.ndarray, run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
     """BPTT through one direction that _lstm_run ran over x (D, T, B).
 
-    gates is the run's cache (T, 4H, B), states what _lstm_states re-formed
-    from it and g_h the upstream grad of the hidden states (T, H, B). Returns
-    dx (D, T, B) and the grads of w_ih, w_hh and b in their stored gate order.
+    run is [gates, c, tanh c, h]: the run's cache (T, 4H, B) and the states
+    _lstm_states re-formed from it (each (T, H, B)). _lstm_grad empties the
+    list and so owns those arrays: it frees the gates, c(t) and tanh c(t)
+    once its BPTT loop has run. g_h is the upstream grad of the hidden
+    states (T, H, B). Returns dx (D, T, B) and the grads of w_ih, w_hh and b
+    in their stored gate order.
     """
+    gates, cs, tanh_cs, hs = run
+    run.clear()
     steps, _, batch = gates.shape
     hidden = w_hh.shape[1]
-    cs, tanh_cs, hs = states
     order = _gate_order(hidden)
-    w_hh_t = np.ascontiguousarray(w_hh[order].T)
-    zeros = np.zeros((hidden, batch), dtype=gates.dtype)
-    dh_carry, dc_carry = zeros.copy(), zeros.copy()
-    dh, dc = np.empty_like(zeros), np.empty_like(zeros)
     # the carry-free factors of the gate grads, over all steps at once:
     # s * (1 - s) for the sigmoid gates and i * (1 - g^2) for the cell candidate
     dzs = np.empty_like(gates)
@@ -501,10 +546,37 @@ def _lstm_grad(x: np.ndarray, gates: np.ndarray, states: tuple, w_ih: np.ndarray
     np.multiply(gates[:, 3 * hidden :], gates[:, 3 * hidden :], out=cand)
     np.subtract(1.0, cand, out=cand)
     cand *= gates[:, :hidden]
+    del sig, cand
+    _bptt(gates, cs, tanh_cs, np.ascontiguousarray(w_hh[order].T), g_h, dzs)
+    # the loop is the last reader of these; the step grads it wrote are all the tail needs
+    del gates, cs, tanh_cs
+    # one (4H, T*B) copy turns the weight grads and dx into single matrix products
+    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
+    del dzs
+    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)  # h(t-1), (H, (T-1)*B)
+    del hs
+    dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
+    dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
+    dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
+    db = dz_flat.sum(axis=1)[order]
+    return dx, dw_ih, dw_hh, db
+
+
+def _bptt(
+    gates: np.ndarray, cs: np.ndarray, tanh_cs: np.ndarray, w_hh_t: np.ndarray, g_h: np.ndarray, dzs: np.ndarray
+) -> None:
+    """The BPTT loop of _lstm_grad, last step first: multiplies each step's
+    carry-free factors in dzs (T, 4H, B) by the grads of its gates. Its own
+    frame, so no view into the gates or states outlives it."""
+    steps, four_hidden, batch = gates.shape
+    hidden = four_hidden // 4
+    zeros = np.zeros((hidden, batch), dtype=gates.dtype)
+    dh_carry, dc_carry = zeros.copy(), zeros.copy()
+    dh, dc = np.empty_like(zeros), np.empty_like(zeros)
     d_sig = np.empty((3 * hidden, batch), dtype=gates.dtype)
     for t in range(steps - 1, -1, -1):
         z, dz, tanh_c = gates[t], dzs[t], tanh_cs[t]
-        _, f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(4))
+        f, o, g = (z[k * hidden : (k + 1) * hidden] for k in range(1, 4))
         np.add(g_h[t], dh_carry, out=dh)
         # dc = dh * o * (1 - tanh(c)^2) + dc_carry
         np.multiply(tanh_c, tanh_c, out=dc)
@@ -520,15 +592,6 @@ def _lstm_grad(x: np.ndarray, gates: np.ndarray, states: tuple, w_ih: np.ndarray
         dz[3 * hidden :] *= dc
         np.matmul(w_hh_t, dz, out=dh_carry)
         np.multiply(dc, f, out=dc_carry)
-    # one (4H, T*B) copy turns the weight grads and dx into single matrix products
-    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
-    del dzs, sig, cand, dz  # the step grads and their views: the copy is all the tail reads
-    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)  # h(t-1), (H, (T-1)*B)
-    dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
-    dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
-    dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
-    db = dz_flat.sum(axis=1)[order]
-    return dx, dw_ih, dw_hh, db
 
 
 def _join_directions(hs_f: np.ndarray, hs_b: np.ndarray) -> np.ndarray:
@@ -606,8 +669,10 @@ def bilstm_layer(
             # each array is dropped once spent (see the graph lifetime notes in tensor.py)
             nonlocal gates_f, gates_b
             g = out.grad
-            states_f, states_b = _lstm_states(gates_f), _lstm_states(gates_b)
-            h = _join_directions(states_f[2], states_b[2])
+            # each direction's [gates, c, tanh c, h], handed whole to its _lstm_grad
+            run_f, run_b = [gates_f, *_lstm_states(gates_f)], [gates_b, *_lstm_states(gates_b)]
+            gates_f = gates_b = None
+            h = _join_directions(run_f[3], run_b[3])
             y = _as_fbt((proj.data @ h.T).reshape(features, batch, steps), axis)
             if chunks.requires_grad:
                 chunks._accum_grad(g)  # the residual
@@ -622,12 +687,8 @@ def bilstm_layer(
             g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
             del g_h
             x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
-            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, gates_f, states_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
-            gates_f = states_f = None
-            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(
-                x_dtb[:, ::-1], gates_b, states_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
-            )
-            gates_b = states_b = None
+            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:])
             if chunks.requires_grad:
                 dx_f += dx_b[:, ::-1]
                 chunks._accum_grad(_as_dtb(dx_f, axis))

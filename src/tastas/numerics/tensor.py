@@ -19,19 +19,21 @@ activated gates and the norm's per-slice mean and inverse std, and
 re-forms the cell states c(t), the hidden states h(t) and the projection
 output from them. That backward drops each array once it is spent: the
 projection output, its grad and the joined hidden states go once the
-projection's weight grad is taken, and each direction's gates and re-formed
-states once its BPTT returns, so at its fullest it holds both directions'
-re-formed states, the hidden-state grads and one direction's step grads
-with their flat copy, beside the gates; ``conv2d`` saves its
-im2col matrix only when the weight requires grad, so a conv through a
-frozen weight keeps neither that matrix nor the padded input;
-``max_pool2d`` saves nothing and finds each window's winner again from
-its input and output. Under
+projection's weight grad is taken, and each direction's BPTT frees that
+direction's gates, c(t) and tanh c(t) as soon as its loop has run, before
+it copies its step grads for the weight-grad products. At its fullest it
+holds, beside the gates, either both directions' re-formed states, their
+join and the norm backward's temporaries, or, when the first direction's
+loop ends, both directions' states, the hidden-state grads and that
+direction's step grads. ``conv_block``, one speaker-network block
+(convolution, PReLU and 2x2 max pooling), saves each window's winning entry
+and the sign PReLU saw there, a byte each per output; only a trainable
+weight or slope adds its im2col matrix and convolution output, so a block
+of a frozen network keeps neither those nor the padded input. Under
 ``no_grad()`` every op returns a plain ``requires_grad=False`` tensor, so
 a forward keeps nothing but its values; the block nests, restores the
 previous mode on exit (also on an exception), and is per thread. A
-recorded graph is freed by ``backward()``
-as it goes: once a node's closure has run, the node drops the closure,
+recorded graph is freed by ``backward()`` as it goes: once a node's closure has run, the node drops the closure,
 its parents and (unless it is the root) its gradient, so reference
 counting reclaims the graph behind the walk. Leaves keep their
 gradients. A spent graph cannot be walked again: a second ``backward()``

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..audio.mix import mix_at_snr
 from ..audio.synth import check_speaker, synth_speaker_source
-from ..audio.wavio import PCM_SCALE, Waveform, wav_read, wav_write
+from ..audio.wavio import DEFAULT_SAMPLE_RATE, PCM_SCALE, Waveform, wav_read, wav_write
 from ..errors import DataError
 
 
@@ -78,7 +78,7 @@ def synth_mixture_corpus(
     snr_lo: float,
     snr_hi: float,
     seed: int,
-    sample_rate_hz: int = 8000,
+    sample_rate_hz: int = DEFAULT_SAMPLE_RATE,
 ) -> list[ManifestRecord]:
     """One split of mixtures; the seed plus split name pins every sample.
 

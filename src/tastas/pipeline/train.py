@@ -372,7 +372,13 @@ class SepTrainer:
         """A restart reloads out_dir/best.ckpt, so a resume that carries a best
         dev loss over needs that file, saved at that loss, before any epoch
         runs. A resume into another directory brings it over from beside the
-        resumed checkpoint."""
+        resumed checkpoint.
+
+        An improving epoch saves best.ckpt before last.ckpt, so a run stopped
+        between the two saves leaves a best.ckpt that the epoch after the
+        resumed one saved. That file is taken as it is: the resumed run
+        repeats that epoch and saves best.ckpt again before any restart can
+        reload it."""
         path = self.out_dir / "best.ckpt"
         source = path if path.exists() else Path(resume_from).with_name("best.ckpt")
         if not source.exists():
@@ -381,13 +387,20 @@ class SepTrainer:
                 f"which carries best_dev_loss {self.best_dev_loss} over"
             )
         model, adam, extras = load_sep_checkpoint(source)
-        if extras.get("best_dev_loss") != self.best_dev_loss:
+        if extras.get("best_dev_loss") != self.best_dev_loss and not self._saved_by_next_epoch(extras):
             raise CheckpointError(
                 f"{source}: records best_dev_loss {extras.get('best_dev_loss')}, "
                 f"but {resume_from} carries {self.best_dev_loss}"
             )
         if source != path:
             save_sep_checkpoint(path, model, adam, extras)
+
+    def _saved_by_next_epoch(self, extras: dict) -> bool:
+        """Whether a checkpoint's trainer state is the one this trainer's next
+        epoch reaches: one epoch on, with the generator one shuffle on."""
+        rng = _rng_from_json(_rng_state_to_json(self.rng))
+        rng.permutation(len(self.train_set))
+        return extras.get("epoch") == self.epoch + 1 and extras.get("rng_state") == _rng_state_to_json(rng)
 
     def _reload_best(self) -> None:
         self.model, self.adam, extras = load_sep_checkpoint(self.out_dir / "best.ckpt")

@@ -113,6 +113,34 @@ def test_freeze_blocks_gradients():
     assert all(t.grad is None for _, t in net.params.items())
 
 
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "trainable"])
+def test_forward_records_one_node_per_conv_block(frozen):
+    # each block's node reads the previous block's output, its conv weight and
+    # its PReLU slope directly: no conv or PReLU output is a node of its own
+    net = IdNet.initialize(TINY, seed=10)
+    if frozen:
+        net.freeze()
+    x = Tensor(np.random.default_rng(11).uniform(-0.5, 0.5, TINY.segment_len), requires_grad=True)
+    _, emb = net.forward(x)
+    nodes, stack, seen = [], [emb], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    previous = None
+    for i in range(len(TINY.conv_channels)):
+        weight, slope = net.params[f"conv{i}.weight"], net.params[f"conv{i}.prelu"]
+        readers = [n for n in nodes if any(p is weight or p is slope for p in n._parents)]
+        assert len(readers) == 1, f"block {i}: {len(readers)} nodes read its parameters"
+        block = readers[0]
+        assert block._parents[1] is weight and block._parents[2] is slope
+        if previous is not None:
+            assert block._parents[0] is previous
+        previous = block
+
+
 def test_train_rejects_single_speaker():
     wave = synth_speaker_source(0, 1.0, seed=0)
     with pytest.raises(DataError):

@@ -361,31 +361,59 @@ def test_bilstm_graph_keeps_gates_only():
         assert held <= 1.05 * expected, f"axis {axis}: {held} bytes held, {held / expected:.3f}x the gates and output"
 
 
+def test_frozen_idnet_graph_keeps_block_outputs_only():
+    # A frozen speaker network's graph over a 1 s wave: per 0.5 s segment the
+    # spectral front end (a few bins x frames arrays) and each conv block's
+    # pooled output with a byte each for its winner and PReLU sign. Keeping
+    # the conv and PReLU outputs of the first block alone, as three separate
+    # nodes did, would come to two (C0, bins, frames) float32 arrays per segment.
+    from tastas.idnet import IdNet, IdNetConfig
+
+    net = IdNet.initialize(IdNetConfig(num_speakers=4), seed=0).freeze()
+    config = net.config
+    wave = Tensor((0.1 * np.random.default_rng(3).standard_normal(config.sample_rate_hz)).astype(np.float32), True)
+    tracemalloc.start()
+    try:
+        emb = net.embed_segments_graph(wave)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert emb.requires_grad
+    segments = -(-wave.shape[0] // config.segment_len)
+    first_conv = config.conv_channels[0] * (config.window_len // 2 + 1) * (config.segment_len // config.hop + 1) * 4
+    assert held < 2 * segments * first_conv, f"{held} bytes held, {held / first_conv:.2f} first-block conv outputs"
+
+
 def test_bilstm_backward_peak_holds_one_directions_step_grads():
-    # At its fullest a backward holds, in N = T*B columns: the output grad and
-    # the residual's copy of it (F each), an (F, T, B) copy of the chunks when
-    # the recurrence runs across them, the re-formed c(t), tanh c(t) and h(t)
-    # of both directions (6H), the hidden-state grads (2H), and one direction's
-    # step grads with their flat copy (8H); beside them the weight-sized
-    # w_hh^T (4H x H) and projection grad (F x 2H). The joined hidden states,
-    # the projection output and its grad are gone by then, and so are a spent
-    # direction's gates and states. The gates themselves are held since the
-    # forward, so they are not part of the peak.
+    # Measured from the end of the forward, so the gates count as held and
+    # freeing them counts too. In N = T*B columns, a backward holds at most
+    # either of two sets. While the layer norm's backward runs: the output
+    # grad and the residual's copy of it, the projection output and five
+    # arrays of its size in the norm backward (8F), beside the re-formed c(t),
+    # tanh c(t) and h(t) of both directions (6H) and their join (2H). When the
+    # first direction's BPTT loop ends: the two grads (2F), an (F, T, B) copy
+    # of the chunks when the recurrence runs across them, both directions'
+    # states (6H), the hidden-state grads (2H) and that direction's step
+    # grads (4H); its gates, c(t) and tanh c(t) go before the flat copy of
+    # the step grads is made. Beside either, the weight-sized w_hh^T (4H x H)
+    # and projection grad (F x 2H).
     features, steps, batch, hidden = 16, 16, 8, 16
     columns = steps * batch
     for axis in (1, 2):
         arrays, g_out = _half_case(np.random.default_rng(0), _chunk_shape(axis, features, batch, steps), hidden)
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
-        out = ops.bilstm_layer(tensors[0], axis, *tensors[1:])
         chunk_copy = features if axis == 2 else 0
-        floats = (2 * features + chunk_copy + 16 * hidden) * columns + 4 * hidden * hidden + 2 * hidden * features
+        held = max(8 * features + 8 * hidden, 2 * features + chunk_copy + 12 * hidden)
+        floats = held * columns + 4 * hidden * hidden + 2 * hidden * features
         expected = floats * g_out.itemsize
         # numpy's ufunc iterator buffers (np.getbufsize() elements per operand,
         # 64 KiB by default) would outweigh these arrays at this small shape
         bufsize = np.setbufsize(128)
         tracemalloc.start()
         try:
+            out = ops.bilstm_layer(tensors[0], axis, *tensors[1:])
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             out.backward(seed=g_out)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
@@ -496,7 +524,8 @@ def test_recorded_layer_norm_keeps_no_input_sized_array():
 
 # Reference copies of the earlier max_pool2d (one argmax over a reshaped,
 # transposed copy of the windows) and conv2d (tensordot over a sliding-window
-# view of the padded input). The rewritten ops must match them bit for bit.
+# view of the padded input). conv_block must match their composition with
+# prelu bit for bit.
 
 
 def _ref_max_pool2d(x: Tensor, size: int = 2) -> Tensor:
@@ -558,40 +587,54 @@ def _ref_conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
     return out
 
 
-def _value_and_grads(op, arrays, g_out):
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = op(*tensors)
+def _ref_conv_block(x: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
+    return _ref_max_pool2d(ops.prelu(_ref_conv2d(x, weight), slope))
+
+
+def _block_value_and_grads(block, x, w, slope, g_out, frozen: bool):
+    """The block's output and grads; a frozen block's weight and slope are constants."""
+    tensors = [Tensor(x.copy(), requires_grad=True)]
+    tensors += [Tensor(a.copy(), requires_grad=not frozen) for a in (w, slope)]
+    out = block(*tensors)
     out.backward(g_out)
-    return [out.data] + [t.grad for t in tensors]
+    return [out.data] + [t.grad for t in tensors if t.requires_grad]
+
+
+def _assert_block_matches_reference(x, w, slope, g_out):
+    for frozen in (False, True):
+        got = _block_value_and_grads(ops.conv_block, x, w, slope, g_out, frozen)
+        want = _block_value_and_grads(_ref_conv_block, x, w, slope, g_out, frozen)
+        assert len(got) == (2 if frozen else 4)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 9), (2, 6, 8), (16, 257, 32), (5, 3, 5)])
 def test_max_pool2d_matches_argmax_reference_bit_for_bit(shape):
-    # integer values tie often inside a window, and zeros of both signs tie
-    # with each other; odd H and W leave a trailing row and column to drop
+    # shape is the conv output's. Small integer inputs and weights give exact
+    # integer conv outputs that tie often inside a window, and PReLU runs with
+    # a negative slope as well as a positive one; odd H and W leave a trailing
+    # row and column to drop. An integer upstream grad keeps every grad sum
+    # exact in any order, so the comparison checks where the pool routes it
     rng = np.random.default_rng(sum(shape))
-    x = rng.integers(-2, 3, size=shape).astype(np.float32)
-    x[(x == 0) & (rng.uniform(size=shape) < 0.5)] = -0.0
-    g = rng.standard_normal((shape[0], shape[1] // 2, shape[2] // 2)).astype(np.float32)
-    got = _value_and_grads(lambda t: ops.max_pool2d(t, 2), [x], g)
-    want = _value_and_grads(lambda t: _ref_max_pool2d(t, 2), [x], g)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    channels, height, width = shape
+    x = rng.integers(-2, 3, size=(2, height, width)).astype(np.float32)
+    w = rng.integers(-1, 2, size=(channels, 2, 3, 3)).astype(np.float32)
+    g = rng.integers(-3, 4, size=(channels, height // 2, width // 2)).astype(np.float32)
+    for slope in (0.25, -0.25):
+        _assert_block_matches_reference(x, w, np.array([slope], dtype=np.float32), g)
 
 
 @pytest.mark.parametrize(
     "c_in,c_out,height,width", [(1, 16, 257, 32), (16, 32, 128, 16), (32, 64, 64, 8), (64, 64, 32, 4)]
 )
 def test_conv2d_matches_tensordot_reference_bit_for_bit(c_in, c_out, height, width):
-    # the four layer shapes of the default speaker network on a 0.5 s segment
+    # the four block shapes of the default speaker network on a 0.5 s segment
     rng = np.random.default_rng(c_in + c_out)
     x = rng.standard_normal((c_in, height, width)).astype(np.float32)
     w = (rng.standard_normal((c_out, c_in, 3, 3)) / (3 * np.sqrt(c_in))).astype(np.float32)
-    g = rng.standard_normal((c_out, height, width)).astype(np.float32)
-    got = _value_and_grads(ops.conv2d, [x, w], g)
-    want = _value_and_grads(_ref_conv2d, [x, w], g)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    g = rng.standard_normal((c_out, height // 2, width // 2)).astype(np.float32)
+    _assert_block_matches_reference(x, w, np.array([0.25], dtype=np.float32), g)
 
 
 def test_frozen_conv2d_keeps_no_im2col_or_padded_input():
@@ -599,12 +642,13 @@ def test_frozen_conv2d_keeps_no_im2col_or_padded_input():
     x_data = rng.standard_normal((16, 128, 16)).astype(np.float32)
     w_data = rng.standard_normal((32, 16, 3, 3)).astype(np.float32)
 
-    def held_bytes(weight_grad: bool):
+    def held_bytes(trainable: bool):
         x = Tensor(x_data.copy(), requires_grad=True)
-        w = Tensor(w_data, requires_grad=weight_grad)
+        w = Tensor(w_data, requires_grad=trainable)
+        slope = Tensor(np.array([0.25], dtype=np.float32), requires_grad=trainable)
         tracemalloc.start()
         try:
-            out = ops.conv2d(x, w, padding=1)
+            out = ops.conv_block(x, w, slope)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -612,12 +656,14 @@ def test_frozen_conv2d_keeps_no_im2col_or_padded_input():
         out.backward(np.ones(out.shape, dtype=np.float32))
         return held, out.data.nbytes
 
-    held, out_bytes = held_bytes(weight_grad=False)
-    # the output and bookkeeping; a padded input copy alone is over x.nbytes
-    assert held < out_bytes + x_data.nbytes // 4, f"{held} bytes held for a {out_bytes}-byte output"
-    # the same measure sees the 9-slab im2col a trainable weight needs
-    held, _ = held_bytes(weight_grad=True)
-    assert held >= out_bytes + 9 * x_data.nbytes
+    held, out_bytes = held_bytes(trainable=False)
+    # the pooled output and one byte each for the winner and its PReLU sign,
+    # a quarter of the output's float32 bytes each; the conv output alone
+    # would be four times the pooled output, a padded input copy over x.nbytes
+    assert held < 1.5 * out_bytes + 4096, f"{held} bytes held for a {out_bytes}-byte output"
+    # the same measure sees the 9-slab im2col and the conv output a trainable block needs
+    held, _ = held_bytes(trainable=True)
+    assert held >= 9 * x_data.nbytes + 4 * out_bytes
 
 
 def test_frozen_idnet_embedding_and_wave_grad_match_reference_ops(monkeypatch):
@@ -633,8 +679,7 @@ def test_frozen_idnet_embedding_and_wave_grad_match_reference_ops(monkeypatch):
         return emb.data, w.grad
 
     got = embed_and_grad()
-    monkeypatch.setattr(ops, "conv2d", _ref_conv2d)
-    monkeypatch.setattr(ops, "max_pool2d", _ref_max_pool2d)
+    monkeypatch.setattr(ops, "conv_block", _ref_conv_block)
     want = embed_and_grad()
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

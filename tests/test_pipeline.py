@@ -476,6 +476,24 @@ def test_resume_into_another_directory_brings_best_ckpt_or_fails_before_training
         SepTrainer(_tiny_train_config(tiny_corpus, fresh, epochs_max=3), resume_from=str(alone))
 
 
+def test_run_stopped_between_best_and_last_saves_resumes_to_the_same_checkpoints(tiny_corpus, tmp_path):
+    # An improving epoch k saves best.ckpt, then last.ckpt. A run stopped
+    # between the two leaves best.ckpt of epoch k beside last.ckpt of epoch
+    # k - 1; resuming from that last.ckpt repeats epoch k and ends with the
+    # uninterrupted run's checkpoints, byte for byte.
+    full = tmp_path / "full"
+    run_phase(_tiny_train_config(tiny_corpus, full, epochs_max=3))
+    earlier, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "earlier", epochs_max=1))
+    stopped = tmp_path / "stopped"
+    run_phase(_tiny_train_config(tiny_corpus, stopped, epochs_max=2))
+    assert load_sep_checkpoint(stopped / "best.ckpt")[2]["epoch"] == 2, "epoch 2 must improve for this case"
+    (stopped / "last.ckpt").write_bytes(earlier.read_bytes())
+
+    run_phase(_tiny_train_config(tiny_corpus, stopped, epochs_max=3), resume_from=str(stopped / "last.ckpt"))
+    for name in ("best.ckpt", "last.ckpt"):
+        assert (stopped / name).read_bytes() == (full / name).read_bytes(), name
+
+
 def test_train_pass_keeps_no_gradient_of_the_previous_step(monkeypatch):
     from tastas.pipeline import train
 
