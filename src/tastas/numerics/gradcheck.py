@@ -174,25 +174,10 @@ def _build_sqrt(rng):
     return [x], lambda ts: ops.sqrt(ts[0])
 
 
-def _build_prelu(rng):
-    # |x| >= 0.01 keeps every +-step difference on one side of the kink at 0;
-    # the random sign still exercises both slopes
-    sign = np.where(rng.uniform(size=(3, 5)) < 0.5, -1.0, 1.0)
-    x = Tensor(rng.uniform(0.01, 1.0, size=(3, 5)) * sign)
-    slope = Tensor(rng.uniform(0.1, 0.5, size=(1,)))
-    return [x, slope], lambda ts: ops.prelu(ts[0], ts[1])
-
-
 def _build_linear(rng):
     w = _u(rng, 4, 3)
     x = _u(rng, 3, 5)
     return [w, x], lambda ts: ops.linear(ts[0], ts[1])
-
-
-def _build_conv1d(rng):
-    x = _u(rng, 2, 14)
-    w = _u(rng, 3, 2, 4)
-    return [x, w], lambda ts: ops.conv1d(ts[0], ts[1], stride=2)
 
 
 def _conv_block_case(rng):
@@ -257,16 +242,6 @@ def _build_bilstm_layer(rng):
     return [x, *halves], forward
 
 
-def _build_layer_norm(rng):
-    x, gain, bias = _u(rng, 3, 4, 2), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1)
-    return [x, gain, bias], lambda ts: ops.layer_norm(ts[0], (0, 1), ts[1], ts[2])
-
-
-def _build_softmax(rng):
-    x = _u(rng, 3, 4, lo=-2.0, hi=2.0)
-    return [x], lambda ts: ops.softmax(ts[0], axis=0)
-
-
 def _build_log_softmax(rng):
     x = _u(rng, 2, 5, lo=-2.0, hi=2.0)
     return [x], lambda ts: ops.log_softmax(ts[0], axis=1)
@@ -293,20 +268,28 @@ def _build_slice(rng):
     return [x], lambda ts: ops.getitem(ts[0], (slice(1, 3), slice(None, None, 2)))
 
 
-def _build_segment_chunks(rng):
-    x = _u(rng, 3, 11)
-    return [x], lambda ts: ops.segment_chunks(ts[0], chunk_len=4, hop=2)[0]
+def _build_encode(rng):
+    # stage two's three waves; redrawn until every convolution output lies
+    # 0.01 from PReLU's kink, so no +-step perturbation crosses it
+    while True:
+        waves = [_u(rng, 14) for _ in range(3)]
+        weight, slope = _u(rng, 3, 1, 4), Tensor(rng.uniform(0.1, 0.5, size=(1,)))
+        if min(np.min(np.abs(ops._encode_conv(w.data, weight.data, 2))) for w in waves) >= 0.01:
+            return [*waves, weight, slope], lambda ts: ops.encode(ts[:3], ts[3], ts[4], stride=2)
 
 
-def _build_merge_chunks(rng):
-    x = _u(rng, 2, 4, 5)
-    # layout: padded = 4 + 4*2 = 12, claim 11 real frames + 1 pad
-    return [x], lambda ts: ops.merge_chunks(ts[0], hop=2, out_frames=11, pad_frames=1)
+def _build_mask_input(rng):
+    # rep of 7 frames: padded to 8 and cut into three chunks of 4 every 2
+    rep, gain, bias, weight = _u(rng, 4, 7), _u(rng, 4, 1, lo=0.5, hi=1.5), _u(rng, 4, 1), _u(rng, 2, 4)
+    return [rep, gain, bias, weight], lambda ts: ops.mask_input(*ts, chunk_len=4, hop=2)
 
 
-def _build_overlap_add(rng):
-    x = _u(rng, 4, 5)
-    return [x], lambda ts: ops.overlap_add(ts[0], stride=2, out_len=12)
+def _build_mask_decode(rng):
+    # three chunks of 4 every 2 merge to rep's 7 frames; 2 speakers mask the
+    # mixture's 2 channels of a 4-channel rep, and 4-sample frames every 2
+    # samples overlap-add to 15, one sample short of their natural length
+    chunks, mask_weight, rep, decoder = _u(rng, 2, 4, 3), _u(rng, 4, 2), _u(rng, 4, 7), _u(rng, 4, 2)
+    return [chunks, mask_weight, rep, decoder], lambda ts: ops.mask_decode(*ts, hop=2, stride=2, out_len=15)
 
 
 def _build_stft(rng):
@@ -329,22 +312,18 @@ BUILDERS: dict[str, Builder] = {
     "mean": _build_mean,
     "log": _build_log,
     "sqrt": _build_sqrt,
-    "prelu": _build_prelu,
     "linear": _build_linear,
-    "conv1d": _build_conv1d,
     "conv_block": _build_conv_block,
     "conv_block_frozen": _build_conv_block_frozen,
     "bilstm_layer": _build_bilstm_layer,
-    "layer_norm": _build_layer_norm,
-    "softmax": _build_softmax,
     "log_softmax": _build_log_softmax,
     "softmax_logloss": _build_softmax_logloss,
     "concat": _build_concat,
     "reshape": _build_reshape,
     "slice": _build_slice,
-    "segment_chunks": _build_segment_chunks,
-    "merge_chunks": _build_merge_chunks,
-    "overlap_add": _build_overlap_add,
+    "encode": _build_encode,
+    "mask_input": _build_mask_input,
+    "mask_decode": _build_mask_decode,
     "stft": _build_stft,
 }
 

@@ -189,34 +189,44 @@ def sqrt(x: Tensor) -> Tensor:
     return out
 
 
+def _sign_mask(positive: np.ndarray, bits: np.dtype) -> np.ndarray:
+    """All ones where positive, all zeros elsewhere, as unsigned integers of bits."""
+    mask = positive.astype(bits)
+    np.negative(mask, out=mask)  # 1 -> all ones
+    return mask
+
+
+def _bit_select(positive: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a where positive and b elsewhere, written into b and returned.
+
+    The choice is made on raw bits, b ^ ((a ^ b) & mask) with an all-ones
+    mask where positive, as _route_to_winners routes grads: the same bits as
+    np.where, signed zeros and NaNs included, several times faster.
+    """
+    bits = np.dtype(f"u{b.itemsize}")
+    b_bits = b.view(bits)
+    diff = np.bitwise_xor(a.astype(b.dtype, copy=False).view(bits), b_bits)
+    diff &= _sign_mask(positive, bits)
+    b_bits ^= diff
+    return b
+
+
 def _prelu(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max(0, x) + slope * min(0, x), and where x is positive."""
     positive = x > 0
-    return np.where(positive, x, slope * x), positive
+    return _bit_select(positive, x, slope * x), positive
 
 
 def _prelu_input_grad(g: np.ndarray, positive: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    return np.where(positive, g, slope * g)
+    return _bit_select(positive, g, slope * g)
 
 
 def _prelu_slope_grad(g: np.ndarray, positive: np.ndarray, x: np.ndarray, slope_shape) -> np.ndarray:
-    return _unbroadcast(np.where(positive, 0.0, x) * g, slope_shape)
-
-
-def prelu(x: Tensor, slope: Tensor) -> Tensor:
-    """max(0, x) + slope * min(0, x); slope broadcasts over x."""
-    out_data, positive = _prelu(x.data, slope.data)
-    out = Tensor._from_op(out_data, (x, slope))
-    if out.requires_grad:
-
-        def backward():
-            if x.requires_grad:
-                x._accum_grad(_prelu_input_grad(out.grad, positive, slope.data))
-            if slope.requires_grad:
-                slope._accum_grad(_prelu_slope_grad(out.grad, positive, x.data, slope.shape))
-
-        out._backward = backward
-    return out
+    bits = np.dtype(f"u{x.itemsize}")
+    off = _sign_mask(positive, bits)
+    np.invert(off, out=off)
+    np.bitwise_and(x.view(bits), off, out=off)  # x off the positive side, +0.0 on it
+    return _unbroadcast(off.view(x.dtype) * g, slope_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -250,35 +260,6 @@ def linear(weight: Tensor, x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions and pooling
 # ---------------------------------------------------------------------------
-
-
-def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
-    """1-D convolution. x is (C_in, T), weight is (C_out, C_in, K)."""
-    if x.ndim != 2 or weight.ndim != 3:
-        raise ConfigError(f"conv1d: expected (C,T) input and (O,C,K) weight, got {x.shape}, {weight.shape}")
-    c_in, t_len = x.shape
-    c_out, c_in_w, k_len = weight.shape
-    if c_in != c_in_w:
-        raise ConfigError(f"conv1d: input channels {c_in} != weight channels {c_in_w}")
-    if t_len < k_len:
-        raise ConfigError(f"conv1d: input length {t_len} shorter than kernel {k_len}")
-    if stride < 1:
-        raise ConfigError(f"conv1d: stride must be >= 1, got {stride}")
-    cols = _frames(x.data, k_len, stride)
-    out_data = np.tensordot(weight.data, cols, axes=([1, 2], [0, 2]))
-    out = Tensor._from_op(np.ascontiguousarray(out_data), (x, weight))
-    if out.requires_grad:
-
-        def backward():
-            g = out.grad
-            if weight.requires_grad:
-                weight._accum_grad(np.tensordot(g, cols, axes=([1], [1])))
-            if x.requires_grad:
-                g_cols = np.einsum("ot,ock->ctk", g, weight.data)
-                x._accum_grad(_overlap_add(g_cols, stride, t_len))
-
-        out._backward = backward
-    return out
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -447,11 +428,13 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
 # h(t) = o(t) * tanh(c(t)), of both directions, with the same float32
 # operations the forward ran, so both come back bit for bit; then the
 # projection output, with the forward's own matrix product on those hidden
-# states; then the norm backward and the projection's weight grad, and last the
-# BPTT loops, one direction at a time. Each direction's _lstm_grad takes its
-# gates and re-formed states over from the node and frees the gates, c(t) and
-# tanh c(t) once its loop has run, so the first direction's are gone before
-# its tail products and the second direction's BPTT. The kernel reads its
+# states; then the norm backward, in place, and the projection's weight grad,
+# and last the BPTT loops, one direction at a time. Through the norm backward
+# it holds c(t) and h(t) alone: each direction's _lstm_grad takes its gates
+# and re-formed states over from the node, re-forms tanh c(t) with the same
+# bulk np.tanh just before its loop, and frees the gates, c(t) and tanh c(t)
+# once the loop has run, so the first direction's are gone before its tail
+# products and the second direction's BPTT. The kernel reads its
 # input as (D, T, B): the chunks (F, K, C) themselves for the intra-chunk
 # recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
 # right-to-left pass is the same kernel run on the time-flipped input.
@@ -506,9 +489,9 @@ def _lstm_run(x: np.ndarray, w_ih: np.ndarray, w_hh: np.ndarray, b: np.ndarray, 
     return hs, (gates if keep_cache else None)
 
 
-def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cell states, their tanh and the hidden states (each (T, H, B)) of
-    the run whose activated gates (T, 4H, B) these are, rounded as it rounded them."""
+def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell states and the hidden states (each (T, H, B)) of the run
+    whose activated gates (T, 4H, B) these are, rounded as it rounded them."""
     steps, four_hidden, batch = gates.shape
     hidden = four_hidden // 4
     zeros = np.zeros((hidden, batch), dtype=gates.dtype)
@@ -518,21 +501,23 @@ def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     for t in range(steps):
         np.multiply(gates[t, hidden : 2 * hidden], cs[t - 1] if t else zeros, out=tmp)
         cs[t] += tmp
-    tanh_cs = np.tanh(cs)
-    return cs, tanh_cs, np.multiply(tanh_cs, gates[:, 2 * hidden : 3 * hidden])
+    hs = np.tanh(cs)
+    hs *= gates[:, 2 * hidden : 3 * hidden]
+    return cs, hs
 
 
 def _lstm_grad(x: np.ndarray, run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
     """BPTT through one direction that _lstm_run ran over x (D, T, B).
 
-    run is [gates, c, tanh c, h]: the run's cache (T, 4H, B) and the states
+    run is [gates, c, h]: the run's cache (T, 4H, B) and the states
     _lstm_states re-formed from it (each (T, H, B)). _lstm_grad empties the
-    list and so owns those arrays: it frees the gates, c(t) and tanh c(t)
-    once its BPTT loop has run. g_h is the upstream grad of the hidden
-    states (T, H, B). Returns dx (D, T, B) and the grads of w_ih, w_hh and b
-    in their stored gate order.
+    list and so owns those arrays: it re-forms tanh c(t) with the bulk
+    np.tanh _lstm_states ran, and frees the gates, c(t) and tanh c(t) once
+    its BPTT loop has run. g_h is the upstream grad of the hidden states
+    (T, H, B). Returns dx (D, T, B) and the grads of w_ih, w_hh and b in
+    their stored gate order.
     """
-    gates, cs, tanh_cs, hs = run
+    gates, cs, hs = run
     run.clear()
     steps, _, batch = gates.shape
     hidden = w_hh.shape[1]
@@ -547,6 +532,7 @@ def _lstm_grad(x: np.ndarray, run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h
     np.subtract(1.0, cand, out=cand)
     cand *= gates[:, :hidden]
     del sig, cand
+    tanh_cs = np.tanh(cs)
     _bptt(gates, cs, tanh_cs, np.ascontiguousarray(w_hh[order].T), g_h, dzs)
     # the loop is the last reader of these; the step grads it wrote are all the tail needs
     del gates, cs, tanh_cs
@@ -669,10 +655,10 @@ def bilstm_layer(
             # each array is dropped once spent (see the graph lifetime notes in tensor.py)
             nonlocal gates_f, gates_b
             g = out.grad
-            # each direction's [gates, c, tanh c, h], handed whole to its _lstm_grad
+            # each direction's [gates, c, h], handed whole to its _lstm_grad
             run_f, run_b = [gates_f, *_lstm_states(gates_f)], [gates_b, *_lstm_states(gates_b)]
             gates_f = gates_b = None
-            h = _join_directions(run_f[3], run_b[3])
+            h = _join_directions(run_f[2], run_b[2])
             y = _as_fbt((proj.data @ h.T).reshape(features, batch, steps), axis)
             if chunks.requires_grad:
                 chunks._accum_grad(g)  # the residual
@@ -736,53 +722,22 @@ def _normalize_backward(
     """
     if bias.requires_grad:
         bias._accum_grad(_unbroadcast(g, bias.shape))
-    normalized = (x - mu) * inv_std
+    normalized = x - mu
+    normalized *= inv_std
+    product = g * normalized
     if gain.requires_grad:
-        gain._accum_grad(_unbroadcast(g * normalized, gain.shape))
+        gain._accum_grad(_unbroadcast(product, gain.shape))
     g = g * gain.data
     g_mean = g.mean(axis=axes, keepdims=True)
-    gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
-    return inv_std * (g - g_mean - normalized * gy_mean)
-
-
-def layer_norm(x: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
-    """normalized * gain + bias as one node.
-
-    normalized is x at zero mean and unit variance over the given axes;
-    gain and bias broadcast against x. Slices whose variance falls below
-    LAYER_NORM_VAR_FLOOR normalize to zeros (and pass zero gradient to x),
-    so constant inputs cannot blow up. The node keeps only the per-slice
-    mean and inverse std: backward re-forms the normalized values from x,
-    which the graph holds anyway.
-    """
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    centered, mu, inv_std = _normalize(x.data, axes)
-    out = Tensor._from_op(centered * inv_std * gain.data + bias.data, (x, gain, bias))
-    if out.requires_grad:
-
-        def backward():
-            g_x = _normalize_backward(out.grad, x.data, mu, inv_std, gain, bias, axes)
-            if x.requires_grad:
-                x._accum_grad(g_x)
-
-        out._backward = backward
-    return out
-
-
-def softmax(x: Tensor, axis: int) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
-
-        def backward():
-            g = out.grad
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accum_grad(out_data * (g - inner))
-
-        out._backward = backward
-    return out
+    np.multiply(g, normalized, out=product)  # the layout g * normalized has, so the mean sums in its order
+    gy_mean = product.mean(axis=axes, keepdims=True)
+    del product
+    # inv_std * (g - g_mean - normalized * gy_mean), in place
+    g -= g_mean
+    normalized *= gy_mean
+    g -= normalized
+    g *= inv_std
+    return g
 
 
 def log_softmax(x: Tensor, axis: int) -> Tensor:
@@ -850,8 +805,23 @@ def getitem(x: Tensor, key) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# chunking for the dual-path separator
+# the separator stage around the dual-path blocks
 # ---------------------------------------------------------------------------
+#
+# A stage is four kinds of node: encode, mask_input, the bilstm_layer stack,
+# and mask_decode. Each fused node runs the float operations of a chain of
+# generic graph ops (conv1d, prelu, concat, layer_norm, linear,
+# segment_chunks, merge_chunks, reshape, softmax, getitem, mul, overlap_add;
+# the bit-for-bit tests keep that chain as test-local ops) in its order, so
+# its output and every gradient are the chain's bit for bit, at a fraction of
+# the graph memory. Each keeps only what its backward cannot re-form from its
+# parents: encode its output, the concatenated rep (its backward re-forms
+# the convolution outputs from the waves); mask_input the input norm's mean
+# and inverse std (its backward re-forms the normalized rep from rep);
+# mask_decode nothing (its backward re-forms the merged chunks, the masks and
+# the masked mixture channels from the last block's output and rep). rep
+# stays a node output that mask_decode and mask_input both read, so their
+# grads meet there in the chain's order (see mask_decode).
 
 
 def chunk_layout(frames: int, chunk_len: int, hop: int) -> tuple[int, int]:
@@ -870,69 +840,198 @@ def chunk_layout(frames: int, chunk_len: int, hop: int) -> tuple[int, int]:
     return count, padded
 
 
-def segment_chunks(x: Tensor, chunk_len: int, hop: int) -> tuple[Tensor, int]:
-    """Split (F, T) into overlapping chunks -> ((F, K, C), pad_frames)."""
-    if x.ndim != 2:
-        raise ConfigError(f"segment_chunks: expected (F,T), got {x.shape}")
-    frames = x.shape[1]
-    _, padded = chunk_layout(frames, chunk_len, hop)
-    pad = padded - frames
-    xp = np.pad(x.data, ((0, 0), (0, pad)))
-    out_data = np.ascontiguousarray(_frames(xp, chunk_len, hop).transpose(0, 2, 1))
-    out = Tensor._from_op(out_data, (x,))
+def _encode_conv(wave: np.ndarray, weight: np.ndarray, stride: int) -> np.ndarray:
+    """The (C_out, frames) convolution of a 1-D wave by weight (C_out, 1, K)."""
+    cols = _frames(wave.reshape(1, -1), weight.shape[2], stride)
+    return np.ascontiguousarray(np.tensordot(weight, cols, axes=([1, 2], [0, 2])))
+
+
+def encode(waves, weight: Tensor, slope: Tensor, stride: int) -> Tensor:
+    """The stage's front end: PReLU(conv(wave, weight)) of each wave, stacked.
+
+    waves are 1-D and of one length; weight is (N, 1, K), its frames taken
+    every stride samples, and slope broadcasts over each (N, frames)
+    convolution output. Returns rep (len(waves) * N, frames), wave i's
+    features in rows i*N to (i+1)*N. The node keeps only rep: its backward
+    re-forms each wave's convolution output.
+    """
+    if weight.ndim != 3 or weight.shape[1] != 1:
+        raise ConfigError(f"encode: expected an (N,1,K) weight, got {weight.shape}")
+    if stride < 1:
+        raise ConfigError(f"encode: stride must be >= 1, got {stride}")
+    if not waves:
+        raise ConfigError("encode: no waves")
+    n, _, k_len = weight.shape
+    length = waves[0].shape[0]
+    for wave in waves:
+        if wave.ndim != 1 or wave.shape[0] != length:
+            raise ConfigError(f"encode: expected 1-D waves of one length, got {[w.shape for w in waves]}")
+    if length < k_len:
+        raise ConfigError(f"encode: input length {length} shorter than kernel {k_len}")
+    dtype = np.result_type(weight.data, slope.data, *(wave.data for wave in waves))
+    rep = np.empty((len(waves) * n, (length - k_len) // stride + 1), dtype=dtype)
+    for i, wave in enumerate(waves):
+        rep[i * n : (i + 1) * n] = _prelu(_encode_conv(wave.data, weight.data, stride), slope.data)[0]
+    out = Tensor._from_op(rep, (*waves, weight, slope))
     if out.requires_grad:
 
         def backward():
-            gxp = _overlap_add(out.grad.transpose(0, 2, 1), hop, padded)
-            x._accum_grad(np.ascontiguousarray(gxp[:, :frames]))
-
-        out._backward = backward
-    return out, pad
-
-
-def merge_chunks(x: Tensor, hop: int, out_frames: int, pad_frames: int) -> Tensor:
-    """Averaging overlap-add of (F, K, C) back to (F, out_frames); exact inverse of segment_chunks."""
-    if x.ndim != 3:
-        raise ConfigError(f"merge_chunks: expected (F,K,C), got {x.shape}")
-    feat, chunk_len, count = x.shape
-    padded = chunk_len + (count - 1) * hop
-    if padded != out_frames + pad_frames:
-        raise ConfigError(
-            f"merge_chunks: layout {padded} != out_frames {out_frames} + pad {pad_frames}"
-        )
-    counts = _overlap_add(np.ones((count, chunk_len), dtype=x.dtype), hop, padded)
-    acc = _overlap_add(x.data.transpose(0, 2, 1), hop, padded)
-    out_data = np.ascontiguousarray((acc / counts)[:, :out_frames])
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
-
-        def backward():
-            gp = np.zeros((feat, padded), dtype=x.dtype)
-            gp[:, :out_frames] = out.grad
-            gp = gp / counts
-            x._accum_grad(np.ascontiguousarray(_frames(gp, chunk_len, hop).transpose(0, 2, 1)))
+            g = out.grad
+            for i, wave in enumerate(waves):  # in the order the chain's per-wave nodes ran
+                conv = _encode_conv(wave.data, weight.data, stride)
+                positive = conv > 0
+                g_act = g[i * n : (i + 1) * n]
+                if slope.requires_grad:
+                    slope._accum_grad(_prelu_slope_grad(g_act, positive, conv, slope.shape))
+                g_conv = _prelu_input_grad(g_act, positive, slope.data)
+                del conv, positive
+                cols = _frames(wave.data.reshape(1, -1), k_len, stride)
+                if weight.requires_grad:
+                    weight._accum_grad(np.tensordot(g_conv, cols, axes=([1], [1])))
+                if wave.requires_grad:
+                    g_cols = np.einsum("ot,ock->ctk", g_conv, weight.data)
+                    wave._accum_grad(_overlap_add(g_cols, stride, length).reshape(length))
 
         out._backward = backward
     return out
 
 
-def overlap_add(x: Tensor, stride: int, out_len: int) -> Tensor:
-    """Overlap-add frames (L, T) at the given stride into a signal of out_len samples.
+def mask_input(rep: Tensor, gain: Tensor, bias: Tensor, weight: Tensor, chunk_len: int, hop: int) -> Tensor:
+    """The mask estimator's input: rep (W, T) through a global layer norm,
+    the bottleneck weight (N, W), zero padding and chunking.
 
-    The natural length is (T-1)*stride + L; the result is trimmed or
-    zero-padded to out_len.
+    The norm runs over all of rep, with gain and bias (W, 1); the padded
+    (N, T') features are cut into chunk_len frames every hop frames, as
+    chunk_layout lays them out. Returns the chunks (N, chunk_len, C). The
+    node keeps the norm's mean and inverse std: its backward re-forms the
+    normalized rep from rep.
     """
-    if x.ndim != 2:
-        raise ConfigError(f"overlap_add: expected (L,T), got {x.shape}")
-    frame_len, frames = x.shape
-    total = max((frames - 1) * stride + frame_len, out_len)
-    out = Tensor._from_op(_overlap_add(x.data.T, stride, total)[:out_len], (x,))
+    if rep.ndim != 2:
+        raise ConfigError(f"mask_input: expected (W,T) rep, got {rep.shape}")
+    width, frames = rep.shape
+    if weight.ndim != 2 or weight.shape[1] != width:
+        raise ConfigError(f"mask_input: bottleneck {weight.shape} incompatible with rep {rep.shape}")
+    _, padded = chunk_layout(frames, chunk_len, hop)
+    axes = (0, 1)
+    centered, mu, inv_std = _normalize(rep.data, axes)
+    y = weight.data @ (centered * inv_std * gain.data + bias.data)
+    del centered
+    padded_y = np.pad(y, ((0, 0), (0, padded - frames)))
+    del y
+    chunks = np.ascontiguousarray(_frames(padded_y, chunk_len, hop).transpose(0, 2, 1))
+    del padded_y
+    out = Tensor._from_op(chunks, (rep, gain, bias, weight))
     if out.requires_grad:
 
         def backward():
-            g = np.zeros(total, dtype=x.dtype)
-            g[:out_len] = out.grad
-            x._accum_grad(np.ascontiguousarray(_frames(g, frame_len, stride)[:frames].T))
+            g_y = np.ascontiguousarray(_overlap_add(out.grad.transpose(0, 2, 1), hop, padded)[:, :frames])
+            if weight.requires_grad:
+                normed = (rep.data - mu) * inv_std * gain.data + bias.data  # as the forward formed it
+                weight._accum_grad(g_y @ normed.T)
+                del normed
+            if rep.requires_grad or gain.requires_grad or bias.requires_grad:
+                g_rep = _normalize_backward(weight.data.T @ g_y, rep.data, mu, inv_std, gain, bias, axes)
+                if rep.requires_grad:
+                    rep._accum_grad(g_rep)
+
+        out._backward = backward
+    return out
+
+
+def _merge_and_mask(chunks: np.ndarray, mask_weight: np.ndarray, hop: int, frames: int):
+    """The merged chunks (N, frames) and the softmax masks (S, N, frames) of
+    mask_decode, and the overlap counts that merged them."""
+    features, chunk_len, count = chunks.shape
+    padded = chunk_len + (count - 1) * hop
+    counts = _overlap_add(np.ones((count, chunk_len), dtype=chunks.dtype), hop, padded)
+    merged = np.ascontiguousarray((_overlap_add(chunks.transpose(0, 2, 1), hop, padded) / counts)[:, :frames])
+    logits = (mask_weight @ merged).reshape(-1, features, frames)
+    e = np.exp(logits - logits.max(axis=0, keepdims=True))
+    del logits
+    masks = e / e.sum(axis=0, keepdims=True)
+    return merged, masks, counts
+
+
+def mask_decode(
+    chunks: Tensor, mask_weight: Tensor, rep: Tensor, decoder_weight: Tensor, hop: int, stride: int, out_len: int
+) -> Tensor:
+    """The stage's output: S masked, decoded and overlap-added waves (S, out_len).
+
+    chunks (N, K, C) are the last dual-path block's output; they are merged
+    back to rep's T frames by an averaging overlap-add every hop frames, the
+    mask weight (S*N, N) projects them to S masks, and a softmax over the
+    speakers makes the masks sum to one at every (feature, frame). Each mask
+    multiplies the mixture's own channels, the last N rows of rep (W, T); the
+    decoder weight (L, N) maps the product to frames of L samples, and their
+    overlap-add every stride samples, trimmed or zero-padded to out_len, is
+    the speaker's wave. The node keeps nothing: its backward re-forms the
+    merged chunks, the masks and the masked channels.
+    """
+    if chunks.ndim != 3 or rep.ndim != 2:
+        raise ConfigError(f"mask_decode: expected (N,K,C) chunks and (W,T) rep, got {chunks.shape}, {rep.shape}")
+    features, chunk_len, count = chunks.shape
+    width, frames = rep.shape
+    if chunk_layout(frames, chunk_len, hop)[0] != count:
+        raise ConfigError(f"mask_decode: {count} chunks of {chunk_len} do not lay out {frames} frames at hop {hop}")
+    speakers, extra_rows = divmod(mask_weight.shape[0], features)
+    if mask_weight.ndim != 2 or mask_weight.shape[1] != features or extra_rows or not speakers:
+        raise ConfigError(f"mask_decode: mask weight {mask_weight.shape} does not map {features} features to masks")
+    if width < features or decoder_weight.ndim != 2 or decoder_weight.shape[1] != features:
+        raise ConfigError(f"mask_decode: decoder {decoder_weight.shape} incompatible with rep {rep.shape}")
+    frame_len = decoder_weight.shape[0]
+    total = max((frames - 1) * stride + frame_len, out_len)
+    padded = chunk_len + (count - 1) * hop
+    rows = slice(width - features, width)
+    mixture = rep.data[rows]
+    _, masks, _ = _merge_and_mask(chunks.data, mask_weight.data, hop, frames)
+    waves = np.empty((speakers, out_len), dtype=np.result_type(decoder_weight.data, masks, mixture))
+    for s in range(speakers):
+        waves[s] = _overlap_add((decoder_weight.data @ (masks[s] * mixture)).T, stride, total)[:out_len]
+    del masks
+    parents = (chunks, mask_weight, rep, decoder_weight)
+    # The chain's backward walk summed the grads of rep in this order: each
+    # speaker's masked mixture channels but the last speaker's, the input
+    # norm's, then the last speaker's. So the last speaker's goes through a
+    # getitem of those channels, a parent the walk reaches after mask_input,
+    # and rep's grad is summed, and rounded, as the chain summed it.
+    last = getitem(rep, (rows,)) if is_recording((rep,)) else None
+    out = Tensor._from_op(waves, parents if last is None else (*parents, last))
+    if out.requires_grad:
+
+        def backward():
+            g = out.grad
+            merged, masks, counts = _merge_and_mask(chunks.data, mask_weight.data, hop, frames)
+            g_masks = np.zeros_like(masks)
+            g_rep = np.zeros_like(rep.data) if last is not None else None
+            g_wave = np.zeros(total, dtype=g.dtype)
+            for s in range(speakers):
+                g_wave[:out_len] = g[s]
+                g_frames = np.ascontiguousarray(_frames(g_wave, frame_len, stride)[:frames].T)
+                if decoder_weight.requires_grad:
+                    decoder_weight._accum_grad(g_frames @ (masks[s] * mixture).T)
+                g_masked = decoder_weight.data.T @ g_frames
+                del g_frames
+                g_masks[s] += g_masked * mixture
+                if s < speakers - 1 and g_rep is not None:
+                    g_rep[rows] += g_masked * masks[s]
+            if g_rep is not None:
+                rep._accum_grad(g_rep)
+                last._accum_grad(g_masked * masks[-1])
+                del g_rep
+            del g_wave, g_masked
+            # the softmax's backward, then the mask projection's
+            g_logits = masks * (g_masks - (g_masks * masks).sum(axis=0, keepdims=True))
+            del g_masks, masks
+            g_logits = g_logits.reshape(-1, frames)
+            if mask_weight.requires_grad:
+                mask_weight._accum_grad(g_logits @ merged.T)
+            del merged
+            if chunks.requires_grad:
+                g_padded = np.zeros((features, padded), dtype=g_logits.dtype)
+                g_padded[:, :frames] = mask_weight.data.T @ g_logits
+                del g_logits
+                g_padded = g_padded / counts
+                chunks._accum_grad(np.ascontiguousarray(_frames(g_padded, chunk_len, hop).transpose(0, 2, 1)))
 
         out._backward = backward
     return out

@@ -11,21 +11,24 @@ closure that holds whatever the gradient needs) only when
 ``is_recording`` says so: some input requires grad and the thread is not
 inside ``no_grad()``. A node keeps what its backward reads and no more:
 its output, its parents (whose values the graph holds anyway), and the
-saved arrays that cannot be re-formed from those. ``layer_norm`` saves
-only its per-slice mean and inverse std, and re-forms the normalized
-values from its input; ``bilstm_layer``, a whole half of a dual-path
-block (BiLSTM, output projection, layer norm and residual), saves only its
-activated gates and the norm's per-slice mean and inverse std, and
-re-forms the cell states c(t), the hidden states h(t) and the projection
-output from them. That backward drops each array once it is spent: the
+saved arrays that cannot be re-formed from those. A separator stage is
+four kinds of node. ``encode`` saves nothing beside its output and
+re-forms its convolution outputs from the waves; ``mask_input`` saves the
+input norm's mean and inverse std and re-forms the normalized values from
+its input; ``mask_decode`` saves nothing and re-forms the merged chunks,
+the masks and the masked channels from its inputs; and ``bilstm_layer``,
+a whole half of a dual-path block (BiLSTM, output projection, layer norm
+and residual), saves only its activated gates and the norm's per-slice
+mean and inverse std, and re-forms the cell states c(t), the hidden
+states h(t) and the projection output from them. That backward drops each array once it is spent: the
 projection output, its grad and the joined hidden states go once the
 projection's weight grad is taken, and each direction's BPTT frees that
 direction's gates, c(t) and tanh c(t) as soon as its loop has run, before
 it copies its step grads for the weight-grad products. At its fullest it
-holds, beside the gates, either both directions' re-formed states, their
-join and the norm backward's temporaries, or, when the first direction's
-loop ends, both directions' states, the hidden-state grads and that
-direction's step grads. ``conv_block``, one speaker-network block
+holds, beside the gates, either both directions' re-formed c(t) and h(t),
+their join and the norm backward's temporaries, or, when the first
+direction's loop ends, both directions' states, the hidden-state grads and
+that direction's step grads. ``conv_block``, one speaker-network block
 (convolution, PReLU and 2x2 max pooling), saves each window's winning entry
 and the sign PReLU saw there, a byte each per output; only a trainable
 weight or slope adds its im2col matrix and convolution output, so a block

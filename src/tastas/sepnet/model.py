@@ -1,15 +1,20 @@
 """The multi-stage dual-path BiLSTM separator.
 
-Stage layout per forward pass:
+Stage layout per forward pass, one graph node per line:
 
-    encode      each input waveform -> shared conv1d + PReLU, concatenated
-                on the feature axis (stage one sees the mixture alone,
-                later stages see [est_1 .. est_S, mixture])
-    masks       global layer norm -> 1x1 conv bottleneck -> chunking ->
-                dual-path blocks -> merge -> 1x1 conv -> softmax over speakers
-    decode      per speaker: mask * the mixture's own encoder channels ->
-                linear frame map -> overlap-add back to waveform length
+    encode        each input waveform -> shared conv1d + PReLU, stacked on
+                  the feature axis into rep (stage one sees the mixture
+                  alone, later stages see [est_1 .. est_S, mixture])
+    mask_input    global layer norm of rep -> 1x1 conv bottleneck ->
+                  zero pad -> overlapping chunks
+    bilstm_layer  two per dual-path block: within each chunk, then across
+                  the chunks
+    mask_decode   merge the chunks -> 1x1 conv -> softmax over speakers ->
+                  per speaker: mask * the mixture's own channels of rep ->
+                  linear frame map -> overlap-add back to waveform length
 
+then one getitem per speaker splits mask_decode's (S, L) waves. Each
+fused node keeps only what its backward cannot re-form (see ``ops``).
 Masks multiply only the mixture slice of the representation (the last
 waveform fed to encode), so every stage has the same masking semantics.
 Encoder and decoder carry no bias, which keeps zero input giving zero
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DataError
 from ..numerics import ops
 from ..numerics.optim import ParamSet, uniform_fan_in
 from ..numerics.tensor import Tensor, no_grad
@@ -61,22 +66,6 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ParamSet:
     return params
 
 
-def encode(params: ParamSet, config: ModelConfig, stage_index: int, waves: list[Tensor]) -> Tensor:
-    """Shared conv front end over each input waveform; outputs concatenated."""
-    expected = config.input_streams(stage_index)
-    if len(waves) != expected:
-        raise ConfigError(f"stage {stage_index} expects {expected} waveforms, got {len(waves)}")
-    weight = params[f"stage{stage_index}.encoder.weight"]
-    slope = params[f"stage{stage_index}.encoder.prelu"]
-    feats = []
-    for wave in waves:
-        if wave.ndim != 1:
-            raise ConfigError(f"encode expects 1-D waveforms, got {wave.shape}")
-        framed = ops.conv1d(ops.reshape(wave, (1, wave.shape[0])), weight, config.stride)
-        feats.append(ops.prelu(framed, slope))
-    return feats[0] if len(feats) == 1 else ops.concat(feats, axis=0)
-
-
 def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
     """One intra-chunk + inter-chunk pass over (F, K, C) chunks.
 
@@ -91,37 +80,6 @@ def dual_path_block(params: ParamSet, base: str, chunks: Tensor) -> Tensor:
     return chunks
 
 
-def estimate_masks(params: ParamSet, config: ModelConfig, stage_index: int, rep: Tensor) -> Tensor:
-    """Mask head: norm, bottleneck, chunked dual-path stack, merge, softmax.
-
-    Returns (S, N, T); the softmax runs across the speaker axis so masks
-    sum to one at every (feature, frame) bin.
-    """
-    width, frames = rep.shape
-    prefix = f"stage{stage_index}"
-    y = ops.layer_norm(
-        rep, (0, 1), params[f"{prefix}.separator.input_norm.gain"], params[f"{prefix}.separator.input_norm.bias"]
-    )
-    y = ops.linear(params[f"{prefix}.separator.bottleneck.weight"], y)  # (N, T)
-    chunks, pad = ops.segment_chunks(y, config.chunk_len, config.chunk_hop)
-    for b in range(config.stage_blocks[stage_index]):
-        chunks = dual_path_block(params, f"{prefix}.block{b}", chunks)
-    merged = ops.merge_chunks(chunks, config.chunk_hop, frames, pad)
-    logits = ops.linear(params[f"{prefix}.separator.mask.weight"], merged)  # (S*N, T)
-    logits = ops.reshape(logits, (config.num_speakers, config.num_filters, frames))
-    return ops.softmax(logits, axis=0)
-
-
-def decode(params: ParamSet, config: ModelConfig, stage_index: int, rep: Tensor, mask: Tensor, out_len: int) -> Tensor:
-    """Apply one speaker's mask to the mixture's encoder channels and resynthesize."""
-    width = rep.shape[0]
-    n = config.num_filters
-    mixture_rep = ops.getitem(rep, (slice(width - n, width), slice(None)))
-    masked = ops.mul(mask, mixture_rep)
-    frames = ops.linear(params[f"stage{stage_index}.decoder.weight"], masked)  # (L, T)
-    return ops.overlap_add(frames, config.stride, out_len)
-
-
 def stage_forward(
     params: ParamSet,
     config: ModelConfig,
@@ -132,13 +90,31 @@ def stage_forward(
     if (prev_estimates is None) != (stage_index == 0):
         raise ConfigError("previous estimates must be given exactly for stages after the first")
     waves = [mixture] if prev_estimates is None else [*prev_estimates, mixture]
-    rep = encode(params, config, stage_index, waves)
-    masks = estimate_masks(params, config, stage_index, rep)
-    out_len = mixture.shape[0]
-    return [
-        decode(params, config, stage_index, rep, ops.getitem(masks, (s,)), out_len)
-        for s in range(config.num_speakers)
-    ]
+    expected = config.input_streams(stage_index)
+    if len(waves) != expected:
+        raise ConfigError(f"stage {stage_index} expects {expected} waveforms, got {len(waves)}")
+    prefix = f"stage{stage_index}"
+    rep = ops.encode(waves, params[f"{prefix}.encoder.weight"], params[f"{prefix}.encoder.prelu"], config.stride)
+    chunks = ops.mask_input(
+        rep,
+        params[f"{prefix}.separator.input_norm.gain"],
+        params[f"{prefix}.separator.input_norm.bias"],
+        params[f"{prefix}.separator.bottleneck.weight"],
+        config.chunk_len,
+        config.chunk_hop,
+    )
+    for b in range(config.stage_blocks[stage_index]):
+        chunks = dual_path_block(params, f"{prefix}.block{b}", chunks)
+    estimates = ops.mask_decode(
+        chunks,
+        params[f"{prefix}.separator.mask.weight"],
+        rep,
+        params[f"{prefix}.decoder.weight"],
+        config.chunk_hop,
+        config.stride,
+        mixture.shape[0],
+    )
+    return [ops.getitem(estimates, (s,)) for s in range(config.num_speakers)]
 
 
 class TasTasModel:
@@ -156,6 +132,14 @@ class TasTasModel:
     def forward(self, mixture_samples: np.ndarray) -> list[list[Tensor]]:
         """All stage outputs (each a list of S waveform tensors), first to last."""
         mixture = Tensor(np.asarray(mixture_samples).astype(self.dtype, copy=False))
+        if mixture.ndim != 1:
+            raise DataError(f"mixture must be 1-D, got shape {mixture.shape}")
+        kernel = self.config.kernel_len
+        if mixture.shape[0] < kernel:
+            raise DataError(f"mixture of {mixture.shape[0]} samples is shorter than the encoder kernel ({kernel})")
+        bad = np.flatnonzero(~np.isfinite(mixture.data))
+        if bad.size:
+            raise DataError(f"mixture sample {bad[0]} is not finite ({mixture.data[bad[0]]})")
         outputs: list[list[Tensor]] = []
         prev: list[Tensor] | None = None
         for s in range(self.config.num_stages):

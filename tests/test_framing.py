@@ -51,17 +51,29 @@ def _spy_passed_gradients(monkeypatch) -> list:
     return passed
 
 
+def _encode(x):
+    return ops.encode([x], Tensor(np.random.default_rng(2).standard_normal((4, 1, 6))), Tensor(np.array([0.25])), 3)
+
+
+def _mask_input(x):
+    return ops.mask_input(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))), Tensor(np.eye(4)), 6, 3)
+
+
+def _mask_decode(x):
+    rep = Tensor(np.random.default_rng(2).standard_normal((4, 10)))
+    return ops.mask_decode(x, Tensor(np.ones((8, 4))), rep, Tensor(np.ones((6, 4))), 3, 3, 25)
+
+
 @pytest.mark.parametrize(
     "op,shape",
-    [
-        (lambda x: ops.segment_chunks(x, 6, 3)[0], (4, 17)),
-        (lambda x: ops.merge_chunks(x, 3, 10, 2), (4, 6, 3)),
-        (lambda x: ops.overlap_add(x, 3, 25), (6, 5)),
-    ],
+    [(_mask_input, (4, 17)), (_mask_decode, (4, 6, 3)), (_encode, (25,))],
     ids=["segment_chunks", "merge_chunks", "overlap_add"],
 )
 def test_framing_ops_pass_back_c_contiguous_gradients(monkeypatch, op, shape):
-    # a strided or transposed gradient would keep its layout in the leaf's grad copy
+    # the framing steps of the stage nodes: mask_input's chunking, and
+    # mask_decode's merge of the chunks; encode's grad of its wave is the
+    # overlap-add of its frames' grads. A strided or transposed gradient
+    # would keep its layout in the leaf's grad copy
     x = Tensor(np.random.default_rng(1).standard_normal(shape), requires_grad=True)
     out = op(x)
     passed = _spy_passed_gradients(monkeypatch)

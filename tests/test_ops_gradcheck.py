@@ -13,14 +13,14 @@ from tastas.numerics.gradcheck import BUILDERS, check_kind, run_suite
 from tastas.numerics.tensor import Tensor
 
 import dual_path_reference as reference
+import stage_reference
 
 SPEC_KINDS = [
-    "conv1d",
+    "encode",
     "linear",
     "bilstm_layer",
-    "layer_norm",
-    "softmax",
-    "prelu",
+    "mask_input",
+    "mask_decode",
     "log",
     "concat",
     "elementwise_mul",
@@ -62,7 +62,7 @@ def test_every_graph_op_has_a_gradcheck_builder():
         for name, fn in vars(ops).items()
         if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == ops.__name__
     ]
-    assert {"add", "bilstm_layer", "layer_norm"} <= set(public)
+    assert {"add", "bilstm_layer", "encode", "mask_input", "mask_decode"} <= set(public)
     missing = [name for name in public if name not in NOT_GRAPH_OPS and BUILDER_KIND.get(name, name) not in BUILDERS]
     assert not missing, f"ops without a gradcheck builder: {missing}"
     stale = sorted((NOT_GRAPH_OPS | set(BUILDER_KIND)) - set(public))
@@ -70,7 +70,8 @@ def test_every_graph_op_has_a_gradcheck_builder():
 
 
 def test_conv1d_stride2_20_trials():
-    report = check_kind("conv1d", trials=20, tolerance=1e-4, seed=5)
+    # the stage encoder's stride-2 convolution, through encode
+    report = check_kind("encode", trials=20, tolerance=1e-4, seed=5)
     assert report.passed
 
 
@@ -88,36 +89,75 @@ def test_suite_report_carries_failures():
 # -- closed-form cases ---------------------------------------------------------
 
 
+def _masks(chunks, mask_weight, frames):
+    """mask_decode's softmax masks (S, N, frames) of chunks (N, K, C) merged every K/2 frames."""
+    return ops._merge_and_mask(chunks, mask_weight, chunks.shape[1] // 2, frames)[1]
+
+
 def test_softmax_symmetry():
-    out = ops.softmax(Tensor(np.array([0.0, 0.0])), axis=0)
-    assert np.allclose(out.data, [0.5, 0.5])
+    # equal logits, from a zero mask weight, give each of 2 speakers half of every bin
+    masks = _masks(np.ones((3, 4, 3)), np.zeros((6, 3)), 8)
+    assert np.allclose(masks, 0.5)
 
 
 def test_softmax_sums_to_one_and_positive():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-30, 30, size=(6, 9)))
-    out = ops.softmax(x, axis=0).data
-    assert np.all(out > 0)
-    assert np.allclose(out.sum(axis=0), 1.0, atol=1e-9)
+    masks = _masks(rng.uniform(-30, 30, size=(3, 4, 4)), rng.uniform(-3, 3, size=(9, 3)), 9)
+    assert masks.shape == (3, 3, 9)
+    assert np.all(masks > 0)
+    assert np.allclose(masks.sum(axis=0), 1.0, atol=1e-9)
 
 
 def test_prelu_definition():
-    slope = Tensor(np.array([0.25]))
-    assert ops.prelu(Tensor(np.array([-1.0])), slope).data[0] == pytest.approx(-0.25)
-    assert ops.prelu(Tensor(np.array([2.0])), slope).data[0] == pytest.approx(2.0)
+    slope = np.array([0.25])
+    assert ops._prelu(np.array([-1.0]), slope)[0][0] == pytest.approx(-0.25)
+    assert ops._prelu(np.array([2.0]), slope)[0][0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.25, -0.25])
+def test_prelu_bit_select_equals_the_where_form_byte_for_byte(dtype, slope):
+    # signed zeros, NaN, infinities and subnormals among random values, each
+    # on either side of the kink, through PReLU and both of its grads
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-40, -1e-40, 1.0, -1.0]
+    x = np.concatenate([np.array(special, dtype=dtype), rng.standard_normal(990).astype(dtype)]).reshape(10, 100)
+    g = np.concatenate([np.array(special[::-1], dtype=dtype), rng.standard_normal(990).astype(dtype)]).reshape(10, 100)
+    s = np.array([slope], dtype=dtype)
+    with np.errstate(invalid="ignore"):  # inf * 0 and NaN sums, in both forms alike
+        out, positive = ops._prelu(x, s)
+        ref_out, ref_positive = stage_reference.prelu_where(x, s)
+        pairs = [
+            (out, ref_out),
+            (ops._prelu_input_grad(g, positive, s), np.where(positive, g, s * g)),
+            (ops._prelu_slope_grad(g, positive, x, s.shape), ops._unbroadcast(np.where(positive, 0.0, x) * g, s.shape)),
+            # a strided grad, as a slice of the encoder's stacked rep grad can be
+            (ops._prelu_input_grad(g[:, ::2], positive[:, ::2], s), np.where(positive, g, s * g)[:, ::2]),
+        ]
+    assert np.array_equal(positive, ref_positive)
+    for got, want in pairs:
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _identity_bottleneck_chunks(rep, gain, bias):
+    """mask_input's chunks of rep (W, T) through an identity bottleneck, at
+    chunks of 4 frames every 2."""
+    return ops.mask_input(rep, gain, bias, Tensor(np.eye(rep.shape[0])), 4, 2)
 
 
 def test_layer_norm_constant_vector_maps_to_zero():
-    out = ops.layer_norm(Tensor(np.array([5.0, 5.0, 5.0, 5.0])), 0, Tensor(np.ones(1)), Tensor(np.zeros(1)))
-    assert np.array_equal(out.data, np.zeros(4))
+    out = _identity_bottleneck_chunks(Tensor(np.full((2, 4), 5.0)), Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 1))))
+    assert np.array_equal(out.data, np.zeros((2, 4, 2)))
 
 
 def test_layer_norm_normalizes():
     rng = np.random.default_rng(1)
     x = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-    out = ops.layer_norm(x, (0, 1), Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1)))).data
-    assert abs(out.mean()) < 1e-12
-    assert abs(out.std() - 1.0) < 1e-9
+    out = _identity_bottleneck_chunks(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1)))).data
+    normalized = np.concatenate([out[:, :, 0], out[:, 2:, 1]], axis=1)  # frames 0-3, then 4-5 of the second chunk
+    assert abs(normalized.mean()) < 1e-12
+    assert abs(normalized.std() - 1.0) < 1e-9
 
 
 def test_elementwise_mul_product_rule():
@@ -142,24 +182,30 @@ def test_linear_matrix_calculus():
 
 
 def test_conv1d_shape_algebra():
-    x = Tensor(np.zeros((1, 8000)))
+    x = Tensor(np.zeros(8000))
     w = Tensor(np.zeros((64, 1, 16)))
-    out = ops.conv1d(x, w, stride=8)
-    assert out.shape == (64, 999)
+    out = ops.encode([x, x, x], w, Tensor(np.array([0.25])), stride=8)
+    assert out.shape == (3 * 64, 999)
 
 
 def test_conv1d_shape_errors_name_dimensions():
-    with pytest.raises(ConfigError, match="channels"):
-        ops.conv1d(Tensor(np.zeros((2, 30))), Tensor(np.zeros((4, 3, 5))), stride=1)
+    slope = Tensor(np.array([0.25]))
+    with pytest.raises(ConfigError, match="weight"):
+        ops.encode([Tensor(np.zeros(30))], Tensor(np.zeros((4, 3, 5))), slope, stride=1)
     with pytest.raises(ConfigError, match="shorter than kernel"):
-        ops.conv1d(Tensor(np.zeros((1, 4))), Tensor(np.zeros((4, 1, 8))), stride=1)
+        ops.encode([Tensor(np.zeros(4))], Tensor(np.zeros((4, 1, 8))), slope, stride=1)
+    with pytest.raises(ConfigError, match="one length"):
+        ops.encode([Tensor(np.zeros(30)), Tensor(np.zeros(31))], Tensor(np.zeros((4, 1, 8))), slope, stride=1)
 
 
 def test_overlap_add_inverts_framing_scale():
-    # constant frames at stride L/2 double-count except the edges
-    x = Tensor(np.ones((4, 3)))
-    out = ops.overlap_add(x, stride=2, out_len=8)
-    assert np.allclose(out.data, [1, 1, 2, 2, 2, 2, 1, 1])
+    # constant frames at stride L/2 double-count except the edges, through the
+    # decoder's overlap-add: one speaker's frames from a unit decoder weight
+    # on mixture channels of ones, its mask 1 (a lone speaker's softmax)
+    rep = Tensor(np.ones((1, 3)))
+    chunks = Tensor(np.zeros((1, 4, 2)))
+    out = ops.mask_decode(chunks, Tensor(np.zeros((1, 1))), rep, Tensor(np.ones((4, 1))), hop=2, stride=2, out_len=8)
+    assert np.allclose(out.data, [[1, 1, 2, 2, 2, 2, 1, 1]])
 
 
 def test_segment_chunk_layout_rules():
@@ -388,22 +434,22 @@ def test_bilstm_backward_peak_holds_one_directions_step_grads():
     # Measured from the end of the forward, so the gates count as held and
     # freeing them counts too. In N = T*B columns, a backward holds at most
     # either of two sets. While the layer norm's backward runs: the output
-    # grad and the residual's copy of it, the projection output and five
-    # arrays of its size in the norm backward (8F), beside the re-formed c(t),
-    # tanh c(t) and h(t) of both directions (6H) and their join (2H). When the
-    # first direction's BPTT loop ends: the two grads (2F), an (F, T, B) copy
-    # of the chunks when the recurrence runs across them, both directions'
-    # states (6H), the hidden-state grads (2H) and that direction's step
-    # grads (4H); its gates, c(t) and tanh c(t) go before the flat copy of
-    # the step grads is made. Beside either, the weight-sized w_hh^T (4H x H)
-    # and projection grad (F x 2H).
+    # grad and the residual's copy of it, the projection output and the norm
+    # backward's three in-place arrays (6F), beside the re-formed c(t) and
+    # h(t) of both directions (4H) and their join (2H). When the first
+    # direction's BPTT loop ends: the two grads (2F), an (F, T, B) copy of the
+    # chunks when the recurrence runs across them, both directions' c(t) and
+    # h(t) and the first's tanh c(t), re-formed for its loop (5H), the
+    # hidden-state grads (2H) and that direction's step grads (4H); its gates,
+    # c(t) and tanh c(t) go before the flat copy of the step grads is made.
+    # Beside either, the weight-sized w_hh^T (4H x H) and projection grad (F x 2H).
     features, steps, batch, hidden = 16, 16, 8, 16
     columns = steps * batch
     for axis in (1, 2):
         arrays, g_out = _half_case(np.random.default_rng(0), _chunk_shape(axis, features, batch, steps), hidden)
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         chunk_copy = features if axis == 2 else 0
-        held = max(8 * features + 8 * hidden, 2 * features + chunk_copy + 12 * hidden)
+        held = max(6 * features + 6 * hidden, 2 * features + chunk_copy + 11 * hidden)
         floats = held * columns + 4 * hidden * hidden + 2 * hidden * features
         expected = floats * g_out.itemsize
         # numpy's ufunc iterator buffers (np.getbufsize() elements per operand,
@@ -487,6 +533,8 @@ def _layer_norm_composition(x, axes, gain, bias, g):
 
 @pytest.mark.parametrize("transposed,axes", [(True, (0, 1)), (False, (0, 2))], ids=["view-0-1", "0-2"])
 def test_layer_norm_is_bit_identical_to_the_composition(transposed, axes):
+    # the norm that mask_input and bilstm_layer share: _normalize forward, and
+    # _normalize_backward, which runs its arithmetic in place
     rng = np.random.default_rng(64)
     shape = (64, 50, 41)
     x = rng.standard_normal((64, 41, 50)).astype(np.float32).transpose(0, 2, 1) if transposed else (
@@ -495,31 +543,35 @@ def test_layer_norm_is_bit_identical_to_the_composition(transposed, axes):
     gain = rng.uniform(0.5, 1.5, (64, 1, 1)).astype(np.float32)
     bias = rng.uniform(-0.5, 0.5, (64, 1, 1)).astype(np.float32)
     g = rng.standard_normal(shape).astype(np.float32)
-    tensors = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
-    out = ops.layer_norm(tensors[0], axes, *tensors[1:])
-    out.backward(seed=g)
+    centered, mu, inv_std = ops._normalize(x, axes)
+    out = centered * inv_std * gain + bias
+    tensors = [Tensor(a, requires_grad=True) for a in (gain, bias)]
+    g_x = ops._normalize_backward(g, x, mu, inv_std, *tensors, axes)
     ref_out, ref_grads = _layer_norm_composition(x, axes, gain, bias, g)
     assert out.dtype == np.float32
-    assert np.array_equal(out.data, ref_out)
-    for tensor, ref in zip(tensors, ref_grads, strict=True):
-        assert tensor.grad.dtype == np.float32
-        assert np.array_equal(tensor.grad, ref)
+    assert np.array_equal(out, ref_out)
+    for got, ref in zip((g_x, *(t.grad for t in tensors)), ref_grads, strict=True):
+        assert got.dtype == np.float32
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def test_recorded_layer_norm_keeps_no_input_sized_array():
+    # mask_input keeps the norm's mean and inverse std, not the normalized rep
+    # or the bottleneck output
     rng = np.random.default_rng(5)
-    x = Tensor(rng.standard_normal((64, 50, 41)), requires_grad=True)
-    gain = Tensor(np.ones((64, 1, 1)), requires_grad=True)
-    bias = Tensor(np.zeros((64, 1, 1)), requires_grad=True)
+    rep = Tensor(rng.standard_normal((192, 999)), requires_grad=True)
+    gain = Tensor(np.ones((192, 1)), requires_grad=True)
+    bias = Tensor(np.zeros((192, 1)), requires_grad=True)
+    weight = Tensor(rng.standard_normal((64, 192)), requires_grad=True)
     tracemalloc.start()
     try:
-        out = ops.layer_norm(x, (0, 2), gain, bias)
+        out = ops.mask_input(rep, gain, bias, weight, 50, 25)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    # the output itself plus per-slice statistics and bookkeeping, well under another x
-    assert held < out.data.nbytes + x.data.nbytes // 4
+    # the output itself plus per-slice statistics and bookkeeping, well under a bottleneck output
+    assert held < out.data.nbytes + 64 * 999 * 8 // 4
 
 
 # Reference copies of the earlier max_pool2d (one argmax over a reshaped,
@@ -588,7 +640,7 @@ def _ref_conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
 
 
 def _ref_conv_block(x: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
-    return _ref_max_pool2d(ops.prelu(_ref_conv2d(x, weight), slope))
+    return _ref_max_pool2d(stage_reference.prelu(_ref_conv2d(x, weight), slope))
 
 
 def _block_value_and_grads(block, x, w, slope, g_out, frozen: bool):
