@@ -9,7 +9,7 @@ import pytest
 
 from tastas.errors import ConfigError
 from tastas.numerics import ops
-from tastas.numerics.gradcheck import BUILDERS, check_kind, run_suite
+from tastas.numerics.gradcheck import BUILDERS, _u, check_kind, run_suite
 from tastas.numerics.tensor import Tensor
 
 import dual_path_reference as reference
@@ -28,8 +28,63 @@ SPEC_KINDS = [
 ]
 
 
-@pytest.mark.parametrize("kind", sorted(BUILDERS))
-def test_kind_matches_finite_differences(kind):
+def _build_ref_prelu(rng):
+    # |x| >= 0.01 keeps every +-step difference on one side of the kink at 0;
+    # the random sign still exercises both slopes
+    sign = np.where(rng.uniform(size=(3, 5)) < 0.5, -1.0, 1.0)
+    x = Tensor(rng.uniform(0.01, 1.0, size=(3, 5)) * sign)
+    slope = Tensor(rng.uniform(0.1, 0.5, size=(1,)))
+    return [x, slope], lambda ts: stage_reference.prelu(ts[0], ts[1])
+
+
+def _build_ref_conv1d(rng):
+    x, w = _u(rng, 2, 14), _u(rng, 3, 2, 4)
+    return [x, w], lambda ts: stage_reference.conv1d(ts[0], ts[1], stride=2)
+
+
+def _build_ref_layer_norm(rng):
+    x, gain, bias = _u(rng, 3, 4, 2), _u(rng, 3, 1, 1), _u(rng, 3, 1, 1)
+    return [x, gain, bias], lambda ts: stage_reference.layer_norm(ts[0], (0, 1), ts[1], ts[2])
+
+
+def _build_ref_softmax(rng):
+    x = _u(rng, 3, 4, lo=-2.0, hi=2.0)
+    return [x], lambda ts: stage_reference.softmax(ts[0], axis=0)
+
+
+def _build_ref_segment_chunks(rng):
+    x = _u(rng, 3, 11)
+    return [x], lambda ts: stage_reference.segment_chunks(ts[0], chunk_len=4, hop=2)[0]
+
+
+def _build_ref_merge_chunks(rng):
+    x = _u(rng, 2, 4, 5)
+    # layout: padded = 4 + 4*2 = 12, claim 11 real frames + 1 pad
+    return [x], lambda ts: stage_reference.merge_chunks(ts[0], hop=2, out_frames=11, pad_frames=1)
+
+
+def _build_ref_overlap_add(rng):
+    x = _u(rng, 4, 5)
+    return [x], lambda ts: stage_reference.overlap_add(ts[0], stride=2, out_len=12)
+
+
+# The unfused stage chain's ops, which the fused stage nodes must equal byte
+# for byte: checked against finite differences too, so that oracle is sound.
+REFERENCE_BUILDERS = {
+    "prelu": _build_ref_prelu,
+    "conv1d": _build_ref_conv1d,
+    "layer_norm": _build_ref_layer_norm,
+    "softmax": _build_ref_softmax,
+    "segment_chunks": _build_ref_segment_chunks,
+    "merge_chunks": _build_ref_merge_chunks,
+    "overlap_add": _build_ref_overlap_add,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS.keys() | REFERENCE_BUILDERS.keys()))
+def test_kind_matches_finite_differences(kind, monkeypatch):
+    if kind in REFERENCE_BUILDERS:
+        monkeypatch.setitem(BUILDERS, kind, REFERENCE_BUILDERS[kind])
     report = check_kind(kind, trials=8, tolerance=1e-4, seed=11)
     assert report.passed, f"{kind}: {report.max_rel_err:.3e} ({report.worst_detail})"
 
