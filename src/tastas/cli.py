@@ -190,10 +190,10 @@ def _cmd_grad_check(args) -> int:
     from .numerics.gradcheck import run_suite
     from .verify import tiny_model_check
 
-    suite = run_suite(trials=args.trials, tolerance=args.tol, seed=args.seed)
-    for line in suite.lines():
-        print(line)
-    ok = suite.passed
+    reports = run_suite(trials=args.trials, tolerance=args.tol, seed=args.seed)
+    for report in reports:
+        print(report.line())
+    ok = all(report.passed for report in reports)
     if not args.skip_model:
         report = tiny_model_check(tolerance=max(args.tol, 1e-3), seed=args.seed)
         print(report.line())

@@ -70,19 +70,16 @@ class IdNet:
         self.frozen = frozen
         self._window = hann_window(config.window_len)
         if frozen:
-            self._apply_freeze()
+            self.freeze()
 
     @staticmethod
     def initialize(config: IdNetConfig, seed: int) -> "IdNet":
         return IdNet(config, init_idnet_params(config, seed))
 
-    def _apply_freeze(self) -> None:
-        for _, tensor in self.params.items():
-            tensor.requires_grad = False
-
     def freeze(self) -> "IdNet":
         self.frozen = True
-        self._apply_freeze()
+        for _, tensor in self.params.items():
+            tensor.requires_grad = False
         return self
 
     def _prep_segment(self, segment: Tensor) -> Tensor:

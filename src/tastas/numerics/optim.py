@@ -30,9 +30,6 @@ class ParamSet:
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
-
     def __len__(self) -> int:
         return len(self._tensors)
 

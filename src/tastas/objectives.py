@@ -30,14 +30,9 @@ _LOG10_SCALE = 10.0 / math.log(10.0)
 MAX_SPEAKERS_EXHAUSTIVE = 4
 
 
-def _as_samples(x) -> np.ndarray:
-    samples = getattr(x, "samples", x)
-    return np.asarray(samples, dtype=np.float64)
-
-
 def si_sdr_graph(target, estimate: Tensor) -> Tensor:
     """Differentiable SI-SDR; gradient flows into the estimate only."""
-    t = _as_samples(target)
+    t = np.asarray(target, dtype=np.float64)
     if estimate.ndim != 1 or t.shape != estimate.shape:
         raise DataError(f"length mismatch: target {t.shape} vs estimate {estimate.shape}")
     t = t - t.mean()
@@ -59,13 +54,13 @@ def si_sdr_graph(target, estimate: Tensor) -> Tensor:
 def si_sdr(target, estimate) -> float:
     """`si_sdr_graph` on a float64 copy of the estimate, recording no graph; in dB."""
     with no_grad():
-        return float(si_sdr_graph(target, Tensor(_as_samples(estimate))).data)
+        return float(si_sdr_graph(target, Tensor(estimate, dtype=np.float64)).data)
 
 
 def snr_sdr(target, estimate) -> float:
     """Plain (scale-dependent) SDR: target power over error power, in dB."""
-    t = _as_samples(target)
-    s = _as_samples(estimate)
+    t = np.asarray(target, dtype=np.float64)
+    s = np.asarray(estimate, dtype=np.float64)
     if t.shape != s.shape:
         raise DataError(f"length mismatch: target {t.shape} vs estimate {s.shape}")
     tt = float(t @ t)
@@ -110,16 +105,20 @@ def pit_loss(targets, estimates) -> tuple[float, PermutationResult]:
     return -result.mean_si_sdr, result
 
 
+def _mean(terms: list[Tensor]) -> Tensor:
+    """The mean of scalar loss tensors: added left to right, then scaled by 1/n."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = ops.add(total, term)
+    return ops.mul(total, ops.const(1.0 / len(terms), dtype=total.dtype))
+
+
 def pit_loss_graph(targets, estimates: list[Tensor]) -> tuple[Tensor, PermutationResult]:
     """Differentiable PIT loss: the permutation is chosen on the estimates'
     values, then only the n winning pairs are recorded."""
     result = pit_permutation(targets, [e.data for e in estimates])
-    total = None
-    for i, estimate in enumerate(estimates):
-        pair = si_sdr_graph(targets[result.perm[i]], estimate)
-        total = pair if total is None else ops.add(total, pair)
-    loss = ops.neg(ops.mul(total, ops.const(1.0 / len(estimates), dtype=total.dtype)))
-    return loss, result
+    pairs = [si_sdr_graph(targets[result.perm[i]], estimate) for i, estimate in enumerate(estimates)]
+    return ops.neg(_mean(pairs)), result
 
 
 @dataclass(frozen=True)
@@ -140,12 +139,8 @@ def multi_stage_loss_graph(stage_outputs: list[list[Tensor]], targets) -> tuple[
         loss_tensors.append(loss)
         losses.append(float(loss.data))
         perms.append(perm)
-    total = loss_tensors[0]
-    for extra in loss_tensors[1:]:
-        total = ops.add(total, extra)
-    total = ops.mul(total, ops.const(1.0 / len(loss_tensors), dtype=total.dtype))
     breakdown = LossBreakdown(per_stage_neg_si_sdr=np.array(losses), per_stage_perms=tuple(perms))
-    return total, breakdown
+    return _mean(loss_tensors), breakdown
 
 
 def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
@@ -153,16 +148,14 @@ def id_loss_graph(sep_embeddings: list[Tensor], ref_embeddings, perm) -> Tensor:
     distance to the matched reference embedding; references are constants."""
     if len(sep_embeddings) != len(ref_embeddings):
         raise DataError("embedding set sizes differ")
-    n = len(sep_embeddings)
-    total = None
+    mses = []
     for i, emb in enumerate(sep_embeddings):
         ref = np.asarray(ref_embeddings[perm[i]])
         if ref.shape != emb.shape:
             raise DataError(f"embedding dims differ: {emb.shape} vs {ref.shape}")
         diff = ops.sub(emb, ops.const(ref, dtype=emb.dtype))
-        mse = ops.tmean(ops.mul(diff, diff))
-        total = mse if total is None else ops.add(total, mse)
-    return ops.mul(total, ops.const(1.0 / n, dtype=total.dtype))
+        mses.append(ops.tmean(ops.mul(diff, diff)))
+    return _mean(mses)
 
 
 def id_loss(sep_embeddings, ref_embeddings, perm) -> float:

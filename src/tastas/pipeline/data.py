@@ -132,7 +132,6 @@ class LoadedExample:
     utt_id: str
     mixture: np.ndarray
     targets: list[np.ndarray]
-    speaker_ids: tuple[int, int]
     sample_rate_hz: int
 
 
@@ -150,7 +149,6 @@ def load_example(record: ManifestRecord) -> LoadedExample:
         utt_id=record.utt_id,
         mixture=mix.samples,
         targets=[s.samples for s in sources],
-        speaker_ids=record.speaker_ids,
         sample_rate_hz=mix.sample_rate_hz,
     )
 

@@ -61,34 +61,23 @@ class EvalSummary:
     def mean_si_sdri(self) -> float:
         return self._stat(self.results, "si_sdri", np.mean)
 
-    def median_si_sdri(self) -> float:
-        return self._stat(self.results, "si_sdri", np.median)
-
-    def mean_sdri(self) -> float:
-        return self._stat(self.results, "sdri", np.mean)
-
-    def irm_mean_si_sdri(self) -> float:
-        return self._stat(self.irm_results, "si_sdri", np.mean)
-
-    def irm_mean_sdri(self) -> float:
-        return self._stat(self.irm_results, "sdri", np.mean)
-
     def table(self, model_name: str) -> str:
+        stat = self._stat
         lines = [REPORT_HEADER]
         lines += [r.row() for r in self.results]
         lines.append("")
         lines.append("summary\tsi_sdri\tsdri\tpesq\testoi")
         lines.append(
-            f"{model_name} (mean)\t{self.mean_si_sdri():.4f}\t{self.mean_sdri():.4f}"
+            f"{model_name} (mean)\t{self.mean_si_sdri():.4f}\t{stat(self.results, 'sdri', np.mean):.4f}"
             f"\t{UNSUPPORTED}\t{UNSUPPORTED}"
         )
         lines.append(
-            f"{model_name} (median)\t{self.median_si_sdri():.4f}\t-\t{UNSUPPORTED}\t{UNSUPPORTED}"
+            f"{model_name} (median)\t{stat(self.results, 'si_sdri', np.median):.4f}\t-\t{UNSUPPORTED}\t{UNSUPPORTED}"
         )
         if self.irm_results:
             lines.append(
-                f"irm-oracle (mean)\t{self.irm_mean_si_sdri():.4f}\t{self.irm_mean_sdri():.4f}"
-                f"\t{UNSUPPORTED}\t{UNSUPPORTED}"
+                f"irm-oracle (mean)\t{stat(self.irm_results, 'si_sdri', np.mean):.4f}"
+                f"\t{stat(self.irm_results, 'sdri', np.mean):.4f}\t{UNSUPPORTED}\t{UNSUPPORTED}"
             )
         return "\n".join(lines) + "\n"
 

@@ -20,7 +20,6 @@ import time
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
 from ..numerics import ops
-from ..numerics.optim import GRAD_CLIP, AdamState, adam_step, clip_global_norm
+from ..numerics.optim import GRAD_CLIP, AdamState, ParamSet, adam_step, clip_global_norm
 from ..numerics.tensor import Tensor, no_grad
 from ..sepnet.config import ModelConfig
 from ..sepnet.model import TasTasModel
@@ -88,20 +87,18 @@ class TrainPass:
         )
 
 
-def train_pass(owner, lr: float, order, batch_size: int, example_loss) -> TrainPass:
+def train_pass(params: ParamSet, adam: AdamState, lr: float, order, batch_size: int, example_loss) -> TrainPass:
     """One pass over the examples `order` names, in minibatches of `batch_size`.
 
     Per minibatch: backpropagate each example's scalar loss
-    `example_loss(i)` with seed 1/len(batch) into the gradients of
-    `owner.model.params`, clip their global norm at GRAD_CLIP and take one Adam
-    step at `lr`, which updates `owner.model.params` and `owner.adam` in place.
-    `owner` is a SepTrainer or any object with its `model` and `adam`
-    attributes. The step's gradients are dropped as soon as it has taken
-    them, so none is alive while the next minibatch's losses are computed.
+    `example_loss(i)` with seed 1/len(batch) into the gradients of `params`,
+    clip their global norm at GRAD_CLIP and take one Adam step at `lr`, which
+    updates `params` and `adam` in place. The step's gradients are dropped as
+    soon as it has taken them, so none is alive while the next minibatch's
+    losses are computed.
     """
     start = time.perf_counter()
     losses, grad_norms = [], []
-    params = owner.model.params
     params.zero_grads()
     for first in range(0, len(order), batch_size):
         batch = order[first : first + batch_size]
@@ -112,7 +109,7 @@ def train_pass(owner, lr: float, order, batch_size: int, example_loss) -> TrainP
             loss.backward(seed=np.asarray(scale, dtype=loss.dtype))
         grads, norm = clip_global_norm(params.grads(), GRAD_CLIP)
         grad_norms.append(norm)
-        adam_step(params, grads, owner.adam, lr)
+        adam_step(params, grads, adam, lr)
         del grads
         params.zero_grads()
     return TrainPass(start, time.perf_counter() - start, losses, grad_norms)
@@ -211,7 +208,7 @@ def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict)
 def load_sep_model(path) -> TasTasModel:
     """The separator of a checkpoint, for inference: its optimizer state is never read."""
     config, params, _, _ = load_network(path, "sepnet", ModelConfig, weights_only=True)
-    return TasTasModel(config, params, dtype=np.float32)
+    return TasTasModel(config, params)
 
 
 def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
@@ -230,7 +227,7 @@ def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
         beta2=float(meta["beta2"]),
         eps=float(meta["eps"]),
     )
-    return TasTasModel(config, params, dtype=np.float32), adam, header.get("extras", {})
+    return TasTasModel(config, params), adam, header.get("extras", {})
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +292,7 @@ class SepTrainer:
                 # the identity loss is what makes the fine-tuned model TasTas(I, ...)
                 self.model.config = replace(self.model.config, use_id_loss=True)
             else:
-                self.model = TasTasModel.initialize(config.model_config(), seed=config.seed, dtype=np.float32)
+                self.model = TasTasModel.initialize(config.model_config(), seed=config.seed)
                 self.adam = AdamState.for_params(self.model.params)
             self.restarts = 0
             self.epoch = 0
@@ -313,15 +310,8 @@ class SepTrainer:
             self._dev_target_embeddings = self._embed_targets(self.dev_set)
 
     def _embed_targets(self, examples: list[LoadedExample]) -> list[list[np.ndarray]]:
-        """Speaker-network embedding of every reference source, per example."""
-        with no_grad():
-            return [
-                [
-                    np.asarray(self.idnet.embed_segments_graph(Tensor(t.astype(np.float32))).data, dtype=np.float32)
-                    for t in ex.targets
-                ]
-                for ex in examples
-            ]
+        """Speaker-network embedding of every reference source, per example, as eval embeds it."""
+        return [[self.idnet.embed_utterance(Waveform(t, ex.sample_rate_hz)) for t in ex.targets] for ex in examples]
 
     # -- loss of one example ------------------------------------------------
 
@@ -397,10 +387,14 @@ class SepTrainer:
 
     def _saved_by_next_epoch(self, extras: dict) -> bool:
         """Whether a checkpoint's trainer state is the one this trainer's next
-        epoch reaches: one epoch on, with the generator one shuffle on."""
+        epoch reaches: one epoch on, with the generator one epoch's draw on."""
         rng = _rng_from_json(_rng_state_to_json(self.rng))
-        rng.permutation(len(self.train_set))
+        self._epoch_order(rng)
         return extras.get("epoch") == self.epoch + 1 and extras.get("rng_state") == _rng_state_to_json(rng)
+
+    def _epoch_order(self, rng: np.random.Generator) -> np.ndarray:
+        """The order an epoch visits the training examples in, drawn from `rng`."""
+        return rng.permutation(len(self.train_set))
 
     def _reload_best(self) -> None:
         self.model, self.adam, extras = load_sep_checkpoint(self.out_dir / "best.ckpt")
@@ -420,7 +414,7 @@ class SepTrainer:
         reports: list[EpochReport] = []
         while self.epoch < self.config.epochs_max:
             lr = self.config.learning_rate(self.restarts, self.epoch_in_restart)
-            order = self.rng.permutation(len(self.train_set))
+            order = self._epoch_order(self.rng)
             id_terms = []
 
             def example_loss(idx):
@@ -429,7 +423,7 @@ class SepTrainer:
                 id_terms.append(id_term)
                 return loss
 
-            done = train_pass(self, lr, order, self.config.batch_size, example_loss)
+            done = train_pass(self.model.params, self.adam, lr, order, self.config.batch_size, example_loss)
             dev_loss, dev_si_sdri = self._dev_metrics()
             self.epoch += 1
             self.epoch_in_restart += 1
@@ -559,8 +553,7 @@ def train_idnet(
     train_idx, hold_idx = _holdout_split(segments, rng)
 
     net = IdNet.initialize(config, seed=seed)
-    # the model and Adam state that train_pass steps, as on a SepTrainer
-    training = SimpleNamespace(model=net, adam=AdamState.for_params(net.params))
+    adam = AdamState.for_params(net.params)
     best_accuracy, best_params = 0.0, net.params.copy()
 
     def example_loss(i):
@@ -572,7 +565,7 @@ def train_idnet(
     order = np.array(train_idx)
     for epoch in range(1, epochs_max + 1):
         rng.shuffle(order)
-        done = train_pass(training, IDNET_LR, order, IDNET_BATCH_SIZE, example_loss)
+        done = train_pass(net.params, adam, IDNET_LR, order, IDNET_BATCH_SIZE, example_loss)
         accuracy = _accuracy(net, segments, hold_idx)
         rows.append(IdNetEpoch(epoch, done.mean_loss(), accuracy, done.telemetry()))
         if accuracy > best_accuracy:

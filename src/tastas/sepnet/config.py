@@ -37,10 +37,13 @@ class ModelConfig:
         for blocks in self.stage_blocks:
             if blocks < 1:
                 raise ConfigError(f"stage block count must be >= 1, got {blocks}")
+        for name in ("num_filters", "hidden_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.stride < 1 or self.kernel_len % self.stride:
             raise ConfigError(f"kernel_len must be even or 3 (its half is the stride), got {self.kernel_len}")
-        if self.chunk_len % 2:
-            raise ConfigError(f"chunk_len must be even (its half is the chunk hop), got {self.chunk_len}")
+        if self.chunk_len < 2 or self.chunk_len % 2:
+            raise ConfigError(f"chunk_len must be even and >= 2 (its half is the chunk hop), got {self.chunk_len}")
         if self.num_speakers < 2:
             raise ConfigError(f"num_speakers must be >= 2, got {self.num_speakers}")
 

@@ -120,18 +120,19 @@ def stage_forward(
 class TasTasModel:
     """Parameters plus config; one instance is one trainable separator."""
 
-    def __init__(self, config: ModelConfig, params: ParamSet, dtype=np.float32):
+    def __init__(self, config: ModelConfig, params: ParamSet):
         self.config = config
         self.params = params
-        self.dtype = np.dtype(dtype)
 
     @staticmethod
     def initialize(config: ModelConfig, seed: int, dtype=np.float32) -> "TasTasModel":
-        return TasTasModel(config, init_params(config, seed, dtype=np.dtype(dtype)), dtype=dtype)
+        return TasTasModel(config, init_params(config, seed, dtype))
 
     def forward(self, mixture_samples: np.ndarray) -> list[list[Tensor]]:
-        """All stage outputs (each a list of S waveform tensors), first to last."""
-        mixture = Tensor(np.asarray(mixture_samples).astype(self.dtype, copy=False))
+        """All stage outputs (each a list of S waveform tensors), first to last,
+        in the precision of the parameters."""
+        dtype = self.params["stage0.encoder.weight"].dtype
+        mixture = Tensor(np.asarray(mixture_samples).astype(dtype, copy=False))
         if mixture.ndim != 1:
             raise DataError(f"mixture must be 1-D, got shape {mixture.shape}")
         kernel = self.config.kernel_len

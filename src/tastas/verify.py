@@ -34,7 +34,7 @@ def tiny_model_check(
     names = params.names()
 
     def loss(tensors):
-        model = TasTasModel(config, ParamSet(dict(zip(names, tensors))), dtype=np.float64)
+        model = TasTasModel(config, ParamSet(dict(zip(names, tensors))))
         return objectives.multi_stage_loss_graph(model.forward(mixture), targets)[0]
 
     err, detail = check_case(loss, [params[n] for n in names], rng, step)

@@ -135,6 +135,18 @@ def test_sep_checkpoint_round_trip(tmp_path):
     assert extras2["best_dev_loss"] == -3.5
 
 
+def test_model_precision_is_its_weights(tmp_path):
+    # no dtype argument: a float64 model computes in float64, and the same model
+    # loaded back from its (float32) checkpoint computes in float32
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1, 1), num_filters=4, chunk_len=4, hidden_size=4), 0, np.float64)
+    mixture = np.random.default_rng(1).uniform(-0.5, 0.5, 200)
+    assert {t.dtype for stage in model.forward(mixture) for t in stage} == {np.dtype(np.float64)}
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    for loaded in (load_sep_model(path), load_sep_checkpoint(path)[0]):
+        assert {t.dtype for stage in loaded.forward(mixture) for t in stage} == {np.dtype(np.float32)}
+
+
 def test_weights_only_load_never_reads_the_optimizer_state(tmp_path):
     import tracemalloc
 

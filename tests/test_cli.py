@@ -88,6 +88,18 @@ def test_grad_check_impossible_tolerance_fails(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_grad_check_fails_on_a_nan_gradient(capsys, monkeypatch):
+    from tastas.numerics import gradcheck
+
+    from test_ops_gradcheck import build_nan_gradient
+
+    monkeypatch.setitem(gradcheck.BUILDERS, "nan_gradient", build_nan_gradient)
+    assert main(["grad-check", "--trials", "1", "--skip-model"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  nan_gradient       max_rel_err=inf  (1 trials)  worst: input 0 elem 2: analytic=nan" in out
+    assert "gradient suite: FAIL" in out
+
+
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """A tiny corpus plus one short training run, shared by the CLI tests."""
@@ -309,6 +321,16 @@ def test_train_sep_rejects_a_bad_width_before_reading_the_corpus(tmp_path, capsy
     ]) == 2
     assert "chunk_len must be even" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_sep_rejects_zero_filters_before_reading_the_corpus(tmp_path, capsys):
+    missing = str(tmp_path / "missing.tsv")
+    assert main([
+        "train-sep", "--train-manifest", missing, "--dev-manifest", missing, "--num-filters", "0",
+        "--out-dir", str(tmp_path / "never"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "num_filters" in err and "missing.tsv" not in err
 
 
 def test_train_idnet_on_a_non_numeric_manifest_exits_2(tmp_path, capsys):

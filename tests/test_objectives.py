@@ -339,6 +339,21 @@ def test_id_loss_graph_matches_value():
     assert float(g.data) == pytest.approx(v, abs=1e-7)
 
 
+def test_id_loss_graph_casts_references_to_the_estimates_dtype():
+    # float64 references (as the speaker network's embed_utterance returns them)
+    # give the same bytes as float32 ones
+    rng = np.random.default_rng(15)
+    values = [rng.uniform(-1, 1, 32).astype(np.float32) for _ in range(2)]
+    refs = [rng.uniform(-1, 1, 32).astype(np.float32) for _ in range(2)]
+    results = []
+    for ref_dtype in (np.float32, np.float64):
+        est = [Tensor(v.copy(), requires_grad=True) for v in values]
+        loss = obj.id_loss_graph(est, [r.astype(ref_dtype) for r in refs], (1, 0))
+        loss.backward()
+        results.append([loss.data.tobytes()] + [e.grad.tobytes() for e in est])
+    assert results[0] == results[1]
+
+
 # -- improvements -------------------------------------------------------------------
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from tastas.errors import ConfigError
-from tastas.numerics import ops
-from tastas.numerics.gradcheck import BUILDERS, _u, check_kind, run_suite
+from tastas.numerics import gradcheck, ops
+from tastas.numerics.gradcheck import BUILDERS, _u, check_case, check_kind, run_suite
 from tastas.numerics.tensor import Tensor
 
 import dual_path_reference as reference
@@ -135,10 +135,61 @@ def test_softmax_with_logloss_20_trials():
     assert report.passed
 
 
+def _loop_worst(analytic, numeric):
+    """The per-element scan that check_case's array form replaced, kept as its reference."""
+    worst, detail = 0.0, ""
+    for i, (a, n) in enumerate(zip(analytic, numeric)):
+        for j, (x, y) in enumerate(zip(a.reshape(-1).tolist(), n.reshape(-1).tolist())):
+            err = abs(x - y) / max(1e-4, abs(x), abs(y))
+            if err > worst:
+                worst, detail = err, f"input {i} elem {j}: analytic={x:.6e} numeric={y:.6e}"
+    return worst, detail
+
+
+@pytest.mark.parametrize("kind", ["linear", "bilstm_layer", "mask_decode", "stft"])
+def test_check_case_finds_the_worst_element_the_loop_finds(kind, monkeypatch):
+    numeric = []
+    real = gradcheck.numeric_gradients
+    monkeypatch.setattr(gradcheck, "numeric_gradients", lambda *args: numeric.append(real(*args)) or numeric[-1])
+    rng = np.random.default_rng(4)
+    inputs, forward = BUILDERS[kind](rng)
+    got = check_case(forward, inputs, rng)
+    analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
+    assert got == _loop_worst(analytic, numeric[0])
+
+
+def build_nan_gradient(rng):
+    """A doubling op whose backward writes NaN into element 2 of its input's gradient."""
+    x = _u(rng, 4)
+
+    def forward(ts):
+        (t,) = ts
+        out = Tensor._from_op(2.0 * t.data, (t,))
+        if out.requires_grad:
+
+            def backward():
+                grad = 2.0 * out.grad
+                grad[2] = np.nan
+                t._accum_grad(grad)
+
+            out._backward = backward
+        return out
+
+    return [x], forward
+
+
+def test_nan_gradient_fails_the_check_and_names_its_element():
+    rng = np.random.default_rng(0)
+    err, detail = check_case(*reversed(build_nan_gradient(rng)), rng)
+    assert err == np.inf
+    assert detail.startswith("input 0 elem 2: analytic=nan numeric=")
+
+
 def test_suite_report_carries_failures():
-    suite = run_suite(kinds=["log"], trials=2, tolerance=1e-30)
-    assert not suite.passed
-    assert "FAIL" in suite.lines()[0]
+    reports = run_suite(kinds=["log"], trials=2, tolerance=1e-30)
+    assert [r.kind for r in reports] == ["log"]
+    assert not reports[0].passed
+    assert "FAIL" in reports[0].line()
 
 
 # -- closed-form cases ---------------------------------------------------------

@@ -4,7 +4,6 @@ import wave
 import weakref
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,7 +497,6 @@ def test_train_pass_keeps_no_gradient_of_the_previous_step(monkeypatch):
     from tastas.pipeline import train
 
     params = ParamSet({"w": Tensor(np.ones(3)), "b": Tensor(np.zeros(1))})
-    owner = SimpleNamespace(model=SimpleNamespace(params=params), adam=AdamState.for_params(params))
     taken = []  # weakrefs to every gradient array an Adam step was given
     real_step = train.adam_step
 
@@ -512,10 +510,10 @@ def test_train_pass_keeps_no_gradient_of_the_previous_step(monkeypatch):
     def example_loss(i):
         alive.append(sum(ref() is not None for ref in taken))
         # the gradient norm is about 3.5 * (i + 1): example 0's step is not clipped, example 1's is
-        w, b = owner.model.params["w"], owner.model.params["b"]
+        w, b = params["w"], params["b"]
         return ops.add(ops.tsum(ops.mul(ops.mul(w, w), ops.const(float(i + 1)))), ops.tsum(b))
 
-    done = train_pass(owner, 0.01, [0, 1, 0, 1], 1, example_loss)
+    done = train_pass(params, AdamState.for_params(params), 0.01, [0, 1, 0, 1], 1, example_loss)
     assert [n > GRAD_CLIP for n in done.grad_norms] == [False, True, False, True]
     assert len(taken) == 8
     assert alive == [0, 0, 0, 0]

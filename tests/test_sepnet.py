@@ -60,6 +60,14 @@ def test_model_config_invariants():
         ModelConfig(num_speakers=1)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("num_filters", 0), ("hidden_size", 0), ("chunk_len", 0), ("chunk_len", -2)]
+)
+def test_model_config_rejects_widths_that_cannot_run(field, value):
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**{field: value})
+
+
 def test_three_stage_config_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -482,7 +490,7 @@ def test_evaluate_turns_bad_mixtures_into_error_rows(tmp_path, monkeypatch):
         example = load_example(record)
         if record is records[1]:
             mixture = np.full(len(example.mixture), np.nan)
-            example = LoadedExample(example.utt_id, mixture, example.targets, example.speaker_ids, example.sample_rate_hz)
+            example = LoadedExample(example.utt_id, mixture, example.targets, example.sample_rate_hz)
         return example
 
     monkeypatch.setattr(importlib.import_module("tastas.pipeline.evaluate"), "load_example", load)
