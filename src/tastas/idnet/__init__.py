@@ -3,12 +3,11 @@
 It is trained by the "idnet" phase of `tastas.pipeline.train`.
 """
 
-from .model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
+from .model import IdNet, IdNetConfig, load_idnet, save_idnet
 
 __all__ = [
     "IdNet",
     "IdNetConfig",
-    "slice_segments",
     "load_idnet",
     "save_idnet",
 ]

@@ -146,19 +146,6 @@ class IdNet:
         return int(np.argmax(logits.data))
 
 
-def slice_segments(samples: np.ndarray, segment_len: int) -> list[np.ndarray]:
-    """Non-overlapping fixed-length windows; the trailing partial one is zero-padded."""
-    if len(samples) == 0:
-        raise DataError("cannot slice an empty signal")
-    out = []
-    for start in range(0, len(samples), segment_len):
-        piece = samples[start : start + segment_len]
-        if len(piece) < segment_len:
-            piece = np.concatenate([piece, np.zeros(segment_len - len(piece))])
-        out.append(piece)
-    return out
-
-
 def save_idnet(path, net: IdNet, extras: dict | None = None) -> None:
     save_network(path, "idnet", net.config, net.params, extras or {}, header={"frozen": net.frozen})
 

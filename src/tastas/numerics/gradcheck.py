@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..errors import ConfigError
 from . import ops
 from .tensor import Tensor, no_grad
 
@@ -322,6 +323,10 @@ def check_kind(
 ) -> KindReport:
     if kind not in BUILDERS:
         raise KeyError(f"unknown op kind '{kind}'")
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # crc32, not hash(): str hashes are salted per process
     rng = np.random.default_rng([seed, zlib.crc32(kind.encode())])
     report = KindReport(kind=kind, trials=trials, tolerance=tolerance)

@@ -1,10 +1,10 @@
 """Differentiable primitives.
 
-Every function takes Tensors, returns a Tensor, and, when the graph is
-recording (``tensor.is_recording``), installs an exact analytic backward
-closure. Shape validation raises ConfigError naming the op and the
-offending dimensions. The finite-difference suite in ``gradcheck``
-verifies every op here.
+Every function takes Tensors and returns ``Tensor._from_op(value,
+parents, backward)`` with an exact analytic ``backward(g)`` (see the
+node protocol in ``tensor``). Shape validation raises ConfigError naming
+the op and the offending dimensions. The finite-difference suite in
+``gradcheck`` verifies every op here.
 """
 
 from __future__ import annotations
@@ -65,71 +65,52 @@ def _overlap_add(frames: np.ndarray, hop: int, total: int) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._from_op(a.data + b.data, (a, b))
-    if out.requires_grad:
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum_grad(_unbroadcast(g, b.shape))
 
-        def backward():
-            if a.requires_grad:
-                a._accum_grad(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accum_grad(_unbroadcast(out.grad, b.shape))
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._from_op(a.data - b.data, (a, b))
-    if out.requires_grad:
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum_grad(_unbroadcast(-g, b.shape))
 
-        def backward():
-            if a.requires_grad:
-                a._accum_grad(_unbroadcast(out.grad, a.shape))
-            if b.requires_grad:
-                b._accum_grad(_unbroadcast(-out.grad, b.shape))
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise (broadcasting) product."""
-    out = Tensor._from_op(a.data * b.data, (a, b))
-    if out.requires_grad:
 
-        def backward():
-            if a.requires_grad:
-                a._accum_grad(_unbroadcast(out.grad * b.data, a.shape))
-            if b.requires_grad:
-                b._accum_grad(_unbroadcast(out.grad * a.data, b.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accum_grad(_unbroadcast(g * a.data, b.shape))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(a.data * b.data, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor._from_op(a.data / b.data, (a, b))
-    if out.requires_grad:
+    def backward(g):
+        if a.requires_grad:
+            a._accum_grad(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accum_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
-        def backward():
-            if a.requires_grad:
-                a._accum_grad(_unbroadcast(out.grad / b.data, a.shape))
-            if b.requires_grad:
-                b._accum_grad(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(a.data / b.data, (a, b), backward)
 
 
 def neg(x: Tensor) -> Tensor:
-    out = Tensor._from_op(-x.data, (x,))
-    if out.requires_grad:
+    def backward(g):
+        x._accum_grad(-g)
 
-        def backward():
-            x._accum_grad(-out.grad)
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(-x.data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +119,12 @@ def neg(x: Tensor) -> Tensor:
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor._from_op(x.data.sum(axis=axis, keepdims=keepdims), (x,))
-    if out.requires_grad:
+    def backward(g):
+        if not keepdims and axis is not None:
+            g = np.expand_dims(g, axis)
+        x._accum_grad(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
 
-        def backward():
-            g = out.grad
-            if not keepdims and axis is not None:
-                g = np.expand_dims(g, axis)
-            x._accum_grad(np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -167,26 +143,19 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor._from_op(np.log(x.data), (x,))
-    if out.requires_grad:
+    def backward(g):
+        x._accum_grad(g / x.data)
 
-        def backward():
-            x._accum_grad(out.grad / x.data)
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.log(x.data), (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
     out_data = np.sqrt(x.data)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
 
-        def backward():
-            x._accum_grad(out.grad * 0.5 / out_data)
+    def backward(g):
+        x._accum_grad(g * 0.5 / out_data)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 def _sign_mask(positive: np.ndarray, bits: np.dtype) -> np.ndarray:
@@ -240,21 +209,17 @@ def linear(weight: Tensor, x: Tensor) -> Tensor:
         raise ConfigError(
             f"linear: weight {weight.shape} incompatible with input {x.shape}"
         )
-    out = Tensor._from_op(weight.data @ x.data, (weight, x))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if weight.requires_grad:
-                if x.ndim == 1:
-                    weight._accum_grad(np.outer(g, x.data))
-                else:
-                    weight._accum_grad(g @ x.data.T)
-            if x.requires_grad:
-                x._accum_grad(weight.data.T @ g)
+    def backward(g):
+        if weight.requires_grad:
+            if x.ndim == 1:
+                weight._accum_grad(np.outer(g, x.data))
+            else:
+                weight._accum_grad(g @ x.data.T)
+        if x.requires_grad:
+            x._accum_grad(weight.data.T @ g)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(weight.data @ x.data, (weight, x), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -353,36 +318,32 @@ def conv_block(x: Tensor, weight: Tensor, slope: Tensor) -> Tensor:
         for k in range(4):
             winner_positive |= (winner == k) & _pool_entry(positive, k, out_h, out_w)
     del positive
-    out = Tensor._from_op(out_data, (x, weight, slope))
-    if out.requires_grad:
-        trainable = weight.requires_grad or slope.requires_grad
-        saved_cols, saved_conv = (cols, conv) if trainable else (None, None)
-        del cols, conv
+    trainable = record and (weight.requires_grad or slope.requires_grad)
+    saved_cols, saved_conv = (cols, conv) if trainable else (None, None)
+    del cols, conv
 
-        def backward():
-            g = out.grad
-            if trainable:
-                # the pool's grad in full, PReLU's as its own backward forms it
-                g_act = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
-                _route_to_winners(g, winner, g_act, out_h, out_w)
-                conv_positive = saved_conv > 0
-                if slope.requires_grad:
-                    slope._accum_grad(_prelu_slope_grad(g_act, conv_positive, saved_conv, slope.shape))
-                g_conv = _prelu_input_grad(g_act, conv_positive, slope.data)
-            else:
-                # PReLU's grad at the winners alone; every other entry is +0.0,
-                # where PReLU would give slope * +0.0 off its positive side,
-                # a zero of either sign that the input grad's sums turn into +0.0
-                g_conv = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
-                _route_to_winners(_prelu_input_grad(g, winner_positive, slope.data), winner, g_conv, out_h, out_w)
-            g_conv = g_conv.reshape(c_out, -1)
-            if weight.requires_grad:
-                weight._accum_grad((g_conv @ saved_cols.T).reshape(weight.shape))
-            if x.requires_grad:
-                x._accum_grad(_col2im(w2.T @ g_conv, padded_shape, kh, kw))
+    def backward(g):
+        if trainable:
+            # the pool's grad in full, PReLU's as its own backward forms it
+            g_act = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
+            _route_to_winners(g, winner, g_act, out_h, out_w)
+            conv_positive = saved_conv > 0
+            if slope.requires_grad:
+                slope._accum_grad(_prelu_slope_grad(g_act, conv_positive, saved_conv, slope.shape))
+            g_conv = _prelu_input_grad(g_act, conv_positive, slope.data)
+        else:
+            # PReLU's grad at the winners alone; every other entry is +0.0,
+            # where PReLU would give slope * +0.0 off its positive side,
+            # a zero of either sign that the input grad's sums turn into +0.0
+            g_conv = np.zeros((c_out, conv_h, conv_w), dtype=g.dtype)
+            _route_to_winners(_prelu_input_grad(g, winner_positive, slope.data), winner, g_conv, out_h, out_w)
+        g_conv = g_conv.reshape(c_out, -1)
+        if weight.requires_grad:
+            weight._accum_grad((g_conv @ saved_cols.T).reshape(weight.shape))
+        if x.requires_grad:
+            x._accum_grad(_col2im(w2.T @ g_conv, padded_shape, kh, kw))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x, weight, slope), backward)
 
 
 def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h: int, out_w: int) -> None:
@@ -394,9 +355,7 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
     bits = np.dtype(f"u{g.itemsize}")
     g_bits = g.view(bits)
     for k in range(4):
-        mask = (winner == k).astype(bits)
-        np.negative(mask, out=mask)  # 1 -> all ones
-        np.bitwise_and(g_bits, mask, out=_pool_entry(dest.view(bits), k, out_h, out_w))
+        np.bitwise_and(g_bits, _sign_mask(winner == k, bits), out=_pool_entry(dest.view(bits), k, out_h, out_w))
 
 
 # ---------------------------------------------------------------------------
@@ -648,49 +607,45 @@ def bilstm_layer(
     hs_b, gates_b = _lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=record)
     projected = (proj.data @ _join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
     centered, mu, inv_std = _normalize(_as_fbt(projected, axis), norm_axes)
-    out = Tensor._from_op(chunks.data + (centered * inv_std * gain.data + bias.data), parents)
-    if out.requires_grad:
 
-        def backward():
-            # each array is dropped once spent (see the graph lifetime notes in tensor.py)
-            nonlocal gates_f, gates_b
-            g = out.grad
-            # each direction's [gates, c, h], handed whole to its _lstm_grad
-            run_f, run_b = [gates_f, *_lstm_states(gates_f)], [gates_b, *_lstm_states(gates_b)]
-            gates_f = gates_b = None
-            h = _join_directions(run_f[2], run_b[2])
-            y = _as_fbt((proj.data @ h.T).reshape(features, batch, steps), axis)
-            if chunks.requires_grad:
-                chunks._accum_grad(g)  # the residual
-            g_y = _normalize_backward(g, y, mu, inv_std, gain, bias, norm_axes)
-            del y
-            g_y = np.ascontiguousarray(_as_fbt(g_y, axis)).reshape(features, batch * steps)
-            if proj.requires_grad:
-                proj._accum_grad(g_y @ h)
-            del h
-            g_h = (proj.data.T @ g_y).reshape(2 * hidden, batch, steps)
-            del g_y
-            g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
-            del g_h
-            x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
-            dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
-            dx_b, dwi_b, dwh_b, db_b = _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:])
-            if chunks.requires_grad:
-                dx_f += dx_b[:, ::-1]
-                chunks._accum_grad(_as_dtb(dx_f, axis))
-            for tensor, grad in (
-                (w_ih_f, dwi_f),
-                (w_hh_f, dwh_f),
-                (b_f, db_f),
-                (w_ih_b, dwi_b),
-                (w_hh_b, dwh_b),
-                (b_b, db_b),
-            ):
-                if tensor.requires_grad:
-                    tensor._accum_grad(grad)
+    def backward(g):
+        # each array is dropped once spent (see the node protocol in tensor.py)
+        nonlocal gates_f, gates_b
+        # each direction's [gates, c, h], handed whole to its _lstm_grad
+        run_f, run_b = [gates_f, *_lstm_states(gates_f)], [gates_b, *_lstm_states(gates_b)]
+        gates_f = gates_b = None
+        h = _join_directions(run_f[2], run_b[2])
+        y = _as_fbt((proj.data @ h.T).reshape(features, batch, steps), axis)
+        if chunks.requires_grad:
+            chunks._accum_grad(g)  # the residual
+        g_y = _normalize_backward(g, y, mu, inv_std, gain, bias, norm_axes)
+        del y
+        g_y = np.ascontiguousarray(_as_fbt(g_y, axis)).reshape(features, batch * steps)
+        if proj.requires_grad:
+            proj._accum_grad(g_y @ h)
+        del h
+        g_h = (proj.data.T @ g_y).reshape(2 * hidden, batch, steps)
+        del g_y
+        g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
+        del g_h
+        x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
+        dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
+        dx_b, dwi_b, dwh_b, db_b = _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:])
+        if chunks.requires_grad:
+            dx_f += dx_b[:, ::-1]
+            chunks._accum_grad(_as_dtb(dx_f, axis))
+        for tensor, grad in (
+            (w_ih_f, dwi_f),
+            (w_hh_f, dwh_f),
+            (b_f, db_f),
+            (w_ih_b, dwi_b),
+            (w_hh_b, dwh_b),
+            (b_b, db_b),
+        ):
+            if tensor.requires_grad:
+                tensor._accum_grad(grad)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(chunks.data + (centered * inv_std * gain.data + bias.data), parents, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -744,15 +699,11 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - log_z
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            x._accum_grad(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+    def backward(g):
+        x._accum_grad(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -763,45 +714,34 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ConfigError("concat: empty tensor list")
-    out = Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
 
-        def backward():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    index = [slice(None)] * out.ndim
-                    index[axis] = slice(lo, hi)
-                    t._accum_grad(out.grad[tuple(index)])
+    def backward(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                t._accum_grad(g[tuple(index)])
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor._from_op(x.data.reshape(shape), (x,))
-    if out.requires_grad:
+    def backward(g):
+        x._accum_grad(g.reshape(x.shape))
 
-        def backward():
-            x._accum_grad(out.grad.reshape(x.shape))
-
-        out._backward = backward
-    return out
+    return Tensor._from_op(x.data.reshape(shape), (x,), backward)
 
 
 def getitem(x: Tensor, key) -> Tensor:
     """Basic slicing only (slices, ints, tuples of those)."""
-    out = Tensor._from_op(np.asarray(x.data[key], order="C"), (x,))
-    if out.requires_grad:
 
-        def backward():
-            gx = np.zeros_like(x.data)
-            gx[key] += out.grad
-            x._accum_grad(gx)
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[key] += g
+        x._accum_grad(gx)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.asarray(x.data[key], order="C"), (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -872,28 +812,24 @@ def encode(waves, weight: Tensor, slope: Tensor, stride: int) -> Tensor:
     rep = np.empty((len(waves) * n, (length - k_len) // stride + 1), dtype=dtype)
     for i, wave in enumerate(waves):
         rep[i * n : (i + 1) * n] = _prelu(_encode_conv(wave.data, weight.data, stride), slope.data)[0]
-    out = Tensor._from_op(rep, (*waves, weight, slope))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            for i, wave in enumerate(waves):  # in the order the chain's per-wave nodes ran
-                conv = _encode_conv(wave.data, weight.data, stride)
-                positive = conv > 0
-                g_act = g[i * n : (i + 1) * n]
-                if slope.requires_grad:
-                    slope._accum_grad(_prelu_slope_grad(g_act, positive, conv, slope.shape))
-                g_conv = _prelu_input_grad(g_act, positive, slope.data)
-                del conv, positive
-                cols = _frames(wave.data.reshape(1, -1), k_len, stride)
-                if weight.requires_grad:
-                    weight._accum_grad(np.tensordot(g_conv, cols, axes=([1], [1])))
-                if wave.requires_grad:
-                    g_cols = np.einsum("ot,ock->ctk", g_conv, weight.data)
-                    wave._accum_grad(_overlap_add(g_cols, stride, length).reshape(length))
+    def backward(g):
+        for i, wave in enumerate(waves):  # in the order the chain's per-wave nodes ran
+            conv = _encode_conv(wave.data, weight.data, stride)
+            positive = conv > 0
+            g_act = g[i * n : (i + 1) * n]
+            if slope.requires_grad:
+                slope._accum_grad(_prelu_slope_grad(g_act, positive, conv, slope.shape))
+            g_conv = _prelu_input_grad(g_act, positive, slope.data)
+            del conv, positive
+            cols = _frames(wave.data.reshape(1, -1), k_len, stride)
+            if weight.requires_grad:
+                weight._accum_grad(np.tensordot(g_conv, cols, axes=([1], [1])))
+            if wave.requires_grad:
+                g_cols = np.einsum("ot,ock->ctk", g_conv, weight.data)
+                wave._accum_grad(_overlap_add(g_cols, stride, length).reshape(length))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(rep, (*waves, weight, slope), backward)
 
 
 def mask_input(rep: Tensor, gain: Tensor, bias: Tensor, weight: Tensor, chunk_len: int, hop: int) -> Tensor:
@@ -920,22 +856,19 @@ def mask_input(rep: Tensor, gain: Tensor, bias: Tensor, weight: Tensor, chunk_le
     del y
     chunks = np.ascontiguousarray(_frames(padded_y, chunk_len, hop).transpose(0, 2, 1))
     del padded_y
-    out = Tensor._from_op(chunks, (rep, gain, bias, weight))
-    if out.requires_grad:
 
-        def backward():
-            g_y = np.ascontiguousarray(_overlap_add(out.grad.transpose(0, 2, 1), hop, padded)[:, :frames])
-            if weight.requires_grad:
-                normed = (rep.data - mu) * inv_std * gain.data + bias.data  # as the forward formed it
-                weight._accum_grad(g_y @ normed.T)
-                del normed
-            if rep.requires_grad or gain.requires_grad or bias.requires_grad:
-                g_rep = _normalize_backward(weight.data.T @ g_y, rep.data, mu, inv_std, gain, bias, axes)
-                if rep.requires_grad:
-                    rep._accum_grad(g_rep)
+    def backward(g):
+        g_y = np.ascontiguousarray(_overlap_add(g.transpose(0, 2, 1), hop, padded)[:, :frames])
+        if weight.requires_grad:
+            normed = (rep.data - mu) * inv_std * gain.data + bias.data  # as the forward formed it
+            weight._accum_grad(g_y @ normed.T)
+            del normed
+        if rep.requires_grad or gain.requires_grad or bias.requires_grad:
+            g_rep = _normalize_backward(weight.data.T @ g_y, rep.data, mu, inv_std, gain, bias, axes)
+            if rep.requires_grad:
+                rep._accum_grad(g_rep)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(chunks, (rep, gain, bias, weight), backward)
 
 
 def _merge_and_mask(chunks: np.ndarray, mask_weight: np.ndarray, hop: int, frames: int):
@@ -995,46 +928,42 @@ def mask_decode(
     # getitem of those channels, a parent the walk reaches after mask_input,
     # and rep's grad is summed, and rounded, as the chain summed it.
     last = getitem(rep, (rows,)) if is_recording((rep,)) else None
-    out = Tensor._from_op(waves, parents if last is None else (*parents, last))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            merged, masks, counts = _merge_and_mask(chunks.data, mask_weight.data, hop, frames)
-            g_masks = np.zeros_like(masks)
-            g_rep = np.zeros_like(rep.data) if last is not None else None
-            g_wave = np.zeros(total, dtype=g.dtype)
-            for s in range(speakers):
-                g_wave[:out_len] = g[s]
-                g_frames = np.ascontiguousarray(_frames(g_wave, frame_len, stride)[:frames].T)
-                if decoder_weight.requires_grad:
-                    decoder_weight._accum_grad(g_frames @ (masks[s] * mixture).T)
-                g_masked = decoder_weight.data.T @ g_frames
-                del g_frames
-                g_masks[s] += g_masked * mixture
-                if s < speakers - 1 and g_rep is not None:
-                    g_rep[rows] += g_masked * masks[s]
-            if g_rep is not None:
-                rep._accum_grad(g_rep)
-                last._accum_grad(g_masked * masks[-1])
-                del g_rep
-            del g_wave, g_masked
-            # the softmax's backward, then the mask projection's
-            g_logits = masks * (g_masks - (g_masks * masks).sum(axis=0, keepdims=True))
-            del g_masks, masks
-            g_logits = g_logits.reshape(-1, frames)
-            if mask_weight.requires_grad:
-                mask_weight._accum_grad(g_logits @ merged.T)
-            del merged
-            if chunks.requires_grad:
-                g_padded = np.zeros((features, padded), dtype=g_logits.dtype)
-                g_padded[:, :frames] = mask_weight.data.T @ g_logits
-                del g_logits
-                g_padded = g_padded / counts
-                chunks._accum_grad(np.ascontiguousarray(_frames(g_padded, chunk_len, hop).transpose(0, 2, 1)))
+    def backward(g):
+        merged, masks, counts = _merge_and_mask(chunks.data, mask_weight.data, hop, frames)
+        g_masks = np.zeros_like(masks)
+        g_rep = np.zeros_like(rep.data) if last is not None else None
+        g_wave = np.zeros(total, dtype=g.dtype)
+        for s in range(speakers):
+            g_wave[:out_len] = g[s]
+            g_frames = np.ascontiguousarray(_frames(g_wave, frame_len, stride)[:frames].T)
+            if decoder_weight.requires_grad:
+                decoder_weight._accum_grad(g_frames @ (masks[s] * mixture).T)
+            g_masked = decoder_weight.data.T @ g_frames
+            del g_frames
+            g_masks[s] += g_masked * mixture
+            if s < speakers - 1 and g_rep is not None:
+                g_rep[rows] += g_masked * masks[s]
+        if g_rep is not None:
+            rep._accum_grad(g_rep)
+            last._accum_grad(g_masked * masks[-1])
+            del g_rep
+        del g_wave, g_masked
+        # the softmax's backward, then the mask projection's
+        g_logits = masks * (g_masks - (g_masks * masks).sum(axis=0, keepdims=True))
+        del g_masks, masks
+        g_logits = g_logits.reshape(-1, frames)
+        if mask_weight.requires_grad:
+            mask_weight._accum_grad(g_logits @ merged.T)
+        del merged
+        if chunks.requires_grad:
+            g_padded = np.zeros((features, padded), dtype=g_logits.dtype)
+            g_padded[:, :frames] = mask_weight.data.T @ g_logits
+            del g_logits
+            g_padded = g_padded / counts
+            chunks._accum_grad(np.ascontiguousarray(_frames(g_padded, chunk_len, hop).transpose(0, 2, 1)))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(waves, parents if last is None else (*parents, last), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,20 +1002,16 @@ def stft_ri(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
     out_data = np.ascontiguousarray(
         np.stack([spec.real.T, spec.imag.T]).astype(x.dtype, copy=False)
     )
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad[0].T + 1j * out.grad[1].T
-            g = g.copy()
-            if bins > 2:
-                g[:, 1:-1] *= 0.5
-            g_frames = np.fft.irfft(g, n=window_len, axis=1) * window_len
-            g_frames = (g_frames * window).astype(x.dtype, copy=False)
-            gxp = _overlap_add(g_frames, hop, len(xp))
-            gx = np.zeros(n, dtype=x.dtype)
-            np.add.at(gx, idx, gxp)
-            x._accum_grad(gx)
+    def backward(g):
+        g_spec = g[0].T + 1j * g[1].T
+        if bins > 2:
+            g_spec[:, 1:-1] *= 0.5
+        g_frames = np.fft.irfft(g_spec, n=window_len, axis=1) * window_len
+        g_frames = (g_frames * window).astype(x.dtype, copy=False)
+        gxp = _overlap_add(g_frames, hop, len(xp))
+        gx = np.zeros(n, dtype=x.dtype)
+        np.add.at(gx, idx, gxp)
+        x._accum_grad(gx)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x,), backward)

@@ -6,25 +6,25 @@ topological order and accumulates gradients into every tensor that was
 created with ``requires_grad=True``. Forward ops never mutate their
 inputs, so repeated evaluation of the same graph is bit-identical.
 
-Graph lifetime. An op records a node (parent links plus a backward
-closure that holds whatever the gradient needs) only when
-``is_recording`` says so: some input requires grad and the thread is not
-inside ``no_grad()``. A node keeps what its backward reads and no more:
-its output, its parents (whose values the graph holds anyway), and the
-saved arrays that cannot be re-formed from those; a backward may drop
-each array as soon as it has spent it. What each fused node saves and
-re-forms is written in its docstring in ``ops`` (``encode``,
-``mask_input``, ``mask_decode``, ``bilstm_layer`` and ``conv_block``),
-and the order in which ``bilstm_layer``'s backward frees its arrays in
-the BiLSTM kernel notes there. Under ``no_grad()`` every op returns a
-plain ``requires_grad=False`` tensor, so a forward keeps nothing but its
-values; the block nests, restores the previous mode on exit (also on an
-exception), and is per thread. A recorded graph is freed by
-``backward()`` as it goes: once a node's closure has run, the node drops
-the closure, its parents and (unless it is the root) its gradient, so
-reference counting reclaims the graph behind the walk. Leaves keep their
-gradients. A spent graph cannot be walked again: a second ``backward()``
-through it raises ConfigError instead of reusing stale gradients.
+The node protocol. An op computes its value, defines ``backward(g)``,
+which takes the output's gradient g and accumulates its inputs' grads,
+and returns ``Tensor._from_op(value, parents, backward)``. Only a
+recorded node keeps its parents and backward: when ``is_recording`` says
+so (some parent requires grad and the thread is not inside
+``no_grad()``). Otherwise the output is a plain ``requires_grad=False``
+tensor, so a forward keeps nothing but its values. No backward refers to
+its own output, so no graph is a reference cycle: one that is never
+backpropagated is freed by reference counting. A node keeps what its
+backward reads and no more: its parents, and the saved arrays that
+cannot be re-formed from them, each of which a backward may drop once
+spent. What each fused node saves and re-forms is written in its
+docstring in ``ops`` (``encode``, ``mask_input``, ``mask_decode``,
+``bilstm_layer`` and ``conv_block``). ``no_grad()`` nests, restores the
+previous mode on exit (also on an exception), and is per thread.
+``backward()`` frees a graph as it goes: once a node's backward has run,
+the node drops it, its parents and (unless it is the root) its gradient.
+Leaves keep their gradients. A second ``backward()`` through a spent
+graph raises ConfigError instead of reusing stale gradients.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def is_recording(inputs) -> bool:
     return _grad_mode.enabled and any(t.requires_grad for t in inputs)
 
 
-def _spent_backward() -> None:
+def _spent_backward(g: np.ndarray) -> None:
     raise ConfigError("backward() through a graph that backward() already consumed; run the forward again")
 
 
@@ -80,8 +80,8 @@ class Tensor:
 
     data is row-major real storage, shape is its dimension list, and
     requires_grad marks leaves that should receive gradients. Recorded
-    non-leaf tensors carry a backward closure installed by the op that made
-    them, until ``backward()`` consumes it.
+    non-leaf tensors carry the backward closure of the op that made them,
+    until ``backward()`` consumes it.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -96,13 +96,13 @@ class Tensor:
     # -- construction used by ops ------------------------------------------
 
     @staticmethod
-    def _from_op(data: np.ndarray, parents: tuple["Tensor", ...]) -> "Tensor":
+    def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
         out.requires_grad = is_recording(parents)
         out._parents = parents if out.requires_grad else ()
-        out._backward = None
+        out._backward = backward if out.requires_grad else None
         return out
 
     # -- basic properties ---------------------------------------------------
@@ -161,7 +161,7 @@ class Tensor:
             node = order.pop()
             if node._backward is None:  # a leaf
                 continue
-            node._backward()
+            node._backward(node.grad)
             # The closure held this node's inputs and saved arrays; dropping
             # it and the parent links lets refcounting free the graph behind us.
             node._backward = _spent_backward

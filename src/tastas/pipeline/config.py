@@ -37,6 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase not in PHASES:
             raise ConfigError(f"phase must be one of {PHASES}, got '{self.phase}'")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size not in (1, 2, 3):
             raise ConfigError(f"batch_size must be 1, 2, or 3, got {self.batch_size}")
         if self.phase == "finetune" and not self.idnet_ckpt:

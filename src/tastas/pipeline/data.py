@@ -87,6 +87,12 @@ def synth_mixture_corpus(
     """
     if num_speakers < 2:
         raise DataError(f"need at least 2 speakers to form mixtures, got {num_speakers}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    if num_mixtures < 0:
+        raise DataError(f"the {split} split needs a mixture count >= 0, got {num_mixtures}")
+    if snr_lo > snr_hi:
+        raise DataError(f"empty SNR range: snr_lo {snr_lo} > snr_hi {snr_hi}")
     check_speaker(num_speakers - 1, sample_rate_hz)  # before any file is written
     out_dir = Path(out_dir)
     wav_dir = out_dir / split

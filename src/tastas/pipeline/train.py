@@ -27,7 +27,7 @@ from .. import objectives
 from ..audio.wavio import Waveform
 from ..checkpoint import load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
-from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet, slice_segments
+from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet
 from ..numerics import ops
 from ..numerics.optim import GRAD_CLIP, AdamState, ParamSet, adam_step, clip_global_norm
 from ..numerics.tensor import Tensor, no_grad
@@ -493,9 +493,12 @@ def _segment_corpus(utterances: list[tuple[Waveform, int]], config: IdNetConfig)
                 f"utterance {index} (speaker {label}) is at {wave.sample_rate_hz} Hz, "
                 f"the speaker network at {config.sample_rate_hz} Hz"
             )
+        if len(wave) == 0:
+            raise DataError(f"utterance {index} (speaker {label}) is empty")
         labels_seen.add(label)
-        for piece in slice_segments(np.asarray(wave.samples), config.segment_len):
-            segments.append((piece.astype(np.float32), label))
+        # a piece every segment_len samples, unpadded: IdNet.forward zero-pads a short last one
+        samples = np.asarray(wave.samples, dtype=np.float32)
+        segments += [(samples[i : i + config.segment_len], label) for i in range(0, len(wave), config.segment_len)]
     if len(labels_seen) < 2:
         raise DataError(f"need utterances from >= 2 speakers, got {len(labels_seen)}")
     counts = np.zeros(config.num_speakers, dtype=int)

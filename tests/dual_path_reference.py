@@ -142,42 +142,35 @@ def bilstm_projection(x, w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b, proj, directi
     hs_f, _ = ops._lstm_run(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, keep_cache=False)
     hs_b, _ = ops._lstm_run(x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, keep_cache=False)
     data = (proj.data @ ops._join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
-    out = Tensor._from_op(data, parents)
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad.reshape(features, batch * steps)
-            g_h = (proj.data.T @ g).reshape(2 * hidden, batch, steps)
-            g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
-            x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
-            hs_f, dx_f, *grads_f = direction(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, g_thb[:, :hidden])
-            hs_b, dx_b, *grads_b = direction(
-                x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, g_thb[::-1, hidden:]
-            )
-            if x.requires_grad:
-                dx_f += dx_b[:, ::-1]
-                x._accum_grad(dx_f.transpose(2, 1, 0))
-            if proj.requires_grad:
-                proj._accum_grad(g @ ops._join_directions(hs_f, hs_b))
-            for tensor, grad in zip((w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b), (*grads_f, *grads_b)):
-                if tensor.requires_grad:
-                    tensor._accum_grad(grad)
+    def backward(g):
+        g = g.reshape(features, batch * steps)
+        g_h = (proj.data.T @ g).reshape(2 * hidden, batch, steps)
+        g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
+        x_dtb = np.ascontiguousarray(x.data.transpose(2, 1, 0))
+        hs_f, dx_f, *grads_f = direction(x_dtb, w_ih_f.data, w_hh_f.data, b_f.data, g_thb[:, :hidden])
+        hs_b, dx_b, *grads_b = direction(
+            x_dtb[:, ::-1], w_ih_b.data, w_hh_b.data, b_b.data, g_thb[::-1, hidden:]
+        )
+        if x.requires_grad:
+            dx_f += dx_b[:, ::-1]
+            x._accum_grad(dx_f.transpose(2, 1, 0))
+        if proj.requires_grad:
+            proj._accum_grad(g @ ops._join_directions(hs_f, hs_b))
+        for tensor, grad in zip((w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b), (*grads_f, *grads_b)):
+            if tensor.requires_grad:
+                tensor._accum_grad(grad)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(data, parents, backward)
 
 
 def transpose(x, axes):
     axes = tuple(axes)
-    out = Tensor._from_op(np.transpose(x.data, axes), (x,))
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
 
-        def backward():
-            x._accum_grad(np.transpose(out.grad, inverse))
+    def backward(g):
+        x._accum_grad(np.transpose(g, tuple(np.argsort(axes))))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.transpose(x.data, axes), (x,), backward)
 
 
 def layer_norm(x, axes, gain, bias, residual):
@@ -187,26 +180,23 @@ def layer_norm(x, axes, gain, bias, residual):
     var = (centered * centered).mean(axis=axes, keepdims=True)
     degenerate = var < ops.LAYER_NORM_VAR_FLOOR
     inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
-    out = Tensor._from_op(residual.data + (centered * inv_std * gain.data + bias.data), (x, gain, bias, residual))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if residual.requires_grad:
-                residual._accum_grad(g)
-            if bias.requires_grad:
-                bias._accum_grad(ops._unbroadcast(g, bias.shape))
-            normalized = (x.data - mu) * inv_std
-            if gain.requires_grad:
-                gain._accum_grad(ops._unbroadcast(g * normalized, gain.shape))
-            if x.requires_grad:
-                g = g * gain.data
-                g_mean = g.mean(axis=axes, keepdims=True)
-                gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
-                x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
+    def backward(g):
+        if residual.requires_grad:
+            residual._accum_grad(g)
+        if bias.requires_grad:
+            bias._accum_grad(ops._unbroadcast(g, bias.shape))
+        normalized = (x.data - mu) * inv_std
+        if gain.requires_grad:
+            gain._accum_grad(ops._unbroadcast(g * normalized, gain.shape))
+        if x.requires_grad:
+            g = g * gain.data
+            g_mean = g.mean(axis=axes, keepdims=True)
+            gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
+            x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
 
-        out._backward = backward
-    return out
+    out_data = residual.data + (centered * inv_std * gain.data + bias.data)
+    return Tensor._from_op(out_data, (x, gain, bias, residual), backward)
 
 
 def dual_path_half(chunks, axis, *weights, direction=kernel_direction, norm=layer_norm):

@@ -26,76 +26,62 @@ def prelu_where(x: np.ndarray, slope: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def prelu(x: Tensor, slope: Tensor) -> Tensor:
     out_data, positive = prelu_where(x.data, slope.data)
-    out = Tensor._from_op(out_data, (x, slope))
-    if out.requires_grad:
 
-        def backward():
-            if x.requires_grad:
-                x._accum_grad(np.where(positive, out.grad, slope.data * out.grad))
-            if slope.requires_grad:
-                slope._accum_grad(ops._unbroadcast(np.where(positive, 0.0, x.data) * out.grad, slope.shape))
+    def backward(g):
+        if x.requires_grad:
+            x._accum_grad(np.where(positive, g, slope.data * g))
+        if slope.requires_grad:
+            slope._accum_grad(ops._unbroadcast(np.where(positive, 0.0, x.data) * g, slope.shape))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x, slope), backward)
 
 
 def conv1d(x: Tensor, weight: Tensor, stride: int) -> Tensor:
     """1-D convolution. x is (C_in, T), weight is (C_out, C_in, K)."""
     t_len, k_len = x.shape[1], weight.shape[2]
     cols = ops._frames(x.data, k_len, stride)
-    out = Tensor._from_op(np.ascontiguousarray(np.tensordot(weight.data, cols, axes=([1, 2], [0, 2]))), (x, weight))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if weight.requires_grad:
-                weight._accum_grad(np.tensordot(g, cols, axes=([1], [1])))
-            if x.requires_grad:
-                g_cols = np.einsum("ot,ock->ctk", g, weight.data)
-                x._accum_grad(ops._overlap_add(g_cols, stride, t_len))
+    def backward(g):
+        if weight.requires_grad:
+            weight._accum_grad(np.tensordot(g, cols, axes=([1], [1])))
+        if x.requires_grad:
+            g_cols = np.einsum("ot,ock->ctk", g, weight.data)
+            x._accum_grad(ops._overlap_add(g_cols, stride, t_len))
 
-        out._backward = backward
-    return out
+    out_data = np.ascontiguousarray(np.tensordot(weight.data, cols, axes=([1, 2], [0, 2])))
+    return Tensor._from_op(out_data, (x, weight), backward)
 
 
 def layer_norm(x: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     """normalized * gain + bias as one node, the norm backward out of place."""
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
     centered, mu, inv_std = ops._normalize(x.data, axes)
-    out = Tensor._from_op(centered * inv_std * gain.data + bias.data, (x, gain, bias))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if bias.requires_grad:
-                bias._accum_grad(ops._unbroadcast(g, bias.shape))
-            normalized = (x.data - mu) * inv_std
-            if gain.requires_grad:
-                gain._accum_grad(ops._unbroadcast(g * normalized, gain.shape))
-            g = g * gain.data
-            g_mean = g.mean(axis=axes, keepdims=True)
-            gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
-            if x.requires_grad:
-                x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
+    def backward(g):
+        if bias.requires_grad:
+            bias._accum_grad(ops._unbroadcast(g, bias.shape))
+        normalized = (x.data - mu) * inv_std
+        if gain.requires_grad:
+            gain._accum_grad(ops._unbroadcast(g * normalized, gain.shape))
+        g = g * gain.data
+        g_mean = g.mean(axis=axes, keepdims=True)
+        gy_mean = (g * normalized).mean(axis=axes, keepdims=True)
+        if x.requires_grad:
+            x._accum_grad(inv_std * (g - g_mean - normalized * gy_mean))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(centered * inv_std * gain.data + bias.data, (x, gain, bias), backward)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor._from_op(out_data, (x,))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            inner = (g * out_data).sum(axis=axis, keepdims=True)
-            x._accum_grad(out_data * (g - inner))
+    def backward(g):
+        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        x._accum_grad(out_data * (g - inner))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 def segment_chunks(x: Tensor, chunk_len: int, hop: int) -> tuple[Tensor, int]:
@@ -104,15 +90,13 @@ def segment_chunks(x: Tensor, chunk_len: int, hop: int) -> tuple[Tensor, int]:
     _, padded = ops.chunk_layout(frames, chunk_len, hop)
     pad = padded - frames
     xp = np.pad(x.data, ((0, 0), (0, pad)))
-    out = Tensor._from_op(np.ascontiguousarray(ops._frames(xp, chunk_len, hop).transpose(0, 2, 1)), (x,))
-    if out.requires_grad:
 
-        def backward():
-            gxp = ops._overlap_add(out.grad.transpose(0, 2, 1), hop, padded)
-            x._accum_grad(np.ascontiguousarray(gxp[:, :frames]))
+    def backward(g):
+        gxp = ops._overlap_add(g.transpose(0, 2, 1), hop, padded)
+        x._accum_grad(np.ascontiguousarray(gxp[:, :frames]))
 
-        out._backward = backward
-    return out, pad
+    out_data = np.ascontiguousarray(ops._frames(xp, chunk_len, hop).transpose(0, 2, 1))
+    return Tensor._from_op(out_data, (x,), backward), pad
 
 
 def merge_chunks(x: Tensor, hop: int, out_frames: int, pad_frames: int) -> Tensor:
@@ -122,33 +106,27 @@ def merge_chunks(x: Tensor, hop: int, out_frames: int, pad_frames: int) -> Tenso
     assert padded == out_frames + pad_frames
     counts = ops._overlap_add(np.ones((count, chunk_len), dtype=x.dtype), hop, padded)
     acc = ops._overlap_add(x.data.transpose(0, 2, 1), hop, padded)
-    out = Tensor._from_op(np.ascontiguousarray((acc / counts)[:, :out_frames]), (x,))
-    if out.requires_grad:
 
-        def backward():
-            gp = np.zeros((feat, padded), dtype=x.dtype)
-            gp[:, :out_frames] = out.grad
-            gp = gp / counts
-            x._accum_grad(np.ascontiguousarray(ops._frames(gp, chunk_len, hop).transpose(0, 2, 1)))
+    def backward(g):
+        gp = np.zeros((feat, padded), dtype=x.dtype)
+        gp[:, :out_frames] = g
+        gp = gp / counts
+        x._accum_grad(np.ascontiguousarray(ops._frames(gp, chunk_len, hop).transpose(0, 2, 1)))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.ascontiguousarray((acc / counts)[:, :out_frames]), (x,), backward)
 
 
 def overlap_add(x: Tensor, stride: int, out_len: int) -> Tensor:
     """Overlap-add frames (L, T) at the given stride into a signal of out_len samples."""
     frame_len, frames = x.shape
     total = max((frames - 1) * stride + frame_len, out_len)
-    out = Tensor._from_op(ops._overlap_add(x.data.T, stride, total)[:out_len], (x,))
-    if out.requires_grad:
 
-        def backward():
-            g = np.zeros(total, dtype=x.dtype)
-            g[:out_len] = out.grad
-            x._accum_grad(np.ascontiguousarray(ops._frames(g, frame_len, stride)[:frames].T))
+    def backward(g):
+        g_total = np.zeros(total, dtype=x.dtype)
+        g_total[:out_len] = g
+        x._accum_grad(np.ascontiguousarray(ops._frames(g_total, frame_len, stride)[:frames].T))
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(ops._overlap_add(x.data.T, stride, total)[:out_len], (x,), backward)
 
 
 def encode(waves, weight: Tensor, slope: Tensor, stride: int) -> Tensor:

@@ -100,6 +100,37 @@ def test_grad_check_fails_on_a_nan_gradient(capsys, monkeypatch):
     assert "gradient suite: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--trials", "0"], "trials must be >= 1, got 0"), (["--trials", "-2"], "trials must be >= 1, got -2"),
+     (["--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1")],
+)
+def test_grad_check_that_checks_nothing_exits_2(capsys, flags, message):
+    assert main(["grad-check", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and "PASS" not in out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--seed", "-1"], "seed must be >= 0, got -1"), (["--snr-lo", "5", "--snr-hi", "0"], "empty SNR range"),
+     (["--train-mixes", "-3"], "the train split needs a mixture count >= 0, got -3")],
+)
+def test_synth_data_rejects_bad_draws_before_writing(tmp_path, capsys, flags, message):
+    assert main(["synth-data", "--speakers", "2", *flags, "--out", str(tmp_path / "c")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command", ["train-idnet", "train-sep", "finetune"])
+def test_training_rejects_a_negative_seed_before_reading_the_corpus(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.tsv")
+    flags = ["--sep-ckpt", missing, "--idnet-ckpt", missing] if command == "finetune" else []
+    assert main([command, "--train-manifest", missing, "--seed", "-1", *flags, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "missing.tsv" not in err
+
+
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
     """A tiny corpus plus one short training run, shared by the CLI tests."""

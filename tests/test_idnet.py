@@ -5,7 +5,7 @@ import pytest
 
 from tastas.audio import Waveform, synth_speaker_source
 from tastas.errors import DataError
-from tastas.idnet import IdNet, IdNetConfig, slice_segments
+from tastas.idnet import IdNet, IdNetConfig
 from tastas.numerics import ops
 from tastas.numerics.gradcheck import check_case
 from tastas.numerics.tensor import Tensor
@@ -96,12 +96,22 @@ def test_embedding_at_another_sample_rate_is_a_data_error():
         net.embed_utterance(Waveform(seg, 16000))
 
 
-def test_slice_segments_pads_trailing():
-    pieces = slice_segments(np.ones(10), 4)
-    assert len(pieces) == 3
-    assert np.array_equal(pieces[2], [1, 1, 0, 0])
-    with pytest.raises(DataError):
-        slice_segments(np.ones(0), 4)
+@pytest.mark.filterwarnings("ignore:speaker class")
+def test_training_segments_keep_a_short_last_piece_that_forward_pads():
+    config, n = replace(TINY, num_speakers=2), TINY.segment_len
+    samples = np.random.default_rng(12).uniform(-0.5, 0.5, 2 * n + 7)
+    other = np.random.default_rng(13).uniform(-0.5, 0.5, n)
+    segments = train._segment_corpus([(Waveform(samples), 0), (Waveform(other), 1)], config)
+    assert [(len(piece), label) for piece, label in segments] == [(n, 0), (n, 0), (7, 0), (n, 1)]
+    assert all(piece.dtype == np.float32 for piece, _ in segments)
+    short = segments[2][0]
+    assert np.array_equal(short, samples[2 * n :].astype(np.float32))
+    padded = np.concatenate([short, np.zeros(n - 7, dtype=np.float32)])
+    net = IdNet.initialize(TINY, seed=14)
+    for a, b in zip(net.forward(Tensor(short)), net.forward(Tensor(padded))):
+        assert np.array_equal(a.data, b.data)
+    with pytest.raises(DataError, match="utterance 1 .speaker 1. is empty"):
+        train._segment_corpus([(Waveform(samples), 0), (Waveform(np.zeros(0)), 1)], config)
 
 
 def test_freeze_blocks_gradients():

@@ -246,6 +246,30 @@ def test_backpropagated_step_leaves_no_cycles():
         gc.enable()
 
 
+def test_unused_recorded_graph_leaves_no_cycles():
+    """No node's backward refers to its own output, so a recorded forward, its
+    loss and a speaker embedding, dropped without a backward, are freed by
+    reference counting alone."""
+    from tastas.idnet import IdNet, IdNetConfig
+
+    model = TasTasModel.initialize(parse_preset("tastas-1-1", num_filters=8, hidden_size=8, chunk_len=10), seed=0)
+    config = IdNetConfig(num_speakers=2, segment_s=0.06, window_len=64, hop=16, conv_channels=(4, 8), embedding_dim=8)
+    idnet = IdNet.initialize(config, seed=0).freeze()
+    rng = np.random.default_rng(21)
+    targets = [rng.uniform(-1, 1, 1100) for _ in range(2)]
+    gc.collect()
+    gc.disable()
+    try:
+        stages = model.forward(targets[0] + targets[1])
+        loss, _ = obj.multi_stage_loss_graph(stages, targets)
+        embedding = idnet.embed_segments_graph(stages[-1][0])
+        assert loss.requires_grad and embedding.requires_grad
+        del stages, loss, embedding
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- multi-stage averaging ---------------------------------------------------------
 
 

@@ -164,16 +164,13 @@ def build_nan_gradient(rng):
 
     def forward(ts):
         (t,) = ts
-        out = Tensor._from_op(2.0 * t.data, (t,))
-        if out.requires_grad:
 
-            def backward():
-                grad = 2.0 * out.grad
-                grad[2] = np.nan
-                t._accum_grad(grad)
+        def backward(g):
+            grad = 2.0 * g
+            grad[2] = np.nan
+            t._accum_grad(grad)
 
-            out._backward = backward
-        return out
+        return Tensor._from_op(2.0 * t.data, (t,), backward)
 
     return [x], forward
 
@@ -183,6 +180,13 @@ def test_nan_gradient_fails_the_check_and_names_its_element():
     err, detail = check_case(*reversed(build_nan_gradient(rng)), rng)
     assert err == np.inf
     assert detail.startswith("input 0 elem 2: analytic=nan numeric=")
+
+
+@pytest.mark.parametrize("trials,seed,message", [(0, 0, "trials"), (-2, 0, "trials"), (1, -1, "seed")])
+def test_check_kind_rejects_no_trials_and_a_negative_seed(trials, seed, message):
+    # zero trials would report a pass that checked nothing
+    with pytest.raises(ConfigError, match=f"{message} must be"):
+        check_kind("log", trials=trials, seed=seed)
 
 
 def test_suite_report_carries_failures():
@@ -696,23 +700,21 @@ def _ref_max_pool2d(x: Tensor, size: int = 2) -> Tensor:
         .reshape(channels, out_h, out_w, size * size)
     )
     arg = blocks.argmax(axis=3)
-    out = Tensor._from_op(np.ascontiguousarray(np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0]), (x,))
-    if out.requires_grad:
 
-        def backward():
-            g_blocks = np.zeros_like(blocks)
-            np.put_along_axis(g_blocks, arg[..., None], out.grad[..., None], axis=3)
-            g_trim = (
-                g_blocks.reshape(channels, out_h, out_w, size, size)
-                .transpose(0, 1, 3, 2, 4)
-                .reshape(channels, out_h * size, out_w * size)
-            )
-            gx = np.zeros_like(x.data)
-            gx[:, : out_h * size, : out_w * size] = g_trim
-            x._accum_grad(gx)
+    def backward(g):
+        g_blocks = np.zeros_like(blocks)
+        np.put_along_axis(g_blocks, arg[..., None], g[..., None], axis=3)
+        g_trim = (
+            g_blocks.reshape(channels, out_h, out_w, size, size)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(channels, out_h * size, out_w * size)
+        )
+        gx = np.zeros_like(x.data)
+        gx[:, : out_h * size, : out_w * size] = g_trim
+        x._accum_grad(gx)
 
-        out._backward = backward
-    return out
+    out_data = np.ascontiguousarray(np.take_along_axis(blocks, arg[..., None], axis=3)[..., 0])
+    return Tensor._from_op(out_data, (x,), backward)
 
 
 def _ref_conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
@@ -723,26 +725,22 @@ def _ref_conv2d(x: Tensor, weight: Tensor, padding: int = 1) -> Tensor:
     out_w = width + 2 * padding - kw + 1
     windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
     out_data = np.tensordot(weight.data, windows, axes=([1, 2, 3], [0, 3, 4]))
-    out = Tensor._from_op(np.ascontiguousarray(out_data), (x, weight))
-    if out.requires_grad:
 
-        def backward():
-            g = out.grad
-            if weight.requires_grad:
-                weight._accum_grad(np.tensordot(g, windows, axes=([1, 2], [1, 2])))
-            if x.requires_grad:
-                g_win = g.reshape(c_out, -1).T @ weight.data.reshape(c_out, -1)
-                g_win = g_win.reshape(out_h, out_w, c_in, kh, kw)
-                gxp = np.zeros_like(xp)
-                for i in range(kh):
-                    for j in range(kw):
-                        gxp[:, i : i + out_h, j : j + out_w] += g_win[:, :, :, i, j].transpose(2, 0, 1)
-                if padding:
-                    gxp = gxp[:, padding:-padding, padding:-padding]
-                x._accum_grad(gxp)
+    def backward(g):
+        if weight.requires_grad:
+            weight._accum_grad(np.tensordot(g, windows, axes=([1, 2], [1, 2])))
+        if x.requires_grad:
+            g_win = g.reshape(c_out, -1).T @ weight.data.reshape(c_out, -1)
+            g_win = g_win.reshape(out_h, out_w, c_in, kh, kw)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, i : i + out_h, j : j + out_w] += g_win[:, :, :, i, j].transpose(2, 0, 1)
+            if padding:
+                gxp = gxp[:, padding:-padding, padding:-padding]
+            x._accum_grad(gxp)
 
-        out._backward = backward
-    return out
+    return Tensor._from_op(np.ascontiguousarray(out_data), (x, weight), backward)
 
 
 def _ref_conv_block(x: Tensor, weight: Tensor, slope: Tensor) -> Tensor:

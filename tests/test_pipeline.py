@@ -107,6 +107,8 @@ def test_config_validates_fields():
         TrainConfig(phase="finetune", idnet_ckpt="")
     with pytest.raises(ConfigError, match="sep_ckpt"):
         TrainConfig(phase="finetune", idnet_ckpt="id.ckpt")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        TrainConfig(phase="idnet", seed=-1)
     # a sep config builds its model at construction, so a bad width fails before any corpus is read
     with pytest.raises(ConfigError, match="chunk_len"):
         TrainConfig(chunk_len=9)

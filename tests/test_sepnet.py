@@ -188,15 +188,14 @@ def _unfused_layer_norm(x, axes, gain, bias, residual=None):
     var = (centered * centered).mean(axis=axes, keepdims=True)
     degenerate = var < ops.LAYER_NORM_VAR_FLOOR
     inv_std = np.where(degenerate, 0.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
-    normalized = Tensor._from_op(centered * inv_std, (x,))
+    normed = centered * inv_std
 
-    def backward():
-        g = normalized.grad
+    def backward(g):
         g_mean = g.mean(axis=axes, keepdims=True)
-        gy_mean = (g * normalized.data).mean(axis=axes, keepdims=True)
-        x._accum_grad(inv_std * (g - g_mean - normalized.data * gy_mean))
+        gy_mean = (g * normed).mean(axis=axes, keepdims=True)
+        x._accum_grad(inv_std * (g - g_mean - normed * gy_mean))
 
-    normalized._backward = backward
+    normalized = Tensor._from_op(normed, (x,), backward)
     y = ops.add(ops.mul(normalized, gain), bias)
     return y if residual is None else ops.add(residual, y)
 
