@@ -2,10 +2,10 @@
 
 One configuration serves the mask oracle: a periodic Hann window of
 DEFAULT_WINDOW_LEN samples every DEFAULT_HOP samples, with reflect padding
-of half a window on both ends. ``stft`` is ``numerics.ops.stft_ri`` run on
-a tensor that records no graph, with its real and imaginary planes packed
-as complex bins. ``istft`` sums the windowed inverse frames with the same
-overlap-add that adjoins ``stft_ri``'s framing and divides by the summed
+of half a window on both ends. ``stft`` is ``numerics.ops._spectrum``, the
+DFT the speaker network's ``log_spectrum`` front end also runs, with the
+bins along the first axis. ``istft`` sums the windowed inverse frames with
+the same overlap-add that adjoins that framing and divides by the summed
 squared window, which this hop keeps away from zero at every sample.
 """
 
@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from ..numerics.ops import _overlap_add, stft_ri
-from ..numerics.tensor import Tensor
+from ..numerics.ops import _overlap_add, _spectrum
 
 DEFAULT_WINDOW_LEN = 512
 DEFAULT_HOP = 128
@@ -32,11 +31,7 @@ def stft(samples: np.ndarray) -> np.ndarray:
     n = len(samples)
     if n <= DEFAULT_WINDOW_LEN // 2:
         raise DataError(f"signal of {n} samples is too short for window {DEFAULT_WINDOW_LEN}")
-    ri = stft_ri(Tensor(samples, dtype=np.float64), hann_window(DEFAULT_WINDOW_LEN), DEFAULT_HOP).data
-    # set the planes, not real + 1j*imag, which would turn a -0.0 real part into +0.0
-    bins = np.empty(ri.shape[1:], dtype=np.complex128)
-    bins.real, bins.imag = ri
-    return bins
+    return _spectrum(np.asarray(samples, dtype=np.float64), hann_window(DEFAULT_WINDOW_LEN), DEFAULT_HOP).T
 
 
 def istft(bins: np.ndarray, length: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import TasTasError
+from .errors import DataError, TasTasError
 from .pipeline.config import TrainConfig, load_train_config
 
 
@@ -124,6 +124,9 @@ def _cmd_synth_data(args) -> int:
         "dev": args.dev_mixes or max(2, (args.speakers * args.utts_per) // 16),
         "test": args.test_mixes or max(2, (args.speakers * args.utts_per) // 8),
     }
+    for split, count in per_split.items():  # every count, before the first split is written
+        if count < 0:
+            raise DataError(f"the {split} split needs a mixture count >= 0, got {count}")
     for split, count in per_split.items():
         records = synth_mixture_corpus(
             out,

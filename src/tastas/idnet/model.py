@@ -34,8 +34,14 @@ class IdNetConfig:
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE
 
     def __post_init__(self):
+        # a checkpoint header sets these, so a front end that cannot run fails here
         if self.num_speakers < 2:
             raise ConfigError(f"speaker classifier needs >= 2 classes, got {self.num_speakers}")
+        for name, least in (("window_len", 2), ("hop", 1), ("embedding_dim", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not all(channels >= 1 for channels in self.conv_channels):
+            raise ConfigError(f"conv_channels must all be >= 1, got {self.conv_channels}")
         if self.segment_len < self.window_len:
             raise ConfigError(
                 f"segment of {self.segment_len} samples yields under two frames for window {self.window_len}"
@@ -82,31 +88,14 @@ class IdNet:
             tensor.requires_grad = False
         return self
 
-    def _prep_segment(self, segment: Tensor) -> Tensor:
+    def forward(self, segment: Tensor) -> tuple[Tensor, Tensor]:
+        """(logits, embedding) for one segment of at most segment_len samples; a short one is zero-padded."""
         n = self.config.segment_len
         if segment.ndim != 1 or segment.shape[0] == 0:
             raise DataError(f"segment must be a non-empty 1-D signal, got shape {segment.shape}")
         if segment.shape[0] > n:
             raise DataError(f"segment of {segment.shape[0]} samples exceeds the {n}-sample window")
-        if segment.shape[0] < n:
-            pad = ops.const(np.zeros(n - segment.shape[0]), dtype=segment.dtype)
-            segment = ops.concat([segment, pad], axis=0)
-        return segment
-
-    def forward(self, segment: Tensor) -> tuple[Tensor, Tensor]:
-        """(logits, embedding) for one fixed-length segment."""
-        segment = self._prep_segment(segment)
-        spec = ops.stft_ri(segment, self._window, self.config.hop)  # (2, bins, frames)
-        power = ops.add(
-            ops.add(
-                ops.mul(ops.getitem(spec, (0,)), ops.getitem(spec, (0,))),
-                ops.mul(ops.getitem(spec, (1,)), ops.getitem(spec, (1,))),
-            ),
-            ops.const(1e-12, dtype=segment.dtype),
-        )
-        magnitude = ops.sqrt(power)
-        x = ops.log(ops.add(magnitude, ops.const(1.0, dtype=segment.dtype)))
-        x = ops.reshape(x, (1, *x.shape))
+        x = ops.log_spectrum(segment, self._window, self.config.hop, n)  # (1, bins, frames)
         for i in range(len(self.config.conv_channels)):
             x = ops.conv_block(x, self.params[f"conv{i}.weight"], self.params[f"conv{i}.prelu"])
         pooled = ops.tmean(x, axis=(1, 2))  # (C,)

@@ -155,11 +155,6 @@ def _build_log(rng):
     return [x], lambda ts: ops.log(ts[0])
 
 
-def _build_sqrt(rng):
-    x = Tensor(rng.uniform(0.5, 2.0, size=(6,)))
-    return [x], lambda ts: ops.sqrt(ts[0])
-
-
 def _build_linear(rng):
     w = _u(rng, 4, 3)
     x = _u(rng, 3, 5)
@@ -239,16 +234,6 @@ def _build_softmax_logloss(rng):
     return [x], lambda ts: ops.neg(ops.getitem(ops.log_softmax(ts[0], axis=0), (label,)))
 
 
-def _build_concat(rng):
-    a, b, c = _u(rng, 2, 3), _u(rng, 2, 2), _u(rng, 2, 4)
-    return [a, b, c], lambda ts: ops.concat(list(ts), axis=1)
-
-
-def _build_reshape(rng):
-    x = _u(rng, 3, 4)
-    return [x], lambda ts: ops.reshape(ts[0], (2, 6))
-
-
 def _build_slice(rng):
     x = _u(rng, 4, 6)
     return [x], lambda ts: ops.getitem(ts[0], (slice(1, 3), slice(None, None, 2)))
@@ -278,14 +263,11 @@ def _build_mask_decode(rng):
     return [chunks, mask_weight, rep, decoder], lambda ts: ops.mask_decode(*ts, hop=2, stride=2, out_len=15)
 
 
-def _build_stft(rng):
-    x = _u(rng, 18)
-    window = np.hanning(9)[:8]  # periodic Hann, length 8
-
-    def forward(ts):
-        return ops.stft_ri(ts[0], window, hop=2)
-
-    return [x], forward
+def _build_log_spectrum(rng):
+    # 14 samples zero-padded to 18, a periodic Hann window of 8 every 2 samples
+    x = _u(rng, 14)
+    window = np.hanning(9)[:8]
+    return [x], lambda ts: ops.log_spectrum(ts[0], window, hop=2, length=18)
 
 
 BUILDERS: dict[str, Builder] = {
@@ -297,20 +279,17 @@ BUILDERS: dict[str, Builder] = {
     "sum": _build_sum,
     "mean": _build_mean,
     "log": _build_log,
-    "sqrt": _build_sqrt,
+    "log_spectrum": _build_log_spectrum,
     "linear": _build_linear,
     "conv_block": _build_conv_block,
     "conv_block_frozen": _build_conv_block_frozen,
     "bilstm_layer": _build_bilstm_layer,
     "log_softmax": _build_log_softmax,
     "softmax_logloss": _build_softmax_logloss,
-    "concat": _build_concat,
-    "reshape": _build_reshape,
     "slice": _build_slice,
     "encode": _build_encode,
     "mask_input": _build_mask_input,
     "mask_decode": _build_mask_decode,
-    "stft": _build_stft,
 }
 
 

@@ -149,15 +149,6 @@ def log(x: Tensor) -> Tensor:
     return Tensor._from_op(np.log(x.data), (x,), backward)
 
 
-def sqrt(x: Tensor) -> Tensor:
-    out_data = np.sqrt(x.data)
-
-    def backward(g):
-        x._accum_grad(g * 0.5 / out_data)
-
-    return Tensor._from_op(out_data, (x,), backward)
-
-
 def _sign_mask(positive: np.ndarray, bits: np.dtype) -> np.ndarray:
     """All ones where positive, all zeros elsewhere, as unsigned integers of bits."""
     mask = positive.astype(bits)
@@ -711,28 +702,6 @@ def log_softmax(x: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ConfigError("concat: empty tensor list")
-
-    def backward(g):
-        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                t._accum_grad(g[tuple(index)])
-
-    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    def backward(g):
-        x._accum_grad(g.reshape(x.shape))
-
-    return Tensor._from_op(x.data.reshape(shape), (x,), backward)
-
-
 def getitem(x: Tensor, key) -> Tensor:
     """Basic slicing only (slices, ints, tuples of those)."""
 
@@ -967,7 +936,7 @@ def mask_decode(
 
 
 # ---------------------------------------------------------------------------
-# differentiable STFT
+# the speaker network's spectral front end
 # ---------------------------------------------------------------------------
 
 
@@ -980,38 +949,52 @@ def _reflect_index_map(length: int, pad: int) -> np.ndarray:
     return idx
 
 
-def stft_ri(x: Tensor, window: np.ndarray, hop: int) -> Tensor:
-    """Windowed DFT of a 1-D signal -> (2, bins, frames): real part, imaginary part.
+def _spectrum(x: np.ndarray, window: np.ndarray, hop: int) -> np.ndarray:
+    """One-sided DFT (frames, bins) of the windowed frames of a 1-D signal,
+    a frame every hop samples, after reflect-padding by half a window on each side."""
+    idx = _reflect_index_map(len(x), len(window) // 2)
+    return np.fft.rfft(_frames(x[idx], len(window), hop) * window, axis=1)
 
-    Reflect-pads by half a window on each side. The backward pass is the
-    exact adjoint of the one-sided DFT (interior bins are not doubled).
+
+def log_spectrum(segment: Tensor, window: np.ndarray, hop: int, length: int) -> Tensor:
+    """log(1 + |STFT|) of a 1-D segment zero-padded to length: a (1, bins, frames) image.
+
+    The STFT is ``_spectrum``'s and |.| is sqrt(re^2 + im^2 + 1e-12). The
+    node runs the float operations of the chain of generic ops it replaces
+    (a zero-pad concat, a two-plane STFT, a getitem, mul and add per plane,
+    sqrt, log and reshape; the bit-for-bit tests keep that chain as
+    test-local ops) in its order, so its output and gradient are the
+    chain's bit for bit. It keeps nothing: its backward re-forms the
+    spectrum from the segment.
     """
-    if x.ndim != 1:
-        raise ConfigError(f"stft_ri: expected 1-D signal, got {x.shape}")
-    window_len = len(window)
-    pad = window_len // 2
-    n = x.shape[0]
-    if n <= pad:
-        raise ConfigError(f"stft_ri: signal of {n} samples shorter than half a window ({pad})")
-    idx = _reflect_index_map(n, pad)
-    xp = x.data[idx]
-    window = window.astype(x.dtype, copy=False)
-    framed = _frames(xp, window_len, hop) * window
-    spec = np.fft.rfft(framed, axis=1)
-    bins = window_len // 2 + 1
-    out_data = np.ascontiguousarray(
-        np.stack([spec.real.T, spec.imag.T]).astype(x.dtype, copy=False)
-    )
+    if segment.ndim != 1 or segment.shape[0] > length:
+        raise ConfigError(f"log_spectrum: expected a 1-D segment of at most {length} samples, got {segment.shape}")
+    window_len, pad, dtype = len(window), len(window) // 2, segment.dtype
+    if length <= pad:
+        raise ConfigError(f"log_spectrum: signal of {length} samples shorter than half a window ({pad})")
+    window = window.astype(dtype, copy=False)
+    one = dtype.type(1.0)
+
+    def planes():
+        """The spectrum's real and imaginary planes (bins, frames) and its magnitude."""
+        padded = np.zeros(length, dtype=dtype)
+        padded[: segment.shape[0]] = segment.data
+        spec = _spectrum(padded, window, hop)
+        re, im = (np.ascontiguousarray(part.T).astype(dtype, copy=False) for part in (spec.real, spec.imag))
+        return re, im, np.sqrt(re * re + im * im + dtype.type(1e-12))
 
     def backward(g):
-        g_spec = g[0].T + 1j * g[1].T
-        if bins > 2:
+        re, im, magnitude = planes()
+        g_power = g[0] / (magnitude + one) * 0.5 / magnitude
+        # the chain's two getitems per plane summed this up to the sign of a
+        # zero, which the sum into gx below erases
+        g_spec = (2 * (g_power * re)).T + 1j * (2 * (g_power * im)).T
+        if pad > 1:  # the exact adjoint of the one-sided DFT: interior bins are not doubled
             g_spec[:, 1:-1] *= 0.5
         g_frames = np.fft.irfft(g_spec, n=window_len, axis=1) * window_len
-        g_frames = (g_frames * window).astype(x.dtype, copy=False)
-        gxp = _overlap_add(g_frames, hop, len(xp))
-        gx = np.zeros(n, dtype=x.dtype)
-        np.add.at(gx, idx, gxp)
-        x._accum_grad(gx)
+        g_padded = _overlap_add((g_frames * window).astype(dtype, copy=False), hop, length + 2 * pad)
+        gx = np.zeros(length, dtype=dtype)
+        np.add.at(gx, _reflect_index_map(length, pad), g_padded)
+        segment._accum_grad(gx[: segment.shape[0]])
 
-    return Tensor._from_op(out_data, (x,), backward)
+    return Tensor._from_op(np.log(planes()[2] + one)[None], (segment,), backward)

@@ -19,12 +19,13 @@ backward reads and no more: its parents, and the saved arrays that
 cannot be re-formed from them, each of which a backward may drop once
 spent. What each fused node saves and re-forms is written in its
 docstring in ``ops`` (``encode``, ``mask_input``, ``mask_decode``,
-``bilstm_layer`` and ``conv_block``). ``no_grad()`` nests, restores the
-previous mode on exit (also on an exception), and is per thread.
-``backward()`` frees a graph as it goes: once a node's backward has run,
-the node drops it, its parents and (unless it is the root) its gradient.
-Leaves keep their gradients. A second ``backward()`` through a spent
-graph raises ConfigError instead of reusing stale gradients.
+``bilstm_layer``, ``conv_block`` and ``log_spectrum``). ``no_grad()``
+nests, restores the previous mode on exit (also on an exception), and is
+per thread. ``backward()`` frees a graph as it goes: once a node's
+backward has run, the node drops it, its parents and (unless it is the
+root) its gradient. Leaves keep their gradients. A second ``backward()``
+through a spent graph raises ConfigError instead of reusing stale
+gradients.
 """
 
 from __future__ import annotations

@@ -49,8 +49,9 @@ class TrainConfig:
         for name in ("initial_lr", "decay_factor"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.decay_every_epochs < 1:
-            raise ConfigError(f"decay_every_epochs must be >= 1, got {self.decay_every_epochs}")
+        for name, least in (("decay_every_epochs", 1), ("patience", 1), ("max_restarts", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.phase == "sep":
             self.model_config()  # a bad preset or width fails here, before any corpus is read
 

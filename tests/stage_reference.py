@@ -14,6 +14,7 @@ which the bit-select PReLU must match.
 
 import numpy as np
 
+from tastas.errors import ConfigError
 from tastas.numerics import ops
 from tastas.numerics.tensor import Tensor
 
@@ -129,10 +130,32 @@ def overlap_add(x: Tensor, stride: int, out_len: int) -> Tensor:
     return Tensor._from_op(ops._overlap_add(x.data.T, stride, total)[:out_len], (x,), backward)
 
 
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    if not tensors:
+        raise ConfigError("concat: empty tensor list")
+
+    def backward(g):
+        offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(lo, hi)
+                t._accum_grad(g[tuple(index)])
+
+    return Tensor._from_op(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    def backward(g):
+        x._accum_grad(g.reshape(x.shape))
+
+    return Tensor._from_op(x.data.reshape(shape), (x,), backward)
+
+
 def encode(waves, weight: Tensor, slope: Tensor, stride: int) -> Tensor:
     """The chain ``ops.encode`` replaces."""
-    feats = [prelu(conv1d(ops.reshape(wave, (1, wave.shape[0])), weight, stride), slope) for wave in waves]
-    return feats[0] if len(feats) == 1 else ops.concat(feats, axis=0)
+    feats = [prelu(conv1d(reshape(wave, (1, wave.shape[0])), weight, stride), slope) for wave in waves]
+    return feats[0] if len(feats) == 1 else concat(feats, axis=0)
 
 
 def mask_input(rep: Tensor, gain: Tensor, bias: Tensor, weight: Tensor, chunk_len: int, hop: int, norm=layer_norm):
@@ -145,7 +168,7 @@ def mask_decode(chunks, mask_weight, rep, decoder_weight, hop: int, stride: int,
     width, frames = rep.shape
     features, chunk_len, count = chunks.shape
     merged = merge_chunks(chunks, hop, frames, chunk_len + (count - 1) * hop - frames)
-    logits = ops.reshape(ops.linear(mask_weight, merged), (-1, features, frames))
+    logits = reshape(ops.linear(mask_weight, merged), (-1, features, frames))
     masks = softmax(logits, axis=0)
     waves = []
     for s in range(masks.shape[0]):

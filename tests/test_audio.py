@@ -114,7 +114,8 @@ def test_stft_sine_energy_concentrates_at_bin():
 
 
 def _numpy_stft_bins(samples: np.ndarray, window_len: int = 512, hop: int = 128) -> np.ndarray:
-    """Reflect-padded Hann STFT written out in numpy, as stft was before it ran stft_ri."""
+    """Reflect-padded Hann STFT written out in numpy with ``np.pad``, the reference
+    for ``stft``, which runs the speaker front end's ``_spectrum``."""
     xp = np.pad(samples, window_len // 2, mode="reflect")
     framed = np.lib.stride_tricks.sliding_window_view(xp, window_len)[::hop] * hann_window(window_len)
     return np.fft.rfft(framed, axis=1).T

@@ -114,7 +114,8 @@ def test_grad_check_that_checks_nothing_exits_2(capsys, flags, message):
 @pytest.mark.parametrize(
     "flags,message",
     [(["--seed", "-1"], "seed must be >= 0, got -1"), (["--snr-lo", "5", "--snr-hi", "0"], "empty SNR range"),
-     (["--train-mixes", "-3"], "the train split needs a mixture count >= 0, got -3")],
+     (["--train-mixes", "-3"], "the train split needs a mixture count >= 0, got -3"),
+     (["--train-mixes", "2", "--dev-mixes", "-3"], "the dev split needs a mixture count >= 0, got -3")],
 )
 def test_synth_data_rejects_bad_draws_before_writing(tmp_path, capsys, flags, message):
     assert main(["synth-data", "--speakers", "2", *flags, "--out", str(tmp_path / "c")]) == 2
@@ -248,6 +249,23 @@ def test_eval_idempotent(cli_run, tmp_path):
     assert main(args + ["--out", str(tmp_path / "e1.tsv")]) == 0
     assert main(args + ["--out", str(tmp_path / "e2.tsv")]) == 0
     assert (tmp_path / "e1.tsv").read_text() == (tmp_path / "e2.tsv").read_text()
+
+
+def test_eval_rejects_a_speaker_network_whose_header_sets_hop_0(cli_run, tmp_path, capsys):
+    from tastas.checkpoint import load_container, save_container
+    from tastas.idnet import IdNet, IdNetConfig, save_idnet
+
+    ckpt = tmp_path / "idnet.ckpt"
+    save_idnet(ckpt, IdNet.initialize(IdNetConfig(num_speakers=4), seed=0).freeze())
+    kind, header, blobs = load_container(ckpt)
+    header["model"]["hop"] = 0
+    save_container(ckpt, kind, header, blobs)
+    assert main([
+        "eval", "--ckpt", str(cli_run / "run" / "last.ckpt"), "--manifest", str(cli_run / "corpus" / "test.tsv"),
+        "--out", str(tmp_path / "eval.tsv"), "--idnet-ckpt", str(ckpt),
+    ]) == 2
+    assert "hop must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "eval.tsv").exists()
 
 
 # the synthetic corpus is deliberately far below the per-speaker segment count

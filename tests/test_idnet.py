@@ -3,14 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tastas.audio import Waveform, synth_speaker_source
-from tastas.errors import DataError
+from tastas.audio import Waveform, hann_window, synth_speaker_source
+from tastas.errors import ConfigError, DataError
 from tastas.idnet import IdNet, IdNetConfig
 from tastas.numerics import ops
 from tastas.numerics.gradcheck import check_case
 from tastas.numerics.tensor import Tensor
 from tastas.pipeline import train
 from tastas.pipeline.train import IdNetEpoch, train_idnet
+
+import spectrum_reference
 
 TINY = IdNetConfig(
     num_speakers=3,
@@ -21,6 +23,16 @@ TINY = IdNetConfig(
     embedding_dim=16,
     sample_rate_hz=8000,
 )
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("hop", 0), ("hop", -4), ("window_len", 0), ("window_len", 1), ("embedding_dim", 0), ("conv_channels", (4, 0))],
+)
+def test_config_rejects_a_front_end_that_cannot_run(field, value):
+    # these come from a checkpoint header too, so they are checked at construction
+    with pytest.raises(ConfigError, match=f"{field} must"):
+        replace(TINY, **{field: value})
 
 
 def test_forward_shapes():
@@ -48,6 +60,26 @@ def test_short_segment_zero_padded_long_rejected():
         net.forward(Tensor(np.zeros(TINY.segment_len + 1, dtype=np.float32)))
     with pytest.raises(DataError):
         net.forward(Tensor(np.zeros(0, dtype=np.float32)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("short", [0, 37], ids=["full", "padded"])
+def test_log_spectrum_equals_the_unfused_chain_bit_for_bit(dtype, short):
+    rng = np.random.default_rng(21)
+    n = TINY.segment_len
+    samples = rng.uniform(-0.5, 0.5, n - short).astype(dtype)
+    samples[100:300] = -0.0  # whole frames of negative zeros, whose bins are signed zeros
+    samples[300:320] = 0.0
+    seed = rng.standard_normal((1, TINY.window_len // 2 + 1, n // TINY.hop + 1)).astype(dtype)
+    seed[:, :, 10:14] = -0.0
+    results = []
+    for log_spectrum in (ops.log_spectrum, spectrum_reference.log_spectrum):
+        x = Tensor(samples, requires_grad=True)
+        out = log_spectrum(x, hann_window(TINY.window_len), TINY.hop, n)
+        out.backward(seed)
+        results.append((out.data.dtype, out.data.tobytes(), x.grad.tobytes()))
+    assert results[0] == results[1]
+    assert results[0][0] == dtype
 
 
 def test_input_gradient_is_exact():
@@ -139,15 +171,18 @@ def test_forward_records_one_node_per_conv_block(frozen):
             seen.add(id(node))
             nodes.append(node)
             stack.extend(node._parents)
-    previous = None
+    # the whole front end is one log_spectrum node, which reads the segment and feeds the first block
+    spectrum = [n for n in nodes if any(p is x for p in n._parents)]
+    assert len(spectrum) == 1 and spectrum[0]._parents == (x,)
+    assert spectrum[0]._backward.__qualname__ == "log_spectrum.<locals>.backward"
+    previous = spectrum[0]
     for i in range(len(TINY.conv_channels)):
         weight, slope = net.params[f"conv{i}.weight"], net.params[f"conv{i}.prelu"]
         readers = [n for n in nodes if any(p is weight or p is slope for p in n._parents)]
         assert len(readers) == 1, f"block {i}: {len(readers)} nodes read its parameters"
         block = readers[0]
         assert block._parents[1] is weight and block._parents[2] is slope
-        if previous is not None:
-            assert block._parents[0] is previous
+        assert block._parents[0] is previous
         previous = block
 
 

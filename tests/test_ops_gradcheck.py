@@ -13,6 +13,7 @@ from tastas.numerics.gradcheck import BUILDERS, _u, check_case, check_kind, run_
 from tastas.numerics.tensor import Tensor
 
 import dual_path_reference as reference
+import spectrum_reference
 import stage_reference
 
 SPEC_KINDS = [
@@ -22,6 +23,7 @@ SPEC_KINDS = [
     "mask_input",
     "mask_decode",
     "log",
+    "log_spectrum",
     "concat",
     "elementwise_mul",
     "reshape",
@@ -68,8 +70,30 @@ def _build_ref_overlap_add(rng):
     return [x], lambda ts: stage_reference.overlap_add(ts[0], stride=2, out_len=12)
 
 
-# The unfused stage chain's ops, which the fused stage nodes must equal byte
-# for byte: checked against finite differences too, so that oracle is sound.
+def _build_ref_concat(rng):
+    a, b, c = _u(rng, 2, 3), _u(rng, 2, 2), _u(rng, 2, 4)
+    return [a, b, c], lambda ts: stage_reference.concat(list(ts), axis=1)
+
+
+def _build_ref_reshape(rng):
+    x = _u(rng, 3, 4)
+    return [x], lambda ts: stage_reference.reshape(ts[0], (2, 6))
+
+
+def _build_ref_sqrt(rng):
+    x = Tensor(rng.uniform(0.5, 2.0, size=(6,)))
+    return [x], lambda ts: spectrum_reference.sqrt(ts[0])
+
+
+def _build_ref_stft(rng):
+    x = _u(rng, 18)
+    window = np.hanning(9)[:8]  # periodic Hann, length 8
+    return [x], lambda ts: spectrum_reference.stft_ri(ts[0], window, hop=2)
+
+
+# The unfused stage and speaker front-end chains' ops, which the fused nodes
+# must equal byte for byte: checked against finite differences too, so that
+# oracle is sound.
 REFERENCE_BUILDERS = {
     "prelu": _build_ref_prelu,
     "conv1d": _build_ref_conv1d,
@@ -78,6 +102,10 @@ REFERENCE_BUILDERS = {
     "segment_chunks": _build_ref_segment_chunks,
     "merge_chunks": _build_ref_merge_chunks,
     "overlap_add": _build_ref_overlap_add,
+    "concat": _build_ref_concat,
+    "reshape": _build_ref_reshape,
+    "sqrt": _build_ref_sqrt,
+    "stft": _build_ref_stft,
 }
 
 
@@ -102,13 +130,13 @@ def test_full_model_check_runs_the_op_suite_check_on_every_parameter():
 
 def test_spec_kinds_all_registered():
     for kind in SPEC_KINDS:
-        assert kind in BUILDERS
+        assert kind in BUILDERS.keys() | REFERENCE_BUILDERS.keys()
 
 
 # Public functions of ops that build no graph node, and the BUILDERS kind of
 # each op whose kind is named otherwise.
 NOT_GRAPH_OPS = {"const", "chunk_layout"}
-BUILDER_KIND = {"mul": "elementwise_mul", "getitem": "slice", "tsum": "sum", "tmean": "mean", "stft_ri": "stft"}
+BUILDER_KIND = {"mul": "elementwise_mul", "getitem": "slice", "tsum": "sum", "tmean": "mean"}
 
 
 def test_every_graph_op_has_a_gradcheck_builder():
@@ -152,7 +180,7 @@ def test_check_case_finds_the_worst_element_the_loop_finds(kind, monkeypatch):
     real = gradcheck.numeric_gradients
     monkeypatch.setattr(gradcheck, "numeric_gradients", lambda *args: numeric.append(real(*args)) or numeric[-1])
     rng = np.random.default_rng(4)
-    inputs, forward = BUILDERS[kind](rng)
+    inputs, forward = {**BUILDERS, **REFERENCE_BUILDERS}[kind](rng)
     got = check_case(forward, inputs, rng)
     analytic = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
     assert got == _loop_worst(analytic, numeric[0])

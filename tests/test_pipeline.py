@@ -118,7 +118,13 @@ def test_config_validates_fields():
     TrainConfig(phase="idnet", chunk_len=9)
 
 
-@pytest.mark.parametrize("key,value", [("initial_lr", 0.0), ("decay_factor", -0.5), ("decay_every_epochs", 0)])
+@pytest.mark.parametrize("key,value", [
+    ("initial_lr", 0.0),
+    ("decay_factor", -0.5),
+    ("decay_every_epochs", 0),
+    ("patience", 0),  # would restart, halving the LR, after every epoch, even an improving one
+    ("max_restarts", -1),
+])
 def test_config_rejects_a_schedule_that_cannot_run(key, value):
     # the schedule is built at construction, so it fails before any corpus is read
     with pytest.raises(ConfigError, match=key):
@@ -356,16 +362,18 @@ def test_finished_run_resumes_to_the_same_last_checkpoint(tiny_corpus, tmp_path)
     assert again_ckpt.read_bytes() == done_ckpt.read_bytes()
 
 
-def test_restarts_halve_the_lr_and_survive_a_resume(tiny_corpus, tmp_path):
-    # patience 0 restarts after every epoch; the third trigger finds max_restarts spent and stops
-    kw = dict(patience=0, max_restarts=2, initial_lr=0.002)
-    _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "full", epochs_max=5, **kw))
-    assert [(r.epoch, r.lr, r.restarts) for r in rows] == [(1, 0.002, 0), (2, 0.001, 1), (3, 0.0005, 2)]
-    half, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=2, **kw))
+def test_restarts_halve_the_lr_and_survive_a_resume(tiny_corpus, tmp_path, monkeypatch):
+    # every dev loss after the first is worse, so patience 1 restarts after every epoch but the
+    # first; the third trigger finds max_restarts spent and stops
+    monkeypatch.setattr(SepTrainer, "_dev_metrics", lambda self: (float(self.epoch), 0.0))
+    kw = dict(patience=1, max_restarts=2, initial_lr=0.002)
+    _, rows = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "full", epochs_max=6, **kw))
+    assert [(r.epoch, r.lr, r.restarts) for r in rows] == [(1, 0.002, 0), (2, 0.002, 0), (3, 0.001, 1), (4, 0.0005, 2)]
+    half, _ = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=3, **kw))
     assert load_sep_checkpoint(half)[2]["restart_halvings"] == 2
-    _, tail = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=5, **kw), resume_from=str(half))
+    _, tail = run_phase(_tiny_train_config(tiny_corpus, tmp_path / "half", epochs_max=6, **kw), resume_from=str(half))
     assert [(r.epoch, r.lr, r.restarts, r.train_loss, r.dev_loss) for r in tail] == [
-        (r.epoch, r.lr, r.restarts, r.train_loss, r.dev_loss) for r in rows[2:]
+        (r.epoch, r.lr, r.restarts, r.train_loss, r.dev_loss) for r in rows[3:]
     ]
 
 
