@@ -7,9 +7,15 @@ A training run reproduces bit for bit from its seed only at a fixed BLAS
 thread count: OpenBLAS splits the weight-gradient products across its
 threads, which changes their rounding. Set OPENBLAS_NUM_THREADS (or
 OMP_NUM_THREADS) to pin it; every checkpoint records the setting under the
-"blas_threads" key of its extras. TASTAS_THREADS sets how many threads
-`eval` scores utterances on (unset, 0 or 1: serial); its rows do not depend
-on it. A value that is not a non-negative integer exits 2.
+"blas_threads" key of its extras.
+
+Pinning BLAS to one thread (OPENBLAS_NUM_THREADS=1) also lets `separate`
+and `eval` use a second core: each BiLSTM half then runs its right-to-left
+direction on a forked helper process, with the same output bytes.
+Unpinned, they do not. TASTAS_THREADS sets how many threads `eval` scores
+utterances on (unset, 0 or 1: serial, with the helper); its rows do not
+depend on it, and its worker threads never use the helper. A value that
+is not a non-negative integer exits 2.
 """
 
 from __future__ import annotations

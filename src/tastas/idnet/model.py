@@ -46,6 +46,20 @@ class IdNetConfig:
             raise ConfigError(
                 f"segment of {self.segment_len} samples yields under two frames for window {self.window_len}"
             )
+        # the spectrum image must keep a row and a column through every block's 2x2 pool
+        blocks = len(self.conv_channels)
+        least = 2**blocks
+        bins = self.window_len // 2 + 1
+        frames = (self.segment_len + 2 * (self.window_len // 2) - self.window_len) // self.hop + 1
+        if bins < least:
+            raise ConfigError(
+                f"window_len must give >= {least} bins for {blocks} pooling blocks, {self.window_len} gives {bins}"
+            )
+        if frames < least:
+            raise ConfigError(
+                f"hop must give >= {least} frames of the {self.segment_len}-sample segment for {blocks} pooling "
+                f"blocks with window {self.window_len}, {self.hop} gives {frames}"
+            )
 
     @property
     def segment_len(self) -> int:

@@ -27,12 +27,28 @@ TINY = IdNetConfig(
 
 @pytest.mark.parametrize(
     "field,value",
-    [("hop", 0), ("hop", -4), ("window_len", 0), ("window_len", 1), ("embedding_dim", 0), ("conv_channels", (4, 0))],
+    [
+        ("hop", 0),
+        ("hop", -4),
+        ("window_len", 0),
+        ("window_len", 1),
+        ("embedding_dim", 0),
+        ("conv_channels", (4, 0)),
+        ("hop", 4000),  # one frame
+        ("window_len", 3),  # two bins
+    ],
 )
 def test_config_rejects_a_front_end_that_cannot_run(field, value):
     # these come from a checkpoint header too, so they are checked at construction
     with pytest.raises(ConfigError, match=f"{field} must"):
         replace(TINY, **{field: value})
+
+
+def test_config_rejects_a_segment_too_short_for_its_conv_stack():
+    # 4 frames of a 400-sample segment at window 400 and the default hop:
+    # the third of the default four blocks would pool them away
+    with pytest.raises(ConfigError, match="hop must give >= 16 frames .* 128 gives 4"):
+        IdNetConfig(num_speakers=2, segment_s=0.05, window_len=400)
 
 
 def test_forward_shapes():
