@@ -5,9 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .wavio import Waveform
-
-_SILENCE_POWER = 1e-10
+from .wavio import SILENCE_POWER, Waveform
 
 
 def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> tuple[Waveform, Waveform, Waveform]:
@@ -21,7 +19,7 @@ def mix_at_snr(a: Waveform, b: Waveform, snr_db: float) -> tuple[Waveform, Wavef
     if a.sample_rate_hz != b.sample_rate_hz:
         raise DataError(f"sample rates differ: {a.sample_rate_hz} vs {b.sample_rate_hz}")
     power_a, power_b = a.power(), b.power()
-    if power_a <= _SILENCE_POWER or power_b <= _SILENCE_POWER:
+    if power_a <= SILENCE_POWER or power_b <= SILENCE_POWER:
         raise DataError("cannot set an SNR against a silent source")
     gain = float(np.sqrt(power_a / (power_b * 10.0 ** (snr_db / 10.0))))
     b_scaled = Waveform(b.samples * gain, sample_rate_hz=b.sample_rate_hz)

@@ -12,6 +12,7 @@ from ..errors import AudioIOError, DataError
 
 DEFAULT_SAMPLE_RATE = 8000
 PCM_SCALE = 32767.0
+SILENCE_POWER = 1e-10  # a mean power at or below this counts as silent
 
 
 @dataclass(frozen=True)
@@ -36,9 +37,6 @@ class Waveform:
 
     def power(self) -> float:
         return float(np.mean(self.samples**2))
-
-    def peak(self) -> float:
-        return float(np.max(np.abs(self.samples))) if len(self.samples) else 0.0
 
 
 def wav_write(path, wave_out: Waveform) -> None:

@@ -10,12 +10,11 @@ OMP_NUM_THREADS) to pin it; every checkpoint records the setting under the
 "blas_threads" key of its extras.
 
 Pinning BLAS to one thread (OPENBLAS_NUM_THREADS=1) also lets `separate`
-and `eval` use a second core: each BiLSTM half then runs its right-to-left
-direction on a forked helper process, with the same output bytes.
-Unpinned, they do not. TASTAS_THREADS sets how many threads `eval` scores
-utterances on (unset, 0 or 1: serial, with the helper); its rows do not
-depend on it, and its worker threads never use the helper. A value that
-is not a non-negative integer exits 2.
+and `eval` use a second core, with the same output bytes. `eval` scores a
+manifest of two utterances or more on one thread per CPU the process may
+use; with a single utterance, and in `separate`, each BiLSTM half runs its
+right-to-left direction on a forked helper process. Unpinned, they do
+neither.
 """
 
 from __future__ import annotations

@@ -8,13 +8,13 @@ half that can use it, and serves every such half after that. It is used
 only when all of these hold, and otherwise the caller runs both
 directions itself:
 
-1. the process may run on at least two CPUs;
-2. BLAS is pinned to one thread (``blas_threads`` names a setting of 1);
-   an unpinned BLAS oversubscribes the cores and made ``separate()``
-   2.5x slower on 2 vCPUs;
-3. the caller is the process's only Python thread, so eval worker
-   threads neither share the helper nor fork one;
-4. the helper is alive: one that died is not restarted.
+1. ``usable_cpus()`` is at least 2: BLAS is pinned to one thread (an
+   unpinned BLAS oversubscribes the cores and made ``separate()`` 2.5x
+   slower on 2 vCPUs) and the process may run on two CPUs;
+2. the caller is the process's only Python thread: ``evaluate()`` scores
+   two records or more on worker threads, which neither share the helper
+   nor fork one, and a single record on the calling thread, with it;
+3. the helper is alive: one that died is not restarted.
 
 The two processes share an arena, a ``memfd_create`` file both map. The
 caller stages the input (D, T, B) and the three right-to-left weights in
@@ -65,6 +65,14 @@ def blas_threads() -> str:
         if os.environ.get(name):
             return f"{name}={os.environ[name]}"
     return "unset"
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may keep busy side by side: its CPU affinity when
+    BLAS is pinned to one thread, else 1 (an unpinned BLAS spreads over them)."""
+    if blas_threads().split("=")[-1] != "1":
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _layout(features: int, steps: int, batch: int, hidden: int, itemsize: int):
@@ -223,8 +231,7 @@ def run_directions(kernel, x: np.ndarray, weights_f: tuple, weights_b: tuple):
         x.dtype in _DTYPES
         and all(w.dtype == x.dtype for w in weights_f + weights_b)
         and hasattr(os, "memfd_create")
-        and len(os.sched_getaffinity(0)) >= 2
-        and blas_threads().split("=")[-1] == "1"
+        and usable_cpus() >= 2
         and threading.active_count() == 1
     )
     if not usable:

@@ -20,11 +20,11 @@ from itertools import permutations
 
 import numpy as np
 
+from .audio.wavio import SILENCE_POWER
 from .errors import ConfigError, DataError
 from .numerics import ops
 from .numerics.tensor import Tensor, no_grad
 
-_SILENCE_POWER = 1e-10
 _EPS_FRACTION = 1e-12
 _LOG10_SCALE = 10.0 / math.log(10.0)
 MAX_SPEAKERS_EXHAUSTIVE = 4
@@ -37,7 +37,7 @@ def si_sdr_graph(target, estimate: Tensor) -> Tensor:
         raise DataError(f"length mismatch: target {t.shape} vs estimate {estimate.shape}")
     t = t - t.mean()
     tt = float(t @ t)
-    if tt / max(len(t), 1) <= _SILENCE_POWER:
+    if tt / max(len(t), 1) <= SILENCE_POWER:
         raise DataError("silent target: SI-SDR undefined")
     t_const = ops.const(t, dtype=estimate.dtype)
     s = ops.sub(estimate, ops.tmean(estimate))
@@ -64,7 +64,7 @@ def snr_sdr(target, estimate) -> float:
     if t.shape != s.shape:
         raise DataError(f"length mismatch: target {t.shape} vs estimate {s.shape}")
     tt = float(t @ t)
-    if tt / max(len(t), 1) <= _SILENCE_POWER:
+    if tt / max(len(t), 1) <= SILENCE_POWER:
         raise DataError("silent target: SDR undefined")
     err = t - s
     err_power = float(err @ err)

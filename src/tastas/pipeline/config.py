@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -45,11 +46,13 @@ class TrainConfig:
             raise ConfigError("finetune phase requires idnet_ckpt (a frozen speaker network)")
         if self.phase == "finetune" and not self.sep_ckpt:
             raise ConfigError("finetune phase requires sep_ckpt (the separator to fine-tune)")
-        # a schedule that cannot run fails here, before any corpus is read
+        # a config that cannot train fails here, before any corpus is read
         for name in ("initial_lr", "decay_factor"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, least in (("decay_every_epochs", 1), ("patience", 1), ("max_restarts", 0)):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.id_weight < math.inf:
+            raise ConfigError(f"id_weight must be finite and >= 0, got {self.id_weight}")
+        for name, least in (("epochs_max", 1), ("decay_every_epochs", 1), ("patience", 1), ("max_restarts", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if self.phase == "sep":

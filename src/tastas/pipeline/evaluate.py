@@ -8,7 +8,6 @@ but are marked unsupported.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +17,9 @@ import numpy as np
 from .. import objectives
 from ..audio.irm import irm_separate
 from ..audio.wavio import Waveform
-from ..errors import ConfigError, TasTasError
+from ..errors import TasTasError
 from ..idnet.model import IdNet
+from ..numerics.sibling import usable_cpus
 from ..sepnet.model import TasTasModel
 from .data import LoadedExample, ManifestRecord, load_example
 
@@ -130,22 +130,15 @@ def _eval_record(
     return scored
 
 
-def worker_count() -> int:
-    """Threads `evaluate` scores records on, from TASTAS_THREADS (unset, 0 or 1: serial)."""
-    raw = os.environ.get("TASTAS_THREADS", "0")
-    if not raw.isdecimal():
-        raise ConfigError(f"TASTAS_THREADS must be a non-negative integer, got '{raw}'")
-    return int(raw)
-
-
 def evaluate(
     model: TasTasModel,
     records: list[ManifestRecord],
     include_irm: bool = True,
     idnet: IdNet | None = None,
 ) -> EvalSummary:
-    """Deterministic metrics over a manifest; bad utterances become error rows."""
-    workers = worker_count()
+    """Deterministic metrics over a manifest; bad utterances become error rows.
+    Records are scored on `usable_cpus()` threads, at most one per record."""
+    workers = min(len(records), usable_cpus())
 
     def eval_record(record: ManifestRecord) -> list[UtteranceResult]:
         return _eval_record(model, record, include_irm, idnet)

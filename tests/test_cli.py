@@ -228,19 +228,6 @@ def test_eval_command_writes_table(cli_run, tmp_path):
     assert "unsupported" in text
 
 
-@pytest.mark.parametrize("value", ["two", "-1"])
-def test_eval_with_a_bad_thread_count_exits_2(cli_run, tmp_path, capsys, monkeypatch, value):
-    monkeypatch.setenv("TASTAS_THREADS", value)
-    report = tmp_path / "eval.tsv"
-    assert main([
-        "eval", "--ckpt", str(cli_run / "run" / "last.ckpt"),
-        "--manifest", str(cli_run / "corpus" / "test.tsv"),
-        "--out", str(report),
-    ]) == 2
-    assert f"TASTAS_THREADS must be a non-negative integer, got '{value}'" in capsys.readouterr().err
-    assert not report.exists()
-
-
 def test_eval_idempotent(cli_run, tmp_path):
     args = [
         "eval", "--ckpt", str(cli_run / "run" / "last.ckpt"),

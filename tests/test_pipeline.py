@@ -1,4 +1,5 @@
 import importlib
+import math
 import re
 import wave
 import weakref
@@ -120,13 +121,19 @@ def test_config_validates_fields():
 
 @pytest.mark.parametrize("key,value", [
     ("initial_lr", 0.0),
+    ("initial_lr", math.inf),
     ("decay_factor", -0.5),
+    ("decay_factor", math.inf),
+    ("id_weight", math.nan),  # would fail only after the references are embedded
+    ("id_weight", -0.1),
+    ("epochs_max", -3),
+    ("epochs_max", 0),  # train-idnet would save an untrained speaker network
     ("decay_every_epochs", 0),
     ("patience", 0),  # would restart, halving the LR, after every epoch, even an improving one
     ("max_restarts", -1),
 ])
 def test_config_rejects_a_schedule_that_cannot_run(key, value):
-    # the schedule is built at construction, so it fails before any corpus is read
+    # a config that cannot train fails at construction, before any corpus is read
     with pytest.raises(ConfigError, match=key):
         TrainConfig(**{key: value})
 
@@ -676,6 +683,18 @@ def test_evaluate_deterministic(tiny_corpus):
     t2 = evaluate(model, records, include_irm=True).table("tiny")
     assert t1 == t2
     assert "irm-oracle" in t1
+
+
+def test_evaluate_of_no_records_is_an_empty_summary(monkeypatch):
+    from tastas.sepnet import ModelConfig, TasTasModel
+
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # where two records would be scored on threads
+    # and no pool is built for none
+    monkeypatch.setattr(importlib.import_module("tastas.pipeline.evaluate"), "ThreadPoolExecutor", None)
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=8, hidden_size=8, chunk_len=10), seed=0)
+    summary = evaluate(model, [])
+    assert summary.results == [] and summary.irm_results == []
+    assert math.isnan(summary.mean_si_sdri())
 
 
 def test_examples_load_with_matching_lengths(tiny_corpus):

@@ -1,4 +1,6 @@
 import importlib
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -8,10 +10,10 @@ import pytest
 from tastas.audio.wavio import Waveform, wav_write
 from tastas.errors import ConfigError, DataError
 from tastas.objectives import multi_stage_loss_graph
-from tastas.numerics import ops
+from tastas.numerics import ops, sibling
 from tastas.numerics.tensor import Tensor, _topo_order
 from tastas.pipeline.data import LoadedExample, ManifestRecord, load_example, synth_mixture_corpus
-from tastas.pipeline.evaluate import evaluate
+from tastas.pipeline.evaluate import EvalSummary, evaluate
 from tastas.sepnet import ModelConfig, TasTasModel, parse_preset
 from tastas.sepnet import model as sepnet_model
 from tastas.sepnet.model import dual_path_block, init_params, stage_forward
@@ -443,15 +445,36 @@ def test_separate_keeps_no_graph_in_memory():
     assert separate_peak <= forward_peak / 2
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="worker threads need two CPUs")
 def test_evaluate_rows_do_not_depend_on_thread_count(tmp_path, monkeypatch):
+    # with BLAS pinned, three records are scored on worker threads, and a
+    # single record on the calling thread (with the helper)
     records = synth_mixture_corpus(tmp_path, "test", 3, 4, 0.5, 0, 5, seed=8)
     model = TasTasModel.initialize(TINY, seed=0)
-    monkeypatch.delenv("TASTAS_THREADS", raising=False)
-    serial = evaluate(model, records).table("tiny")
-    monkeypatch.setenv("TASTAS_THREADS", "2")
-    threaded = evaluate(model, records).table("tiny")
-    assert serial == threaded
-    assert "ERROR" not in serial
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sibling, "_helper", None)
+    evaluate_module = importlib.import_module("tastas.pipeline.evaluate")
+    score_record, caller, scored_on = evaluate_module._eval_record, threading.current_thread(), set()
+
+    def eval_record(*args):
+        scored_on.add(threading.current_thread())
+        return score_record(*args)
+
+    monkeypatch.setattr(evaluate_module, "_eval_record", eval_record)
+    try:
+        singles = [evaluate(model, [record]) for record in records]
+        assert scored_on == {caller}
+        scored_on.clear()
+        threaded = evaluate(model, records)
+    finally:
+        if sibling._helper is not None:
+            sibling._helper.close()
+    assert caller not in scored_on
+    joined = EvalSummary(
+        results=[row for s in singles for row in s.results], irm_results=[row for s in singles for row in s.irm_results]
+    )
+    assert threaded.table("tiny") == joined.table("tiny")
+    assert "ERROR" not in joined.table("tiny")
 
 
 # -- bad mixtures fail at the model boundary --------------------------------------------

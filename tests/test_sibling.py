@@ -31,7 +31,7 @@ pytestmark = pytest.mark.skipif(
 def fresh(monkeypatch):
     """No helper yet, BLAS unpinned; the helper a test forks is ended after it."""
     monkeypatch.setattr(sibling, "_helper", None)
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "TASTAS_THREADS"):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     yield monkeypatch
     if sibling._helper is not None:
@@ -128,11 +128,15 @@ def test_no_helper_while_blas_is_unpinned(fresh, setting):
 
 
 def test_no_helper_for_eval_worker_threads(fresh, tmp_path):
+    # two records are scored on worker threads, which fork no helper; one
+    # record is scored on the calling thread, which does
     records = synth_mixture_corpus(tmp_path, "test", 2, 4, 0.5, 0, 5, seed=8)
+    model = _tiny_model()
     fresh.setenv("OPENBLAS_NUM_THREADS", "1")
-    fresh.setenv("TASTAS_THREADS", "2")
-    assert "ERROR" not in evaluate(_tiny_model(), records, include_irm=False).table("tiny")
+    assert "ERROR" not in evaluate(model, records, include_irm=False).table("tiny")
     assert sibling._helper is None
+    assert "ERROR" not in evaluate(model, records[:1], include_irm=False).table("tiny")
+    _helper_pid()
 
 
 # -- lifetime: a separating process and its helper --------------------------------------
@@ -183,7 +187,6 @@ else:
 
 def _run(code, *args):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(SRC)}
-    env.pop("TASTAS_THREADS", None)
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     return proc.stdout.split()
