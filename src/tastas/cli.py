@@ -9,12 +9,12 @@ threads, which changes their rounding. Set OPENBLAS_NUM_THREADS (or
 OMP_NUM_THREADS) to pin it; every checkpoint records the setting under the
 "blas_threads" key of its extras.
 
-Pinning BLAS to one thread (OPENBLAS_NUM_THREADS=1) also lets `separate`
-and `eval` use a second core, with the same output bytes. `eval` scores a
-manifest of two utterances or more on one thread per CPU the process may
-use; with a single utterance, and in `separate`, each BiLSTM half runs its
-right-to-left direction on a forked helper process. Unpinned, they do
-neither.
+Pinning BLAS to one thread (OPENBLAS_NUM_THREADS=1) also lets `train-sep`,
+`finetune`, `separate` and `eval` use a second core, with the same output
+bytes, checkpoints included. `eval` scores a manifest of two utterances or
+more on one thread per CPU the process may use. Otherwise each BiLSTM half
+runs its right-to-left direction on a forked helper process: its forward,
+and in a training step its backward too. Unpinned, they do neither.
 """
 
 from __future__ import annotations

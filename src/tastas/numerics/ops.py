@@ -380,26 +380,27 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
 # operations the forward ran, so both come back bit for bit; then the
 # projection output, with the forward's own matrix product on those hidden
 # states; then the norm backward, in place, and the projection's weight grad,
-# and last the BPTT loops, one direction at a time. Through the norm backward
-# it holds c(t) and h(t) alone: each direction's _lstm_grad takes its gates
-# and re-formed states over from the node, re-forms tanh c(t) with the same
-# bulk np.tanh just before its loop, and frees the gates, c(t) and tanh c(t)
-# once the loop has run, so the first direction's are gone before its tail
-# products and the second direction's BPTT. The kernel reads its
+# and last the BPTT loops, one direction at a time (or both at once on two
+# processes, below). Through the norm backward it holds c(t) and h(t) alone:
+# each direction's _lstm_grad takes its gates and re-formed states over from
+# the node, re-forms tanh c(t) with the same bulk np.tanh just before its
+# loop, and frees the gates, c(t) and tanh c(t) once the loop has run, so the
+# first direction's are gone before its tail products and the second
+# direction's BPTT. The kernel reads its
 # input as (D, T, B): the chunks (F, K, C) themselves for the intra-chunk
 # recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
 # right-to-left pass is the same kernel run on the time-flipped input.
 #
-# A half that records no graph (separate(), eval, dev passes) runs its two
-# directions on two processes when ``sibling`` allows it: the caller copies
-# the input into an arena it shares with a forked helper, runs the
-# left-to-right pass there itself, and the helper runs the right-to-left
-# pass and writes its hidden states into the arena, which _join_directions
-# reads. Both run the one kernel on the same bytes, so the output is the
-# serial path's bit for bit. A recorded half always runs both directions
-# in the caller: its backward needs the gates of both, and copying the
-# helper's gates and BPTT inputs through the arena made a training step
-# 1.08-1.15x slower on 2 vCPUs.
+# Every half runs its two directions on two processes when ``sibling``
+# allows it: the caller copies the input into an arena it shares with a
+# forked helper, runs the left-to-right pass there itself, and the helper
+# runs the right-to-left pass and writes its hidden states into the arena,
+# which _join_directions reads, and for a recorded half its gates, which
+# the caller copies out for the backward. That backward stages the
+# right-to-left gates, re-formed states and hidden-state grads in the arena
+# and runs the left-to-right BPTT while the helper runs the right-to-left
+# one. Both processes run the same kernels on the same bytes, so the output
+# and the grads are the serial path's bit for bit.
 
 
 @functools.cache
@@ -606,13 +607,11 @@ def bilstm_layer(
     steps, batch = chunks.shape[axis], chunks.shape[3 - axis]
     norm_axes = (0, axis)
     weights_f, weights_b = (w_ih_f.data, w_hh_f.data, b_f.data), (w_ih_b.data, w_hh_b.data, b_b.data)
-    pair = None if record else sibling.run_directions(_lstm_run, _as_dtb(chunks.data, axis), weights_f, weights_b)
+    pair = sibling.run_directions(_as_dtb(chunks.data, axis), weights_f, weights_b, keep_cache=record)
     if pair is None:
         x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
-        hs_f, gates_f = _lstm_run(x_dtb, *weights_f, keep_cache=record)
-        hs_b, gates_b = _lstm_run(x_dtb[:, ::-1], *weights_b, keep_cache=record)
-    else:
-        (hs_f, hs_b), gates_f, gates_b = pair, None, None
+        pair = _lstm_run(x_dtb, *weights_f, keep_cache=record), _lstm_run(x_dtb[:, ::-1], *weights_b, keep_cache=record)
+    (hs_f, gates_f), (hs_b, gates_b) = pair
     projected = (proj.data @ _join_directions(hs_f, hs_b).T).reshape(features, batch, steps)
     centered, mu, inv_std = _normalize(_as_fbt(projected, axis), norm_axes)
 
@@ -637,8 +636,12 @@ def bilstm_layer(
         g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
         del g_h
         x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
-        dx_f, dwi_f, dwh_f, db_f = _lstm_grad(x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden])
-        dx_b, dwi_b, dwh_b, db_b = _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:])
+        g_f, g_b = g_thb[:, :hidden], g_thb[::-1, hidden:]
+        grad_f = functools.partial(_lstm_grad, x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_f)
+        grads = sibling.grad_directions(grad_f, x_dtb, run_b, w_ih_b.data, w_hh_b.data, g_b)
+        if grads is None:
+            grads = grad_f(), _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_b)
+        (dx_f, dwi_f, dwh_f, db_f), (dx_b, dwi_b, dwh_b, db_b) = grads
         if chunks.requires_grad:
             dx_f += dx_b[:, ::-1]
             chunks._accum_grad(_as_dtb(dx_f, axis))

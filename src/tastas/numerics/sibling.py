@@ -1,10 +1,12 @@
 """A forked helper process that runs the right-to-left LSTM direction of a
-BiLSTM half that records no graph, beside the caller's left-to-right one.
+BiLSTM half beside the caller's left-to-right one: its forward, and when
+the half records a graph, its BPTT too.
 
 The two directions of a dual-path half read the same chunks and nothing
-of each other, so two processes can run them with the bits the serial
-path gives. The helper is forked once per process, lazily, at the first
-half that can use it, and serves every such half after that. It is used
+of each other, forward and backward, so two processes can run them with
+the bits the serial path gives. The helper is forked once per process,
+lazily, at the first half that can use it, and serves every half after
+that: ``separate()``, eval and dev passes, and training steps. It is used
 only when all of these hold, and otherwise the caller runs both
 directions itself:
 
@@ -17,39 +19,65 @@ directions itself:
 3. the helper is alive: one that died is not restarted.
 
 The two processes share an arena, a ``memfd_create`` file both map. The
-caller stages the input (D, T, B) and the three right-to-left weights in
-it (the copy the serial path makes of the input anyway), writes one small
-request to a pipe, runs its own direction and waits for the reply; the
-helper runs the kernel on the time-flipped input and writes the hidden
-states (T, H, B) into the arena. When a request needs more room, the
-caller grows the file and both sides map it again.
+caller stages a request's inputs in it, writes one small request to a
+pipe, runs its own direction and waits for the reply.
+
+- A forward: the caller stages the input (D, T, B) (the copy the serial
+  path makes of it anyway) and the three right-to-left weights; the
+  helper runs the kernel on the time-flipped input and writes the hidden
+  states (T, H, B), and for a recorded half the activated gates
+  (T, 4H, B), into the arena. The caller copies the gates out before its
+  next request.
+- A BPTT: the caller stages the input, the two weight matrices, the gates,
+  the cell and hidden states it re-formed from them, and the hidden
+  states' grads (T, H, B); the helper runs the BPTT and writes dx and the
+  grads of w_ih, w_hh and b over the slots of x, w_ih, w_hh and b.
+
+When a request needs more room, the caller grows the file and both sides
+map it again. Two habits keep the helper from costing the caller time:
+after each reply it polls its request pipe for ``SPIN_S`` before it
+blocks, since a helper woken from sleep was often put on the caller's CPU
+and stalled it for milliseconds; and it keeps its freed heap instead of
+handing it back to the kernel, which made every BPTT fault its
+temporaries back in.
 
 Lifetime: the helper closes the caller's ends of the pipes, so it reads
 EOF and exits when the caller dies, even by SIGKILL. At a normal exit the
 caller kills and reaps it. It leaves only through ``os._exit``, never
 into the caller's stack, and a Ctrl-C ends it without a traceback. If it
-dies, the request in flight runs serially and the caller goes on
-without it. A process forked from the caller forgets the caller's helper
-and forks its own if it needs one.
+dies, the caller runs the request in flight itself, from its own inputs
+and the arena slots the helper does not write, and goes on without it. A
+process forked from the caller forgets the caller's helper and forks its
+own if it needs one.
 """
 
 from __future__ import annotations
 
 import atexit
+import ctypes
 import gc
 import math
 import mmap
 import os
+import select
 import signal
 import struct
 import threading
+import time
 
 import numpy as np
 
-# the arena's size in bytes, the dtype's index in _DTYPES, then D, T, B, H
-_REQUEST = struct.Struct("<6q")
+# the arena's size in bytes, the job, the dtype's index in _DTYPES, then D, T, B, H
+_REQUEST = struct.Struct("<7q")
+_RUN, _RUN_CACHED, _GRAD = range(3)
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _ALIGN = 64
+# how long the helper polls for the next request after a reply before it sleeps
+SPIN_S = 0.03
+# glibc mallopt parameters and the helper's values: no array goes to its own
+# mmap, and up to 256 MiB of freed heap stays with the process
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_KEEP_HEAP = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 256 << 20))
 
 
 def blas_threads() -> str:
@@ -77,10 +105,20 @@ def usable_cpus() -> int:
 
 def _layout(features: int, steps: int, batch: int, hidden: int, itemsize: int):
     """The (shape, byte offset) of x (D, T, B), w_ih (4H, D), w_hh (4H, H),
-    b (4H,) and h (T, H, B) in the arena, and its size; each starts on a
-    64-byte boundary."""
-    gates = 4 * hidden
-    shapes = ((features, steps, batch), (gates, features), (gates, hidden), (gates,), (steps, hidden, batch))
+    b (4H,), h (T, H, B), the gates (T, 4H, B), c (T, H, B) and h's grad
+    (T, H, B) in the arena, and its size; each starts on a 64-byte
+    boundary. A forward that keeps no gates never touches the last three."""
+    gates, states = 4 * hidden, (steps, hidden, batch)
+    shapes = (
+        (features, steps, batch),
+        (gates, features),
+        (gates, hidden),
+        (gates,),
+        states,
+        (steps, gates, batch),
+        states,
+        states,
+    )
     placed, size = [], 0
     for shape in shapes:
         placed.append((shape, size))
@@ -92,11 +130,18 @@ def _views(buf, dtype: np.dtype, placed) -> list[np.ndarray]:
     return [np.ndarray(shape, dtype, buf, offset) for shape, offset in placed]
 
 
+def _ops():
+    """The module of the direction kernels; it imports this one, so it is looked up at use."""
+    from . import ops
+
+    return ops
+
+
 class _Helper:
     """The caller's side of one forked helper: its pid, the pipes and the arena."""
 
-    def __init__(self, kernel):
-        self.kernel, self.buf, self.size, self.pid = kernel, None, 0, None
+    def __init__(self):
+        self.buf, self.size, self.pid = None, 0, None
         fds = []
         try:
             fds.append(os.memfd_create("tastas-sibling"))
@@ -114,7 +159,7 @@ class _Helper:
                 os.close(self.requests)
                 os.close(self.replies)
                 gc.disable()  # a collection would touch, and so copy, the whole inherited heap
-                _serve(kernel, self.fd, request_r, reply_w)
+                _serve(self.fd, request_r, reply_w)
             finally:
                 os._exit(0)
         os.close(request_r)
@@ -140,14 +185,10 @@ class _Helper:
             pass
         self.pid = None
 
-    def run(self, x: np.ndarray, weights_f: tuple, weights_b: tuple):
-        """The hidden states (T, H, B) of both directions over x (D, T, B):
-        weights_f run here on x, weights_b on the helper on x time-flipped.
-        None if the arena cannot grow to hold them."""
-        kernel = self.kernel
-        features, steps, batch = x.shape
-        hidden = weights_b[1].shape[1]
-        placed, size = _layout(features, steps, batch, hidden, x.dtype.itemsize)
+    def _arena(self, dtype: np.dtype, features: int, steps: int, batch: int, hidden: int):
+        """The arena's views of x, w_ih, w_hh, b, h, the gates, c and h's
+        grad, grown to hold them; None if it cannot grow."""
+        placed, size = _layout(features, steps, batch, hidden, dtype.itemsize)
         if size > self.size:
             try:
                 os.ftruncate(self.fd, size)
@@ -155,21 +196,56 @@ class _Helper:
             except OSError:  # out of memory: the caller runs the half serially
                 self.close()
                 return None
-        staged = _views(self.buf, x.dtype, placed)
-        for dst, src in zip(staged, (x, *weights_b)):
-            np.copyto(dst, src)
-        x, hs_b = staged[0], staged[-1]
-        sent = _write(self.requests, _REQUEST.pack(self.size, _DTYPES.index(x.dtype), features, steps, batch, hidden))
+        return _views(self.buf, dtype, placed)
+
+    def _beside(self, job: int, arena: list, local):
+        """Ask the helper to run job on the staged arena, run local() here
+        meanwhile, and wait: (local's result, whether the helper served it)."""
+        x, hidden = arena[0], arena[2].shape[1]
+        sent = _write(self.requests, _REQUEST.pack(self.size, job, _DTYPES.index(x.dtype), *x.shape, hidden))
         try:
-            hs_f, _ = kernel(x, *weights_f, keep_cache=False)
+            result = local()
             served = sent and _read(self.replies) == b"\0"
         except BaseException:
             self.close()  # the helper may still answer a request nobody waits for
             raise
         if not served:
             self.close()
-            kernel(x[:, ::-1], *weights_b, keep_cache=False, out=hs_b)
-        return hs_f, hs_b
+        return result, served
+
+    def run(self, x: np.ndarray, weights_f: tuple, weights_b: tuple, keep_cache: bool):
+        """The kernel's (hs, cache) of both directions over x (D, T, B):
+        weights_f run here on x, weights_b on the helper on x time-flipped.
+        None if the arena cannot grow to hold them."""
+        kernel = _ops()._lstm_run
+        arena = self._arena(x.dtype, *x.shape, weights_b[1].shape[1])
+        if arena is None:
+            return None
+        for dst, src in zip(arena, (x, *weights_b)):
+            np.copyto(dst, src)
+        x, _, _, _, hs_b, gates_b, _, _ = arena
+        run_f, served = self._beside(
+            _RUN_CACHED if keep_cache else _RUN, arena, lambda: kernel(x, *weights_f, keep_cache=keep_cache)
+        )
+        if not served:
+            return run_f, kernel(x[:, ::-1], *weights_b, keep_cache=keep_cache, out=hs_b)
+        return run_f, (hs_b, gates_b.copy() if keep_cache else None)
+
+    def grad(self, local, x: np.ndarray, run_b: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
+        """(local(), the right-to-left grads): see grad_directions. None if
+        the arena cannot grow to hold their inputs."""
+        kernel = _ops()._lstm_grad
+        arena = self._arena(x.dtype, *x.shape, w_hh.shape[1])
+        if arena is None:
+            return None
+        x_s, w_ih_s, w_hh_s, _, h_s, gates_s, c_s, g_s = arena
+        for dst, src in zip((x_s, w_ih_s, w_hh_s, gates_s, c_s, h_s, g_s), (x, w_ih, w_hh, *run_b, g_h)):
+            np.copyto(dst, src)
+        run_b.clear()
+        grads_f, served = self._beside(_GRAD, arena, local)
+        if not served:  # the helper wrote, at most, over the slots of x, the weights and b
+            return grads_f, kernel(x[:, ::-1], [gates_s, c_s, h_s], w_ih, w_hh, g_s)
+        return grads_f, tuple(arena[:4])
 
 
 def _write(fd: int, data: bytes) -> bool:
@@ -186,17 +262,46 @@ def _read(fd: int) -> bytes:
         return b""
 
 
-def _serve(kernel, arena_fd: int, requests: int, replies: int) -> None:
-    """The helper's loop: one right-to-left run per request, until EOF."""
+def _keep_heap() -> None:
+    """Make glibc's malloc keep this process's freed memory (a no-op elsewhere)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    for param, value in _KEEP_HEAP:
+        mallopt(param, value)
+
+
+def _next_request(requests: int, pipe: select.poll) -> bytes:
+    """The next request, polled for SPIN_S before a blocking read."""
+    deadline = time.monotonic() + SPIN_S
+    while not pipe.poll(0) and time.monotonic() < deadline:
+        pass
+    return os.read(requests, _REQUEST.size)
+
+
+def _serve(arena_fd: int, requests: int, replies: int) -> None:
+    """The helper's loop: one right-to-left job per request, until EOF."""
+    _keep_heap()
+    ops = _ops()
     buf, mapped = None, 0
-    while len(message := os.read(requests, _REQUEST.size)) == _REQUEST.size:
-        size, code, features, steps, batch, hidden = _REQUEST.unpack(message)
+    pipe = select.poll()
+    pipe.register(requests, select.POLLIN)
+    while len(message := _next_request(requests, pipe)) == _REQUEST.size:
+        size, job, code, features, steps, batch, hidden = _REQUEST.unpack(message)
         if size != mapped:
             buf, mapped = mmap.mmap(arena_fd, size), size
         dtype = _DTYPES[code]
-        x, w_ih, w_hh, b, hs = _views(buf, dtype, _layout(features, steps, batch, hidden, dtype.itemsize)[0])
-        kernel(x[:, ::-1], w_ih, w_hh, b, keep_cache=False, out=hs)
-        del x, w_ih, w_hh, b, hs  # the old map is freed when the arena grows
+        x, w_ih, w_hh, b, h, gates, c, g = _views(buf, dtype, _layout(features, steps, batch, hidden, dtype.itemsize)[0])
+        if job == _GRAD:
+            for dst, grad in zip((x, w_ih, w_hh, b), ops._lstm_grad(x[:, ::-1], [gates, c, h], w_ih, w_hh, g)):
+                np.copyto(dst, grad)
+        else:
+            _, cache = ops._lstm_run(x[:, ::-1], w_ih, w_hh, b, keep_cache=job == _RUN_CACHED, out=h)
+            if cache is not None:
+                np.copyto(gates, cache)
+        del x, w_ih, w_hh, b, h, gates, c, g  # the old map is freed when the arena grows
         os.write(replies, b"\0")
 
 
@@ -216,20 +321,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_in_child)
 
 
-def run_directions(kernel, x: np.ndarray, weights_f: tuple, weights_b: tuple):
-    """(hs_f, hs_b) of both LSTM directions over x (D, T, B), the second on
-    the helper, or None when the helper cannot take them: the caller then
-    runs both.
-
-    kernel is the direction kernel, ``kernel(x, w_ih, w_hh, b, keep_cache,
-    out=None) -> (hs, cache)``. hs_b is in the step order of the flipped
-    input, as the serial ``kernel(x[:, ::-1], ...)`` returns it, and lives
-    in the arena: it holds until the next call.
-    """
+def _available(dtype: np.dtype, weights: tuple) -> _Helper | None:
+    """The helper, forked if need be, when it may take a direction of this
+    dtype and these weights; else None."""
     global _helper
     usable = (
-        x.dtype in _DTYPES
-        and all(w.dtype == x.dtype for w in weights_f + weights_b)
+        dtype in _DTYPES
+        and all(w.dtype == dtype for w in weights)
         and hasattr(os, "memfd_create")
         and usable_cpus() >= 2
         and threading.active_count() == 1
@@ -237,7 +335,35 @@ def run_directions(kernel, x: np.ndarray, weights_f: tuple, weights_b: tuple):
     if not usable:
         return None
     if _helper is None:
-        _helper = _Helper(kernel)
-    if _helper.pid is None:  # it could not start, or it died: it is not restarted
-        return None
-    return _helper.run(x, weights_f, weights_b)
+        _helper = _Helper()
+    return _helper if _helper.pid is not None else None  # one that died is not restarted
+
+
+def run_directions(x: np.ndarray, weights_f: tuple, weights_b: tuple, keep_cache: bool = False):
+    """The (hs, cache) pairs of ``ops._lstm_run`` for both LSTM directions
+    over x (D, T, B), the second on the helper, or None when the helper
+    cannot take them: the caller then runs both.
+
+    The second pair is in the step order of the flipped input, as the
+    serial ``_lstm_run(x[:, ::-1], ...)`` returns it. Its hidden states
+    live in the arena and hold until the next call; its cache, the
+    activated gates when keep_cache, is the caller's own.
+    """
+    helper = _available(x.dtype, weights_f + weights_b)
+    return None if helper is None else helper.run(x, weights_f, weights_b, keep_cache)
+
+
+def grad_directions(local, x: np.ndarray, run_b: list, w_ih_b: np.ndarray, w_hh_b: np.ndarray, g_h_b: np.ndarray):
+    """(local(), the right-to-left grads), the second from the helper, or
+    None when the helper cannot take them: the caller then runs both.
+
+    local runs the left-to-right BPTT here. The right-to-left direction ran
+    over x (D, T, B) time-flipped; run_b is its [gates, c, h], as
+    ``ops._lstm_grad`` takes it, and g_h_b the grad of its hidden states
+    (T, H, B). Unless it returns None, grad_directions empties run_b, as
+    ``ops._lstm_grad`` does, and so frees the states. The grads are those of ``ops._lstm_grad``,
+    (dx, dw_ih, dw_hh, db); from the helper they live in the arena and
+    hold until the next call.
+    """
+    helper = _available(x.dtype, (w_ih_b, w_hh_b, g_h_b))
+    return None if helper is None else helper.grad(local, x, run_b, w_ih_b, w_hh_b, g_h_b)

@@ -1,4 +1,5 @@
-"""The forked helper that runs a no-grad BiLSTM half's right-to-left direction.
+"""The forked helper that runs a BiLSTM half's right-to-left direction: the
+forward of every half, and the BPTT of a recorded one.
 
 Each test that uses the helper pins BLAS to one thread, which enables it,
 and asserts that a helper exists afterwards, so a helper that is silently
@@ -9,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from tastas.numerics import ops, sibling
 from tastas.numerics.tensor import Tensor, no_grad
-from tastas.pipeline import synth_mixture_corpus
+from tastas.pipeline import TrainConfig, run_phase, synth_mixture_corpus
 from tastas.pipeline.evaluate import evaluate
 from tastas.sepnet import TasTasModel, parse_preset
 
@@ -56,6 +58,17 @@ def _half(x, weights, axis):
         return ops.bilstm_layer(x, axis, *weights).data
 
 
+def _recorded_half(x, weights, axis):
+    """The output of a recorded half, then the grads of its chunks and all
+    nine weights under a fixed upstream grad."""
+    x = Tensor(x.data, requires_grad=True)
+    weights = [Tensor(w.data, requires_grad=True) for w in weights]
+    out = ops.bilstm_layer(x, axis, *weights)
+    value = out.data.copy()
+    out.backward(np.random.default_rng(9).standard_normal(out.shape))
+    return [value] + [t.grad for t in (x, *weights)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("axis", [1, 2])
 def test_half_on_the_helper_is_byte_equal_to_the_serial_half(fresh, dtype, axis):
@@ -66,6 +79,32 @@ def test_half_on_the_helper_is_byte_equal_to_the_serial_half(fresh, dtype, axis)
     shared = _half(x, weights, axis)
     _helper_pid()
     assert shared.dtype == serial.dtype and shared.tobytes() == serial.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_recorded_half_on_the_helper_is_byte_equal_to_the_serial_half(fresh, dtype, axis):
+    x, weights = _half_inputs(np.random.default_rng(10 + axis), dtype)
+    serial = _recorded_half(x, weights, axis)
+    assert sibling._helper is None
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    shared = _recorded_half(x, weights, axis)
+    _helper_pid()
+    assert len(shared) == 11 and all(a.dtype == dtype for a in shared)
+    assert [a.tobytes() for a in shared] == [a.tobytes() for a in serial]
+
+
+def test_helper_sleeps_once_the_spin_bound_has_passed(fresh):
+    if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+        pytest.skip("no /proc to read the helper's state from")
+    x, weights = _half_inputs(np.random.default_rng(7), np.float32)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    _half(x, weights, 1)
+    pid = _helper_pid()
+    time.sleep(sibling.SPIN_S + 0.5)
+    with open(f"/proc/{pid}/stat") as stat:
+        state = stat.read().rsplit(")", 1)[1].split()[0]
+    assert state == "S"  # blocked in its read, not polling
 
 
 def test_a_larger_half_grows_the_arena_and_stays_byte_equal(fresh):
@@ -159,6 +198,34 @@ elif sys.argv[1] == "wait":
     sys.stdin.read()
 """
 
+# Forward a recorded half on the helper, SIGKILL the helper, then run the
+# backward; prints whether the grads equal those of the serial path and the
+# helper's pid after it (None: no new helper was forked).
+KILL_BEFORE_BACKWARD = """
+import os, signal
+import numpy as np
+from tastas.numerics import ops, sibling
+from tastas.numerics.tensor import Tensor
+
+def grads(kill):
+    rng = np.random.default_rng(0)
+    shapes = [(64, 8, 6), (32, 64), (32, 8), (32,), (32, 64), (32, 8), (32,), (64, 16), (64, 1, 1), (64, 1, 1)]
+    tensors = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32), requires_grad=True) for shape in shapes]
+    out = ops.bilstm_layer(tensors[0], 1, *tensors[1:])
+    if kill:
+        pid = sibling._helper.pid
+        os.kill(pid, signal.SIGKILL)
+    out.backward(rng.standard_normal(out.shape).astype(np.float32))
+    return [t.grad.tobytes() for t in tensors], (pid if kill else None)
+
+usable_cpus, sibling.usable_cpus = sibling.usable_cpus, lambda: 1
+serial, _ = grads(False)
+assert sibling._helper is None
+sibling.usable_cpus = usable_cpus
+killed, pid = grads(True)
+print(pid, killed == serial, sibling._helper.pid, flush=True)
+"""
+
 # Runs SEPARATE "wait", SIGKILLs it, and waits up to 2 s for the orphaned
 # helper. As a child subreaper it receives the orphan, so it can tell the
 # helper's exit apart from a zombie, and reap it either way.
@@ -208,3 +275,40 @@ def test_a_killed_helper_leaves_the_next_separate_serial_and_byte_equal(signame)
     pid, equal, after = _run(SEPARATE, "signal-helper", signame)
     assert (equal, after) == ("True", "None")
     assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
+
+
+def test_a_helper_killed_before_a_backward_leaves_it_serial_and_byte_equal():
+    pid, equal, after = _run(KILL_BEFORE_BACKWARD)
+    assert (equal, after) == ("True", "None")
+    assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
+
+
+# -- training ---------------------------------------------------------------------------
+
+
+def test_a_training_epoch_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_path):
+    root = tmp_path / "corpus"
+    for split in ("train", "dev"):
+        synth_mixture_corpus(root, split, 2, 4, 0.5, 0, 5, seed=8)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def last_checkpoint(name):
+        config = TrainConfig(
+            phase="sep",
+            epochs_max=1,
+            model="tastas-2-2",
+            num_filters=8,
+            hidden_size=8,
+            chunk_len=10,
+            seed=3,
+            train_manifest=str(root / "train.tsv"),
+            dev_manifest=str(root / "dev.tsv"),
+            out_dir=str(tmp_path / name),
+        )
+        run_phase(config)
+        return (tmp_path / name / "last.ckpt").read_bytes()
+
+    shared = last_checkpoint("shared")
+    _helper_pid()
+    fresh.setattr(sibling, "usable_cpus", lambda: 1)
+    assert last_checkpoint("serial") == shared
