@@ -23,6 +23,8 @@ the speaker id and the sample rate.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import DataError
@@ -101,6 +103,12 @@ def _harmonic_stack(amps: np.ndarray, harmonic_phases: np.ndarray, phase: np.nda
     return acc.imag.copy()
 
 
+def check_duration(duration_s: float) -> None:
+    """Raise ``DataError`` unless duration_s is a finite number of seconds, at least 0.5."""
+    if not (math.isfinite(duration_s) and duration_s >= 0.5):
+        raise DataError(f"duration must be a finite number of seconds, at least 0.5, got {duration_s}")
+
+
 def synth_speaker_source(
     speaker_id: int,
     duration_s: float,
@@ -109,8 +117,7 @@ def synth_speaker_source(
 ) -> Waveform:
     """One utterance of the given toy speaker; bit-identical per (id, seed)."""
     check_speaker(speaker_id, sample_rate_hz)
-    if duration_s < 0.5:
-        raise DataError(f"duration must be at least 0.5 s, got {duration_s}")
+    check_duration(duration_s)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
     timbre = _speaker_timbre(speaker_id)

@@ -64,9 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-hi", type=float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-mixes", type=int, default=0, help="override mixture count for the train split")
-    p.add_argument("--dev-mixes", type=int, default=0)
-    p.add_argument("--test-mixes", type=int, default=0)
+    p.add_argument("--train-mixes", type=int, help="override mixture count for the train split")
+    p.add_argument("--dev-mixes", type=int)
+    p.add_argument("--test-mixes", type=int)
 
     _train_parser(sub, "train-idnet", "train and freeze the speaker classifier (a class per manifest speaker id)")
 
@@ -124,10 +124,11 @@ def _cmd_synth_data(args) -> int:
     except TasTasError as exc:
         print(f"error: --speakers {args.speakers}: {exc}", file=sys.stderr)
         return 1
+    utterances = args.speakers * args.utts_per
     per_split = {
-        "train": args.train_mixes or (args.speakers * args.utts_per) // 2,
-        "dev": args.dev_mixes or max(2, (args.speakers * args.utts_per) // 16),
-        "test": args.test_mixes or max(2, (args.speakers * args.utts_per) // 8),
+        "train": utterances // 2 if args.train_mixes is None else args.train_mixes,
+        "dev": max(2, utterances // 16) if args.dev_mixes is None else args.dev_mixes,
+        "test": max(2, utterances // 8) if args.test_mixes is None else args.test_mixes,
     }
     for split, count in per_split.items():  # every count, before the first split is written
         if count < 0:

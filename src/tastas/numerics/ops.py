@@ -382,7 +382,7 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
 # states; then the norm backward, in place, and the projection's weight grad,
 # and last the BPTT loops, one direction at a time (or both at once on two
 # processes, below). Through the norm backward it holds c(t) and h(t) alone:
-# each direction's _lstm_grad takes its gates and re-formed states over from
+# each direction's _lstm_chain takes its gates and re-formed states over from
 # the node, re-forms tanh c(t) with the same bulk np.tanh just before its
 # loop, and frees the gates, c(t) and tanh c(t) once the loop has run, so the
 # first direction's are gone before its tail products and the second
@@ -396,11 +396,19 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
 # forked helper, runs the left-to-right pass there itself, and the helper
 # runs the right-to-left pass and writes its hidden states into the arena,
 # which _join_directions reads, and for a recorded half its gates, which
-# the caller copies out for the backward. That backward stages the
-# right-to-left gates, re-formed states and hidden-state grads in the arena
-# and runs the left-to-right BPTT while the helper runs the right-to-left
-# one. Both processes run the same kernels on the same bytes, so the output
-# and the grads are the serial path's bit for bit.
+# the caller copies out for the backward. Each direction's BPTT is two
+# kernels: _lstm_chain, the loop and the products that give dx, and
+# _lstm_weight_grads, the grads of w_ih, w_hh and b from the chain's gate
+# grads, x and h(t-1); the serial path (_lstm_grad) runs them back to back.
+# On two processes the backward stages the right-to-left gates, re-formed
+# states and hidden-state grads in the arena and runs the left-to-right
+# chain, writing its gate grads and h(t-1) into arena slots, while the
+# helper runs the right-to-left chain and replies with its dx. The caller
+# then goes on down the graph while the helper forms the weight grads of
+# both directions; ``sibling`` hands them to the node's accumulate at the
+# next request or when Tensor.backward() returns, whichever comes first.
+# Both processes run the same kernels on the same bytes, so the output and
+# the grads are the serial path's bit for bit.
 
 
 @functools.cache
@@ -470,15 +478,26 @@ def _lstm_states(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lstm_grad(x: np.ndarray, run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
-    """BPTT through one direction that _lstm_run ran over x (D, T, B).
+    """BPTT through one direction that _lstm_run ran over x (D, T, B): the
+    chain of _lstm_chain, then the weight grads of _lstm_weight_grads.
+    Returns dx (D, T, B) and the grads of w_ih, w_hh and b in their stored
+    gate order."""
+    dx, dz_flat, h_prev = _lstm_chain(run, w_ih, w_hh, g_h)
+    return (dx, *_lstm_weight_grads(dz_flat, x, h_prev))
+
+
+def _lstm_chain(run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray, out=None):
+    """The input-grad chain of BPTT through one direction of _lstm_run.
 
     run is [gates, c, h]: the run's cache (T, 4H, B) and the states
-    _lstm_states re-formed from it (each (T, H, B)). _lstm_grad empties the
+    _lstm_states re-formed from it (each (T, H, B)). _lstm_chain empties the
     list and so owns those arrays: it re-forms tanh c(t) with the bulk
     np.tanh _lstm_states ran, and frees the gates, c(t) and tanh c(t) once
     its BPTT loop has run. g_h is the upstream grad of the hidden states
-    (T, H, B). Returns dx (D, T, B) and the grads of w_ih, w_hh and b in
-    their stored gate order.
+    (T, H, B). Returns dx (D, T, B), the gate grads dz_flat (4H, T*B), in
+    kernel gate order and columns in (step, batch) order, and h(t-1)
+    (H, (T-1)*B): what _lstm_weight_grads takes. out, if given, is the
+    (dz_flat, h_prev) pair of buffers to write the last two into.
     """
     gates, cs, hs = run
     run.clear()
@@ -499,22 +518,35 @@ def _lstm_grad(x: np.ndarray, run: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h
     _bptt(gates, cs, tanh_cs, np.ascontiguousarray(w_hh[order].T), g_h, dzs)
     # the loop is the last reader of these; the step grads it wrote are all the tail needs
     del gates, cs, tanh_cs
+    if out is None:
+        out = np.empty((4 * hidden, steps * batch), dzs.dtype), np.empty((hidden, (steps - 1) * batch), dzs.dtype)
+    dz_flat, h_prev = out
     # one (4H, T*B) copy turns the weight grads and dx into single matrix products
-    dz_flat = np.ascontiguousarray(dzs.transpose(1, 0, 2)).reshape(4 * hidden, steps * batch)
+    np.copyto(dz_flat.reshape(4 * hidden, steps, batch), dzs.transpose(1, 0, 2))
     del dzs
-    h_prev = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, -1)  # h(t-1), (H, (T-1)*B)
+    np.copyto(h_prev.reshape(hidden, steps - 1, batch), hs[:-1].transpose(1, 0, 2))
     del hs
     dx = (w_ih[order].T @ dz_flat).reshape(-1, steps, batch)
+    return dx, dz_flat, h_prev
+
+
+def _lstm_weight_grads(dz_flat: np.ndarray, x: np.ndarray, h_prev: np.ndarray):
+    """The grads of w_ih, w_hh and b, in their stored gate order, of the
+    direction that ran over x (D, T, B), from the gate grads dz_flat and
+    h(t-1) that _lstm_chain returned for it. Nothing in the chain reads
+    them, so they may be formed late."""
+    order = _gate_order(h_prev.shape[0])
+    batch = x.shape[2]
     dw_ih = (dz_flat @ x.reshape(x.shape[0], -1).T)[order]
     dw_hh = (dz_flat[:, batch:] @ h_prev.T)[order]
     db = dz_flat.sum(axis=1)[order]
-    return dx, dw_ih, dw_hh, db
+    return dw_ih, dw_hh, db
 
 
 def _bptt(
     gates: np.ndarray, cs: np.ndarray, tanh_cs: np.ndarray, w_hh_t: np.ndarray, g_h: np.ndarray, dzs: np.ndarray
 ) -> None:
-    """The BPTT loop of _lstm_grad, last step first: multiplies each step's
+    """The BPTT loop of _lstm_chain, last step first: multiplies each step's
     carry-free factors in dzs (T, 4H, B) by the grads of its gates. Its own
     frame, so no view into the gates or states outlives it."""
     steps, four_hidden, batch = gates.shape
@@ -618,7 +650,7 @@ def bilstm_layer(
     def backward(g):
         # each array is dropped once spent (see the node protocol in tensor.py)
         nonlocal gates_f, gates_b
-        # each direction's [gates, c, h], handed whole to its _lstm_grad
+        # each direction's [gates, c, h], handed whole to its _lstm_chain
         run_f, run_b = [gates_f, *_lstm_states(gates_f)], [gates_b, *_lstm_states(gates_b)]
         gates_f = gates_b = None
         h = _join_directions(run_f[2], run_b[2])
@@ -636,23 +668,22 @@ def bilstm_layer(
         g_thb = np.ascontiguousarray(g_h.transpose(2, 0, 1))
         del g_h
         x_dtb = np.ascontiguousarray(_as_dtb(chunks.data, axis))
-        g_f, g_b = g_thb[:, :hidden], g_thb[::-1, hidden:]
-        grad_f = functools.partial(_lstm_grad, x_dtb, run_f, w_ih_f.data, w_hh_f.data, g_f)
-        grads = sibling.grad_directions(grad_f, x_dtb, run_b, w_ih_b.data, w_hh_b.data, g_b)
-        if grads is None:
-            grads = grad_f(), _lstm_grad(x_dtb[:, ::-1], run_b, w_ih_b.data, w_hh_b.data, g_b)
-        (dx_f, dwi_f, dwh_f, db_f), (dx_b, dwi_b, dwh_b, db_b) = grads
+        # each direction's _lstm_chain arguments
+        chain_f = run_f, w_ih_f.data, w_hh_f.data, g_thb[:, :hidden]
+        chain_b = run_b, w_ih_b.data, w_hh_b.data, g_thb[::-1, hidden:]
+        pair = sibling.grad_directions(x_dtb, chain_f, chain_b, accumulate)
+        if pair is None:
+            (dx_f, *grads_f), (dx_b, *grads_b) = _lstm_grad(x_dtb, *chain_f), _lstm_grad(x_dtb[:, ::-1], *chain_b)
+            accumulate(grads_f + grads_b)
+        else:
+            dx_f, dx_b = pair
         if chunks.requires_grad:
             dx_f += dx_b[:, ::-1]
             chunks._accum_grad(_as_dtb(dx_f, axis))
-        for tensor, grad in (
-            (w_ih_f, dwi_f),
-            (w_hh_f, dwh_f),
-            (b_f, db_f),
-            (w_ih_b, dwi_b),
-            (w_hh_b, dwh_b),
-            (b_b, db_b),
-        ):
+
+    def accumulate(grads):
+        """Add the grads of (w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b), in that order."""
+        for tensor, grad in zip((w_ih_f, w_hh_f, b_f, w_ih_b, w_hh_b, b_b), grads):
             if tensor.requires_grad:
                 tensor._accum_grad(grad)
 

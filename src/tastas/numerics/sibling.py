@@ -28,10 +28,23 @@ pipe, runs its own direction and waits for the reply.
   states (T, H, B), and for a recorded half the activated gates
   (T, 4H, B), into the arena. The caller copies the gates out before its
   next request.
-- A BPTT: the caller stages the input, the two weight matrices, the gates,
-  the cell and hidden states it re-formed from them, and the hidden
-  states' grads (T, H, B); the helper runs the BPTT and writes dx and the
-  grads of w_ih, w_hh and b over the slots of x, w_ih, w_hh and b.
+- A BPTT, a job with two replies: the caller stages the input, the two
+  right-to-left weight matrices, the gates, the cell and hidden states it
+  re-formed from them, and the hidden states' grads (T, H, B). It then
+  runs its own direction's input-grad chain (``ops._lstm_chain``), which
+  writes the gate grads dz_flat (4H, T*B) and h(t-1) (H, (T-1)*B) into
+  their arena slots, and writes one byte to the request pipe to say they
+  are there. The helper runs the right-to-left chain, writes its dx into
+  a slot of its own (x stays), and sends the first reply; with it the
+  caller adds the two dx and goes on down the graph. Meanwhile the helper
+  forms the weight grads (``ops._lstm_weight_grads``) of its direction
+  and, once the caller's byte is in, of the caller's, writes all six into
+  their slots and sends the second reply. Nothing in the backward reads
+  weight grads, so the caller waits for them only when it settles: before
+  its next request writes to the arena, and before ``Tensor.backward()``
+  returns, also when it raises. Settling adds the six grads with
+  ``_accum_grad``, in the order of the serial path, so every gradient is
+  final when ``backward()`` returns.
 
 When a request needs more room, the caller grows the file and both sides
 map it again. Two habits keep the helper from costing the caller time:
@@ -46,7 +59,10 @@ EOF and exits when the caller dies, even by SIGKILL. At a normal exit the
 caller kills and reaps it. It leaves only through ``os._exit``, never
 into the caller's stack, and a Ctrl-C ends it without a traceback. If it
 dies, the caller runs the request in flight itself, from its own inputs
-and the arena slots the helper does not write, and goes on without it. A
+and the arena slots the helper does not write, and goes on without it; a
+helper that dies between a BPTT's two replies leaves the caller to form
+the weight grads at the settle, from the staged slots and its own
+dz_flat and h(t-1). A
 process forked from the caller forgets the caller's helper and forks its
 own if it needs one.
 """
@@ -104,20 +120,27 @@ def usable_cpus() -> int:
 
 
 def _layout(features: int, steps: int, batch: int, hidden: int, itemsize: int):
-    """The (shape, byte offset) of x (D, T, B), w_ih (4H, D), w_hh (4H, H),
-    b (4H,), h (T, H, B), the gates (T, 4H, B), c (T, H, B) and h's grad
-    (T, H, B) in the arena, and its size; each starts on a 64-byte
-    boundary. A forward that keeps no gates never touches the last three."""
+    """The (shape, byte offset) of each arena slot, and the arena's size;
+    each slot starts on a 64-byte boundary. The slots are x (D, T, B),
+    w_ih (4H, D), w_hh (4H, H), b (4H,), h (T, H, B); then, touched only by
+    a recorded half, the gates (T, 4H, B), c (T, H, B) and h's grad
+    (T, H, B), the caller's gate grads dz_flat (4H, T*B) and h(t-1)
+    (H, (T-1)*B), the helper's dx (D, T, B), and the grads of w_ih, w_hh
+    and b of the left-to-right direction, then of the right-to-left one."""
     gates, states = 4 * hidden, (steps, hidden, batch)
+    weights = ((gates, features), (gates, hidden), (gates,))
     shapes = (
         (features, steps, batch),
-        (gates, features),
-        (gates, hidden),
-        (gates,),
+        *weights,
         states,
         (steps, gates, batch),
         states,
         states,
+        (gates, steps * batch),
+        (hidden, (steps - 1) * batch),
+        (features, steps, batch),
+        *weights,
+        *weights,
     )
     placed, size = [], 0
     for shape in shapes:
@@ -142,6 +165,7 @@ class _Helper:
 
     def __init__(self):
         self.buf, self.size, self.pid = None, 0, None
+        self.pending = None  # (arena, accumulate) of a BPTT whose weight grads the helper still owes
         fds = []
         try:
             fds.append(os.memfd_create("tastas-sibling"))
@@ -186,8 +210,10 @@ class _Helper:
         self.pid = None
 
     def _arena(self, dtype: np.dtype, features: int, steps: int, batch: int, hidden: int):
-        """The arena's views of x, w_ih, w_hh, b, h, the gates, c and h's
-        grad, grown to hold them; None if it cannot grow."""
+        """The arena's views of its slots (see _layout), grown to hold them;
+        None if the helper is gone or the arena cannot grow."""
+        if self.pid is None:  # found dead while settling
+            return None
         placed, size = _layout(features, steps, batch, hidden, dtype.itemsize)
         if size > self.size:
             try:
@@ -200,11 +226,14 @@ class _Helper:
 
     def _beside(self, job: int, arena: list, local):
         """Ask the helper to run job on the staged arena, run local() here
-        meanwhile, and wait: (local's result, whether the helper served it)."""
+        meanwhile, and wait: (local's result, whether the helper served it).
+        A BPTT's helper reads what local() wrote, so it is told when that is done."""
         x, hidden = arena[0], arena[2].shape[1]
         sent = _write(self.requests, _REQUEST.pack(self.size, job, _DTYPES.index(x.dtype), *x.shape, hidden))
         try:
             result = local()
+            if job == _GRAD:
+                sent = sent and _write(self.requests, b"\0")
             served = sent and _read(self.replies) == b"\0"
         except BaseException:
             self.close()  # the helper may still answer a request nobody waits for
@@ -218,12 +247,13 @@ class _Helper:
         weights_f run here on x, weights_b on the helper on x time-flipped.
         None if the arena cannot grow to hold them."""
         kernel = _ops()._lstm_run
+        self.settle()
         arena = self._arena(x.dtype, *x.shape, weights_b[1].shape[1])
         if arena is None:
             return None
         for dst, src in zip(arena, (x, *weights_b)):
             np.copyto(dst, src)
-        x, _, _, _, hs_b, gates_b, _, _ = arena
+        x, _, _, _, hs_b, gates_b = arena[:6]
         run_f, served = self._beside(
             _RUN_CACHED if keep_cache else _RUN, arena, lambda: kernel(x, *weights_f, keep_cache=keep_cache)
         )
@@ -231,21 +261,54 @@ class _Helper:
             return run_f, kernel(x[:, ::-1], *weights_b, keep_cache=keep_cache, out=hs_b)
         return run_f, (hs_b, gates_b.copy() if keep_cache else None)
 
-    def grad(self, local, x: np.ndarray, run_b: list, w_ih: np.ndarray, w_hh: np.ndarray, g_h: np.ndarray):
-        """(local(), the right-to-left grads): see grad_directions. None if
-        the arena cannot grow to hold their inputs."""
-        kernel = _ops()._lstm_grad
+    def grad(self, x: np.ndarray, chain_f: tuple, chain_b: tuple, accumulate):
+        """(dx_f, dx_b), the weight grads left to the helper: see
+        grad_directions. None if the arena cannot grow to hold their inputs."""
+        self.settle()
+        run_b, w_ih, w_hh, g_h = chain_b
         arena = self._arena(x.dtype, *x.shape, w_hh.shape[1])
         if arena is None:
             return None
-        x_s, w_ih_s, w_hh_s, _, h_s, gates_s, c_s, g_s = arena
+        x_s, w_ih_s, w_hh_s, _, h_s, gates_s, c_s, g_s, dz_s, h_prev_s, dx_s = arena[:11]
         for dst, src in zip((x_s, w_ih_s, w_hh_s, gates_s, c_s, h_s, g_s), (x, w_ih, w_hh, *run_b, g_h)):
             np.copyto(dst, src)
         run_b.clear()
-        grads_f, served = self._beside(_GRAD, arena, local)
-        if not served:  # the helper wrote, at most, over the slots of x, the weights and b
-            return grads_f, kernel(x[:, ::-1], [gates_s, c_s, h_s], w_ih, w_hh, g_s)
-        return grads_f, tuple(arena[:4])
+        chain = _ops()._lstm_chain
+        dx_f, served = self._beside(_GRAD, arena, lambda: chain(*chain_f, out=(dz_s, h_prev_s))[0])
+        if not served:
+            dx_b, grads = _owed(arena)
+            accumulate(grads)
+            return dx_f, dx_b
+        self.pending = arena, accumulate
+        return dx_f, dx_s
+
+    def settle(self) -> None:
+        """Wait for the weight grads of the pending BPTT, if any, and hand
+        them to its accumulate; if the helper has died, form them here."""
+        if self.pending is None:
+            return
+        arena, accumulate = self.pending
+        self.pending = None
+        try:
+            served = self.pid is not None and _read(self.replies) == b"\0"
+        except BaseException:
+            self.close()
+            raise
+        if served:
+            accumulate(arena[11:])
+        else:
+            self.close()
+            accumulate(_owed(arena)[1])
+
+
+def _owed(arena: list):
+    """What the helper owes for the BPTT staged in arena, formed from the
+    slots it never writes: the right-to-left dx, and the weight grads of
+    both directions in accumulate's order."""
+    ops = _ops()
+    x, w_ih, w_hh, _, h, gates, c, g, dz_flat, h_prev = arena[:10]
+    dx_b, *grads_b = ops._lstm_grad(x[:, ::-1], [gates, c, h], w_ih, w_hh, g)
+    return dx_b, ops._lstm_weight_grads(dz_flat, x, h_prev) + tuple(grads_b)
 
 
 def _write(fd: int, data: bytes) -> bool:
@@ -284,7 +347,6 @@ def _next_request(requests: int, pipe: select.poll) -> bytes:
 def _serve(arena_fd: int, requests: int, replies: int) -> None:
     """The helper's loop: one right-to-left job per request, until EOF."""
     _keep_heap()
-    ops = _ops()
     buf, mapped = None, 0
     pipe = select.poll()
     pipe.register(requests, select.POLLIN)
@@ -293,16 +355,39 @@ def _serve(arena_fd: int, requests: int, replies: int) -> None:
         if size != mapped:
             buf, mapped = mmap.mmap(arena_fd, size), size
         dtype = _DTYPES[code]
-        x, w_ih, w_hh, b, h, gates, c, g = _views(buf, dtype, _layout(features, steps, batch, hidden, dtype.itemsize)[0])
-        if job == _GRAD:
-            for dst, grad in zip((x, w_ih, w_hh, b), ops._lstm_grad(x[:, ::-1], [gates, c, h], w_ih, w_hh, g)):
-                np.copyto(dst, grad)
-        else:
-            _, cache = ops._lstm_run(x[:, ::-1], w_ih, w_hh, b, keep_cache=job == _RUN_CACHED, out=h)
-            if cache is not None:
-                np.copyto(gates, cache)
-        del x, w_ih, w_hh, b, h, gates, c, g  # the old map is freed when the arena grows
+        views = _views(buf, dtype, _layout(features, steps, batch, hidden, dtype.itemsize)[0])
+        if job != _GRAD:
+            _serve_run(views, keep_cache=job == _RUN_CACHED)
+        elif not _serve_grad(views, requests, replies):
+            return
+        del views  # the old map is freed when the arena grows
         os.write(replies, b"\0")
+
+
+def _serve_run(views: list, keep_cache: bool) -> None:
+    """A right-to-left forward: h, and for a recorded half the gates, into the arena."""
+    x, w_ih, w_hh, b, h, gates = views[:6]
+    _, cache = _ops()._lstm_run(x[:, ::-1], w_ih, w_hh, b, keep_cache=keep_cache, out=h)
+    if cache is not None:
+        np.copyto(gates, cache)
+
+
+def _serve_grad(views: list, requests: int, replies: int) -> bool:
+    """A BPTT: the right-to-left chain, whose dx goes into the arena with
+    the first reply, then the weight grads of both directions, the
+    left-to-right ones once the caller says its gate grads and h(t-1) are
+    staged. The loop sends the second reply. False on EOF."""
+    ops = _ops()
+    x, w_ih, w_hh, _, h, gates, c, g, dz_flat, h_prev, dx, *grads = views
+    dx_b, dz_b, h_prev_b = ops._lstm_chain([gates, c, h], w_ih, w_hh, g)
+    np.copyto(dx, dx_b)
+    os.write(replies, b"\0")
+    grads_b = ops._lstm_weight_grads(dz_b, x[:, ::-1], h_prev_b)
+    if os.read(requests, 1) != b"\0":
+        return False
+    for dst, grad in zip(grads, ops._lstm_weight_grads(dz_flat, x, h_prev) + grads_b):
+        np.copyto(dst, grad)
+    return True
 
 
 _helper: _Helper | None = None
@@ -353,17 +438,28 @@ def run_directions(x: np.ndarray, weights_f: tuple, weights_b: tuple, keep_cache
     return None if helper is None else helper.run(x, weights_f, weights_b, keep_cache)
 
 
-def grad_directions(local, x: np.ndarray, run_b: list, w_ih_b: np.ndarray, w_hh_b: np.ndarray, g_h_b: np.ndarray):
-    """(local(), the right-to-left grads), the second from the helper, or
-    None when the helper cannot take them: the caller then runs both.
+def grad_directions(x: np.ndarray, chain_f: tuple, chain_b: tuple, accumulate):
+    """The dx of both LSTM directions' BPTT, (dx_f, dx_b), the second from
+    the helper, or None when the helper cannot take them: the caller then
+    runs both.
 
-    local runs the left-to-right BPTT here. The right-to-left direction ran
-    over x (D, T, B) time-flipped; run_b is its [gates, c, h], as
-    ``ops._lstm_grad`` takes it, and g_h_b the grad of its hidden states
-    (T, H, B). Unless it returns None, grad_directions empties run_b, as
-    ``ops._lstm_grad`` does, and so frees the states. The grads are those of ``ops._lstm_grad``,
-    (dx, dw_ih, dw_hh, db); from the helper they live in the arena and
-    hold until the next call.
+    chain_f and chain_b are the ``ops._lstm_chain`` arguments of the
+    left-to-right direction, which ran over x (D, T, B), and of the
+    right-to-left one, which ran over x time-flipped. Unless it returns
+    None, grad_directions empties both runs, as ``_lstm_chain`` does, and so
+    frees the states. dx_b is in the step order of the flipped input; it
+    lives in the arena and holds until the next call. The six weight grads,
+    those of w_ih, w_hh and b left to right and then right to left, go to
+    accumulate once the helper has formed them: at the next ``settle()``,
+    which every later request and ``Tensor.backward()`` call first, or at
+    once if the helper has died.
     """
-    helper = _available(x.dtype, (w_ih_b, w_hh_b, g_h_b))
-    return None if helper is None else helper.grad(local, x, run_b, w_ih_b, w_hh_b, g_h_b)
+    helper = _available(x.dtype, chain_f[1:] + chain_b[1:])
+    return None if helper is None else helper.grad(x, chain_f, chain_b, accumulate)
+
+
+def settle() -> None:
+    """Hand the weight grads the helper still owes, if any, to their
+    accumulate; ``Tensor.backward()`` calls this before it returns."""
+    if _helper is not None:
+        _helper.settle()

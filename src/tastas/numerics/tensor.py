@@ -23,9 +23,12 @@ docstring in ``ops`` (``encode``, ``mask_input``, ``mask_decode``,
 nests, restores the previous mode on exit (also on an exception), and is
 per thread. ``backward()`` frees a graph as it goes: once a node's
 backward has run, the node drops it, its parents and (unless it is the
-root) its gradient. Leaves keep their gradients. A second ``backward()``
-through a spent graph raises ConfigError instead of reusing stale
-gradients.
+root) its gradient. Leaves keep their gradients, and every one of them
+is final when ``backward()`` returns, also when it raises: a BiLSTM half
+whose weight grads the ``sibling`` helper forms in the background hands
+them over at the latest there (``sibling.settle()``). A second
+``backward()`` through a spent graph raises ConfigError instead of
+reusing stale gradients.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import ConfigError
+from . import sibling
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -158,17 +162,20 @@ class Tensor:
                 )
         order = _topo_order(self)
         self._accum_grad(seed)
-        while order:
-            node = order.pop()
-            if node._backward is None:  # a leaf
-                continue
-            node._backward(node.grad)
-            # The closure held this node's inputs and saved arrays; dropping
-            # it and the parent links lets refcounting free the graph behind us.
-            node._backward = _spent_backward
-            node._parents = ()
-            if node is not self:
-                node.grad = None
+        try:
+            while order:
+                node = order.pop()
+                if node._backward is None:  # a leaf
+                    continue
+                node._backward(node.grad)
+                # The closure held this node's inputs and saved arrays; dropping
+                # it and the parent links lets refcounting free the graph behind us.
+                node._backward = _spent_backward
+                node._parents = ()
+                if node is not self:
+                    node.grad = None
+        finally:
+            sibling.settle()  # the weight grads a BiLSTM half left to the helper
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

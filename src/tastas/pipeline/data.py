@@ -11,13 +11,14 @@ its source WAVs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..audio.mix import mix_at_snr
-from ..audio.synth import check_speaker, synth_speaker_source
+from ..audio.synth import check_duration, check_speaker, synth_speaker_source
 from ..audio.wavio import DEFAULT_SAMPLE_RATE, PCM_SCALE, Waveform, wav_read, wav_write
 from ..errors import DataError
 
@@ -91,8 +92,12 @@ def synth_mixture_corpus(
         raise DataError(f"seed must be >= 0, got {seed}")
     if num_mixtures < 0:
         raise DataError(f"the {split} split needs a mixture count >= 0, got {num_mixtures}")
+    for name, bound in (("snr_lo", snr_lo), ("snr_hi", snr_hi)):
+        if not math.isfinite(bound):
+            raise DataError(f"{name} must be a finite number of dB, got {bound}")
     if snr_lo > snr_hi:
         raise DataError(f"empty SNR range: snr_lo {snr_lo} > snr_hi {snr_hi}")
+    check_duration(duration_s)
     check_speaker(num_speakers - 1, sample_rate_hz)  # before any file is written
     out_dir = Path(out_dir)
     wav_dir = out_dir / split

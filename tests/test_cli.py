@@ -123,6 +123,29 @@ def test_synth_data_rejects_bad_draws_before_writing(tmp_path, capsys, flags, me
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--dur", "nan"], "duration must be a finite number of seconds, at least 0.5, got nan"),
+     (["--dur", "inf"], "duration must be a finite number of seconds, at least 0.5, got inf"),
+     (["--snr-lo", "nan"], "snr_lo must be a finite number of dB, got nan"),
+     (["--snr-hi", "inf"], "snr_hi must be a finite number of dB, got inf"),
+     (["--train-mixes", "0", "--dur", "nan"], "got nan")],
+)
+def test_synth_data_rejects_non_finite_values_before_writing(tmp_path, capsys, flags, message):
+    assert main(["synth-data", "--speakers", "2", *flags, "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "c").exists()
+
+
+def test_synth_data_writes_an_explicit_zero_mixture_count(tmp_path):
+    flags = ["--speakers", "2", "--dur", "0.5", "--train-mixes", "0", "--dev-mixes", "0", "--test-mixes", "1"]
+    assert main(["synth-data", *flags, "--out", str(tmp_path / "c")]) == 0
+    counts = {split: len(read_manifest(tmp_path / "c" / f"{split}.tsv")) for split in ("train", "dev", "test")}
+    assert counts == {"train": 0, "dev": 0, "test": 1}
+    assert sorted(p.name for p in (tmp_path / "c").rglob("*.wav")) == ["test_00000_mix.wav", "test_00000_s1.wav", "test_00000_s2.wav"]
+
+
 @pytest.mark.parametrize("command", ["train-idnet", "train-sep", "finetune"])
 def test_training_rejects_a_negative_seed_before_reading_the_corpus(tmp_path, capsys, command):
     missing = str(tmp_path / "missing.tsv")

@@ -1,5 +1,6 @@
 """The forked helper that runs a BiLSTM half's right-to-left direction: the
-forward of every half, and the BPTT of a recorded one.
+forward of every half, and the BPTT of a recorded one, whose weight grads
+it forms after its dx reply and hands over when the caller settles.
 
 Each test that uses the helper pins BLAS to one thread, which enables it,
 and asserts that a helper exists afterwards, so a helper that is silently
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tastas.errors import ConfigError
 from tastas.numerics import ops, sibling
 from tastas.numerics.tensor import Tensor, no_grad
 from tastas.pipeline import TrainConfig, run_phase, synth_mixture_corpus
@@ -92,6 +94,60 @@ def test_recorded_half_on_the_helper_is_byte_equal_to_the_serial_half(fresh, dty
     _helper_pid()
     assert len(shared) == 11 and all(a.dtype == dtype for a in shared)
     assert [a.tobytes() for a in shared] == [a.tobytes() for a in serial]
+
+
+def _recorded_chain(x, weights, axis, halves=3):
+    """The grads, read as soon as backward() returns, of the chunks and the
+    weights of a chain of recorded halves that alternate the recurrence axis."""
+    x = Tensor(x.data, requires_grad=True)
+    rng = np.random.default_rng(20)
+    stack = [[Tensor(w.data + rng.uniform(-0.1, 0.1, w.shape).astype(w.dtype), requires_grad=True) for w in weights]]
+    stack += [[Tensor(w.data, requires_grad=True) for w in weights] for _ in range(halves - 1)]
+    out = x
+    for k, layer in enumerate(stack):
+        out = ops.bilstm_layer(out, axis if k % 2 == 0 else 3 - axis, *layer)
+    out.backward(np.random.default_rng(9).standard_normal(out.shape))
+    grads = [t.grad.tobytes() for t in (x, *(w for layer in stack for w in layer))]
+    assert sibling._helper is None or sibling._helper.pending is None
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("axis", [1, 2])
+def test_a_recorded_chain_on_the_helper_has_every_grad_when_backward_returns(fresh, dtype, axis):
+    x, weights = _half_inputs(np.random.default_rng(30 + axis), dtype)
+    serial = _recorded_chain(x, weights, axis)
+    assert sibling._helper is None
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    shared = _recorded_chain(x, weights, axis)
+    _helper_pid()
+    assert len(shared) == 1 + 3 * 9 and shared == serial
+
+
+def _failed_backward(x, weights, seed):
+    """The weight grads of a backward that raises part-way: its graph
+    shares a prefix with one that backward() has already consumed."""
+    x = Tensor(x.data, requires_grad=True)
+    weights = [Tensor(w.data, requires_grad=True) for w in weights]
+    y = ops.mul(x, ops.const(x.data.dtype.type(2.0)))
+    ops.bilstm_layer(y, 1, *weights).backward(seed)
+    for w in weights:
+        w.grad = None
+    with pytest.raises(ConfigError, match="already consumed"):
+        ops.bilstm_layer(y, 2, *weights).backward(seed)
+    return [w.grad.tobytes() for w in weights]
+
+
+def test_a_backward_that_raises_part_way_leaves_nothing_pending(fresh):
+    x, weights = _half_inputs(np.random.default_rng(40), np.float32)
+    seed = np.random.default_rng(41).standard_normal(x.shape)
+    serial = _failed_backward(x, weights, seed), _half(x, weights, 1)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    shared = _failed_backward(x, weights, seed)
+    pid = _helper_pid()
+    assert sibling._helper.pending is None
+    assert shared == serial[0]
+    assert _half(x, weights, 1).tobytes() == serial[1].tobytes() and _helper_pid() == pid
 
 
 def test_helper_sleeps_once_the_spin_bound_has_passed(fresh):
@@ -204,6 +260,7 @@ elif sys.argv[1] == "wait":
 KILL_BEFORE_BACKWARD = """
 import os, signal
 import numpy as np
+from tastas.errors import ConfigError
 from tastas.numerics import ops, sibling
 from tastas.numerics.tensor import Tensor
 
@@ -224,6 +281,54 @@ assert sibling._helper is None
 sibling.usable_cpus = usable_cpus
 killed, pid = grads(True)
 print(pid, killed == serial, sibling._helper.pid, flush=True)
+"""
+
+# Runs a recorded chain of halves whose helper SIGKILLs itself after its
+# first dx reply, when it starts on the weight grads; prints the helper's
+# pid, whether every grad equals the serial path's, whether a settle found
+# the weight grads still owed, and the helper's pid after (None: no new
+# helper was forked).
+KILL_BEFORE_WEIGHT_GRADS = """
+import os, signal, sys
+import numpy as np
+from tastas.numerics import ops, sibling
+from tastas.numerics.tensor import Tensor
+
+caller = os.getpid()
+weight_grads = ops._lstm_weight_grads
+
+def dying(*args):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return weight_grads(*args)
+
+ops._lstm_weight_grads = dying
+owed = []
+settle = sibling._Helper.settle
+
+def watched(self):
+    owed.append(self.pending is not None)
+    settle(self)
+
+sibling._Helper.settle = watched
+
+def grads():
+    rng = np.random.default_rng(0)
+    shapes = [(64, 8, 6)] + [(32, 64), (32, 8), (32,), (32, 64), (32, 8), (32,), (64, 16), (64, 1, 1), (64, 1, 1)] * 2
+    tensors = [Tensor(rng.uniform(-0.5, 0.5, shape).astype(np.float32), requires_grad=True) for shape in shapes]
+    out = tensors[0]
+    for k in range(int(sys.argv[1])):
+        out = ops.bilstm_layer(out, 1 + k, *tensors[1 + 9 * k : 10 + 9 * k])
+    pid = sibling._helper.pid if sibling._helper else None
+    out.backward(rng.standard_normal(out.shape).astype(np.float32))
+    return [t.grad.tobytes() for t in tensors if t.grad is not None], pid
+
+usable_cpus, sibling.usable_cpus = sibling.usable_cpus, lambda: 1
+serial, _ = grads()
+assert sibling._helper is None
+sibling.usable_cpus = usable_cpus
+killed, pid = grads()
+print(pid, killed == serial, any(owed), sibling._helper.pid, flush=True)
 """
 
 # Runs SEPARATE "wait", SIGKILLs it, and waits up to 2 s for the orphaned
@@ -283,10 +388,18 @@ def test_a_helper_killed_before_a_backward_leaves_it_serial_and_byte_equal():
     assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
 
 
+@pytest.mark.parametrize("halves", [1, 2])  # settled at the end of backward(), or by the next half's request
+def test_a_helper_killed_before_its_weight_grads_leaves_them_to_the_caller_byte_equal(halves):
+    pid, equal, owed, after = _run(KILL_BEFORE_WEIGHT_GRADS, str(halves))
+    assert (equal, owed, after) == ("True", "True", "None")
+    assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
+
+
 # -- training ---------------------------------------------------------------------------
 
 
-def test_a_training_epoch_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_path):
+def _epoch_checkpoints(fresh, tmp_path, batch_size):
+    """last.ckpt of one training epoch on the helper, and of the same epoch run serially."""
     root = tmp_path / "corpus"
     for split in ("train", "dev"):
         synth_mixture_corpus(root, split, 2, 4, 0.5, 0, 5, seed=8)
@@ -296,6 +409,7 @@ def test_a_training_epoch_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_
         config = TrainConfig(
             phase="sep",
             epochs_max=1,
+            batch_size=batch_size,
             model="tastas-2-2",
             num_filters=8,
             hidden_size=8,
@@ -311,4 +425,15 @@ def test_a_training_epoch_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_
     shared = last_checkpoint("shared")
     _helper_pid()
     fresh.setattr(sibling, "usable_cpus", lambda: 1)
-    assert last_checkpoint("serial") == shared
+    return shared, last_checkpoint("serial")
+
+
+def test_a_training_epoch_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_path):
+    shared, serial = _epoch_checkpoints(fresh, tmp_path, batch_size=1)
+    assert serial == shared
+
+
+def test_a_batch_of_two_on_the_helper_writes_the_serial_checkpoint(fresh, tmp_path):
+    # two backward() calls accumulate into each .grad before the step
+    shared, serial = _epoch_checkpoints(fresh, tmp_path, batch_size=2)
+    assert serial == shared
