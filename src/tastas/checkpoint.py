@@ -24,6 +24,7 @@ import os
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -122,8 +123,31 @@ def load_container(path, prefix: str = "") -> tuple[str, dict, dict[str, np.ndar
         return kind, header, blobs
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON values a header may hold for a field of each type, and their name in errors
+_HEADER_TYPES = {
+    bool: ("a boolean", lambda value: isinstance(value, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda value: _is_int(value) or isinstance(value, float)),
+    tuple[int, ...]: ("a list of integers", lambda value: isinstance(value, list) and all(map(_is_int, value))),
+}
+
+
+def check_header_value(path, key: str, value, field_type) -> None:
+    """Raise a CheckpointError naming path and key unless the JSON value fits
+    a field of field_type: bool; int, which a bool is not; float, which an
+    int is too; or tuple[int, ...], a list of ints."""
+    name, fits = _HEADER_TYPES[field_type]
+    if not fits(value):
+        raise CheckpointError(f"{path}: header key '{key}' must be {name}, got {json.dumps(value)}")
+
+
 def config_from_header(cls, values, path):
-    """Rebuild a config dataclass from the ``asdict`` a header holds; JSON lists become tuples."""
+    """Rebuild a config dataclass from the ``asdict`` a header holds, each
+    value checked against its field's type; JSON lists become tuples."""
     names = {f.name for f in fields(cls)}
     keys = set(values) if isinstance(values, dict) else set()
     if keys != names:
@@ -131,6 +155,9 @@ def config_from_header(cls, values, path):
             f"{path}: model header does not match {cls.__name__}: "
             f"missing {sorted(names - keys)}, unexpected {sorted(keys - names)}"
         )
+    types = get_type_hints(cls)
+    for key, value in values.items():
+        check_header_value(path, f"model.{key}", value, types[key])
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 

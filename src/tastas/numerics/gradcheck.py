@@ -10,6 +10,7 @@ as infinite, so a NaN gradient fails its kind.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -293,6 +294,13 @@ BUILDERS: dict[str, Builder] = {
 }
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise a ConfigError unless tolerance is finite and > 0: against any
+    other a check passes or fails whatever the gradients are."""
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
 def check_kind(
     kind: str,
     trials: int = 20,
@@ -306,6 +314,7 @@ def check_kind(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_tolerance(tolerance)
     # crc32, not hash(): str hashes are salted per process
     rng = np.random.default_rng([seed, zlib.crc32(kind.encode())])
     report = KindReport(kind=kind, trials=trials, tolerance=tolerance)

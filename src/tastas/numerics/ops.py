@@ -391,24 +391,11 @@ def _route_to_winners(g: np.ndarray, winner: np.ndarray, dest: np.ndarray, out_h
 # recurrence, and an (F, C, K) copy of them for the inter-chunk one. The
 # right-to-left pass is the same kernel run on the time-flipped input.
 #
-# Every half runs its two directions on two processes when ``sibling``
-# allows it: the caller copies the input into an arena it shares with a
-# forked helper, runs the left-to-right pass there itself, and the helper
-# runs the right-to-left pass and writes its hidden states into the arena,
-# which _join_directions reads, and for a recorded half its gates, which
-# the caller copies out for the backward. Each direction's BPTT is two
-# kernels: _lstm_chain, the loop and the products that give dx, and
-# _lstm_weight_grads, the grads of w_ih, w_hh and b from the chain's gate
-# grads, x and h(t-1); the serial path (_lstm_grad) runs them back to back.
-# On two processes the backward stages the right-to-left gates, re-formed
-# states and hidden-state grads in the arena and runs the left-to-right
-# chain, writing its gate grads and h(t-1) into arena slots, while the
-# helper runs the right-to-left chain and replies with its dx. The caller
-# then goes on down the graph while the helper forms the weight grads of
-# both directions; ``sibling`` hands them to the node's accumulate at the
-# next request or when Tensor.backward() returns, whichever comes first.
-# Both processes run the same kernels on the same bytes, so the output and
-# the grads are the serial path's bit for bit.
+# Every half runs its right-to-left direction on a forked helper process
+# when ``sibling`` allows it; the protocol is in that module's docstring.
+# bilstm_layer relies on one guarantee of it: the output and the grads are
+# the serial path's byte for byte, and the weight grads are handed to the
+# node's accumulate by the time Tensor.backward() returns.
 
 
 @functools.cache

@@ -58,11 +58,8 @@ Lifetime: the helper closes the caller's ends of the pipes, so it reads
 EOF and exits when the caller dies, even by SIGKILL. At a normal exit the
 caller kills and reaps it. It leaves only through ``os._exit``, never
 into the caller's stack, and a Ctrl-C ends it without a traceback. If it
-dies, the caller runs the request in flight itself, from its own inputs
-and the arena slots the helper does not write, and goes on without it; a
-helper that dies between a BPTT's two replies leaves the caller to form
-the weight grads at the settle, from the staged slots and its own
-dz_flat and h(t-1). A
+dies, the caller runs the job in flight on the arena itself, with the
+helper's own ``_serve_run`` or ``_serve_grad``, and goes on without it. A
 process forked from the caller forgets the caller's helper and forks its
 own if it needs one.
 """
@@ -71,6 +68,7 @@ from __future__ import annotations
 
 import atexit
 import ctypes
+import functools
 import gc
 import math
 import mmap
@@ -176,8 +174,7 @@ class _Helper:
             for fd in fds:
                 os.close(fd)
             return
-        self.fd, request_r, self.requests, self.replies, reply_w = fds
-        self.pid = pid
+        (self.fd, request_r, self.requests, self.replies, reply_w), self.pid = fds, pid
         if pid == 0:
             try:  # a Ctrl-C's KeyboardInterrupt ends up here too: no traceback
                 os.close(self.requests)
@@ -210,8 +207,10 @@ class _Helper:
         self.pid = None
 
     def _arena(self, dtype: np.dtype, features: int, steps: int, batch: int, hidden: int):
-        """The arena's views of its slots (see _layout), grown to hold them;
-        None if the helper is gone or the arena cannot grow."""
+        """The arena's views of its slots (see _layout), grown to hold them,
+        once the pending BPTT is settled; None if the helper is gone or the
+        arena cannot grow."""
+        self.settle()
         if self.pid is None:  # found dead while settling
             return None
         placed, size = _layout(features, steps, batch, hidden, dtype.itemsize)
@@ -224,6 +223,17 @@ class _Helper:
                 return None
         return _views(self.buf, dtype, placed)
 
+    def _answered(self, sent: bool = True) -> bool:
+        """Whether the helper replied to what was sent; if not, or if the
+        wait is cut short, the helper is ended."""
+        served = False
+        try:
+            served = sent and self.pid is not None and _read(self.replies) == b"\0"
+        finally:
+            if not served:
+                self.close()
+        return served
+
     def _beside(self, job: int, arena: list, local):
         """Ask the helper to run job on the staged arena, run local() here
         meanwhile, and wait: (local's result, whether the helper served it).
@@ -234,20 +244,16 @@ class _Helper:
             result = local()
             if job == _GRAD:
                 sent = sent and _write(self.requests, b"\0")
-            served = sent and _read(self.replies) == b"\0"
         except BaseException:
             self.close()  # the helper may still answer a request nobody waits for
             raise
-        if not served:
-            self.close()
-        return result, served
+        return result, self._answered(sent)
 
     def run(self, x: np.ndarray, weights_f: tuple, weights_b: tuple, keep_cache: bool):
         """The kernel's (hs, cache) of both directions over x (D, T, B):
         weights_f run here on x, weights_b on the helper on x time-flipped.
         None if the arena cannot grow to hold them."""
         kernel = _ops()._lstm_run
-        self.settle()
         arena = self._arena(x.dtype, *x.shape, weights_b[1].shape[1])
         if arena is None:
             return None
@@ -258,13 +264,12 @@ class _Helper:
             _RUN_CACHED if keep_cache else _RUN, arena, lambda: kernel(x, *weights_f, keep_cache=keep_cache)
         )
         if not served:
-            return run_f, kernel(x[:, ::-1], *weights_b, keep_cache=keep_cache, out=hs_b)
+            _serve_run(arena, keep_cache)
         return run_f, (hs_b, gates_b.copy() if keep_cache else None)
 
     def grad(self, x: np.ndarray, chain_f: tuple, chain_b: tuple, accumulate):
         """(dx_f, dx_b), the weight grads left to the helper: see
         grad_directions. None if the arena cannot grow to hold their inputs."""
-        self.settle()
         run_b, w_ih, w_hh, g_h = chain_b
         arena = self._arena(x.dtype, *x.shape, w_hh.shape[1])
         if arena is None:
@@ -273,42 +278,22 @@ class _Helper:
         for dst, src in zip((x_s, w_ih_s, w_hh_s, gates_s, c_s, h_s, g_s), (x, w_ih, w_hh, *run_b, g_h)):
             np.copyto(dst, src)
         run_b.clear()
-        chain = _ops()._lstm_chain
-        dx_f, served = self._beside(_GRAD, arena, lambda: chain(*chain_f, out=(dz_s, h_prev_s))[0])
-        if not served:
-            dx_b, grads = _owed(arena)
-            accumulate(grads)
-            return dx_f, dx_b
+        dx_f, served = self._beside(_GRAD, arena, lambda: _ops()._lstm_chain(*chain_f, out=(dz_s, h_prev_s))[0])
         self.pending = arena, accumulate
+        if not served:  # the helper's BPTT runs here, and its weight grads go to accumulate now
+            self.settle()
         return dx_f, dx_s
 
     def settle(self) -> None:
         """Wait for the weight grads of the pending BPTT, if any, and hand
-        them to its accumulate; if the helper has died, form them here."""
+        them to its accumulate; if the helper has died, run its job here."""
         if self.pending is None:
             return
         arena, accumulate = self.pending
         self.pending = None
-        try:
-            served = self.pid is not None and _read(self.replies) == b"\0"
-        except BaseException:
-            self.close()
-            raise
-        if served:
-            accumulate(arena[11:])
-        else:
-            self.close()
-            accumulate(_owed(arena)[1])
-
-
-def _owed(arena: list):
-    """What the helper owes for the BPTT staged in arena, formed from the
-    slots it never writes: the right-to-left dx, and the weight grads of
-    both directions in accumulate's order."""
-    ops = _ops()
-    x, w_ih, w_hh, _, h, gates, c, g, dz_flat, h_prev = arena[:10]
-    dx_b, *grads_b = ops._lstm_grad(x[:, ::-1], [gates, c, h], w_ih, w_hh, g)
-    return dx_b, ops._lstm_weight_grads(dz_flat, x, h_prev) + tuple(grads_b)
+        if not self._answered():
+            _serve_grad(arena)
+        accumulate(arena[11:])
 
 
 def _write(fd: int, data: bytes) -> bool:
@@ -350,6 +335,7 @@ def _serve(arena_fd: int, requests: int, replies: int) -> None:
     buf, mapped = None, 0
     pipe = select.poll()
     pipe.register(requests, select.POLLIN)
+    reply = functools.partial(os.write, replies, b"\0")
     while len(message := _next_request(requests, pipe)) == _REQUEST.size:
         size, job, code, features, steps, batch, hidden = _REQUEST.unpack(message)
         if size != mapped:
@@ -358,10 +344,10 @@ def _serve(arena_fd: int, requests: int, replies: int) -> None:
         views = _views(buf, dtype, _layout(features, steps, batch, hidden, dtype.itemsize)[0])
         if job != _GRAD:
             _serve_run(views, keep_cache=job == _RUN_CACHED)
-        elif not _serve_grad(views, requests, replies):
+        elif not _serve_grad(views, reply, lambda: os.read(requests, 1) == b"\0"):
             return
         del views  # the old map is freed when the arena grows
-        os.write(replies, b"\0")
+        reply()
 
 
 def _serve_run(views: list, keep_cache: bool) -> None:
@@ -372,18 +358,20 @@ def _serve_run(views: list, keep_cache: bool) -> None:
         np.copyto(gates, cache)
 
 
-def _serve_grad(views: list, requests: int, replies: int) -> bool:
-    """A BPTT: the right-to-left chain, whose dx goes into the arena with
-    the first reply, then the weight grads of both directions, the
-    left-to-right ones once the caller says its gate grads and h(t-1) are
-    staged. The loop sends the second reply. False on EOF."""
+def _serve_grad(views: list, reply=lambda: None, staged=lambda: True) -> bool:
+    """A BPTT: the right-to-left chain, whose dx goes into the arena before
+    reply(), then the weight grads of both directions, the left-to-right
+    ones once staged() says the caller's gate grads and h(t-1) are in. On
+    the helper the hooks are its pipe write and read, and its loop sends the
+    second reply; the caller, which has staged both, runs it with neither.
+    False if staged() finds EOF."""
     ops = _ops()
     x, w_ih, w_hh, _, h, gates, c, g, dz_flat, h_prev, dx, *grads = views
     dx_b, dz_b, h_prev_b = ops._lstm_chain([gates, c, h], w_ih, w_hh, g)
     np.copyto(dx, dx_b)
-    os.write(replies, b"\0")
+    reply()
     grads_b = ops._lstm_weight_grads(dz_b, x[:, ::-1], h_prev_b)
-    if os.read(requests, 1) != b"\0":
+    if not staged():
         return False
     for dst, grad in zip(grads, ops._lstm_weight_grads(dz_flat, x, h_prev) + grads_b):
         np.copyto(dst, grad)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import objectives
 from ..audio.wavio import Waveform
-from ..checkpoint import load_network, save_network
+from ..checkpoint import check_header_value, load_network, save_network
 from ..errors import CheckpointError, ConfigError, DataError
 from ..idnet.model import IdNet, IdNetConfig, load_idnet, save_idnet
 from ..numerics import ops
@@ -195,7 +195,8 @@ def read_report(path) -> list[EpochReport]:
 # ---------------------------------------------------------------------------
 
 
-ADAM_HEADER = ("step", "beta1", "beta2", "eps")
+# the optimizer's header keys and their types
+ADAM_HEADER = {"step": int, "beta1": float, "beta2": float, "eps": float}
 
 
 def save_sep_checkpoint(path, model: TasTasModel, adam: AdamState, extras: dict) -> None:
@@ -219,6 +220,8 @@ def load_sep_checkpoint(path) -> tuple[TasTasModel, AdamState, dict]:
     missing = [f"adam.{key}" for key in ADAM_HEADER if key not in meta] + [b for b in moments if b not in blobs]
     if missing:
         raise CheckpointError(f"{path}: incomplete optimizer state (missing {', '.join(missing)})")
+    for key, field_type in ADAM_HEADER.items():
+        check_header_value(path, f"adam.{key}", meta[key], field_type)
     adam = AdamState(
         step=int(meta["step"]),
         m={name: blobs[f"adam.m.{name}"] for name in params.names()},

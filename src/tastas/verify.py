@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import objectives
-from .numerics.gradcheck import DEFAULT_STEP, KindReport, check_case
+from .numerics.gradcheck import DEFAULT_STEP, KindReport, check_case, check_tolerance
 from .numerics.optim import ParamSet
 from .sepnet import ModelConfig, TasTasModel
 
@@ -27,6 +27,7 @@ def tiny_model_check(
     num_samples: int = TINY_SAMPLES,
 ) -> KindReport:
     """Finite-difference check of d(loss)/d(theta) through the whole pipeline."""
+    check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     params = TasTasModel.initialize(config, seed=seed, dtype=np.float64).params
     mixture = rng.uniform(-0.5, 0.5, num_samples)

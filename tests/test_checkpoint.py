@@ -316,3 +316,64 @@ def test_sep_loader_requires_the_whole_optimizer_state(tmp_path, edit):
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: incomplete optimizer state")) as info:
         load_sep_checkpoint(path)
     assert missing in str(info.value)
+
+
+def _edited_sep_checkpoint(path, section, key, value):
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=4, chunk_len=4, hidden_size=4), seed=0)
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    kind, header, blobs = load_container(path)
+    header[section][key] = value
+    save_container(path, kind, header, blobs)
+    return path
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [
+        ("num_filters", "64", "an integer"),
+        ("num_filters", True, "an integer"),
+        ("num_filters", 4.0, "an integer"),
+        ("stage_blocks", ["a"], "a list of integers"),
+        ("stage_blocks", 6, "a list of integers"),
+        ("stage_blocks", [1, False], "a list of integers"),
+        ("use_id_loss", "no", "a boolean"),
+        ("use_id_loss", 0, "a boolean"),
+    ],
+)
+def test_a_mistyped_model_header_value_is_a_checkpoint_error(tmp_path, key, value, expected):
+    path = _edited_sep_checkpoint(tmp_path / "sep.ckpt", "model", key, value)
+    for load in (load_sep_checkpoint, load_sep_model):
+        with pytest.raises(CheckpointError, match=re.escape(f"{path}: header key 'model.{key}' must be {expected}")):
+            load(path)
+
+
+@pytest.mark.parametrize(
+    "key,value,expected", [("segment_s", "0.05", "a number"), ("conv_channels", [4, 8.0], "a list of integers")]
+)
+def test_a_mistyped_idnet_header_value_is_a_checkpoint_error(tmp_path, key, value, expected):
+    config = IdNetConfig(num_speakers=3, window_len=64, hop=16, segment_s=0.05, conv_channels=(4, 8), embedding_dim=16)
+    path = tmp_path / "id.ckpt"
+    save_idnet(path, IdNet.initialize(config, seed=0))
+    kind, header, blobs = load_container(path)
+    header["model"][key] = value
+    save_container(path, kind, header, blobs)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header key 'model.{key}' must be {expected}")):
+        load_idnet(path)
+
+
+def test_an_integer_header_value_fits_a_float_field(tmp_path):
+    config = IdNetConfig(num_speakers=3, window_len=64, hop=16, segment_s=1, conv_channels=(4, 8), embedding_dim=16)
+    path = tmp_path / "id.ckpt"
+    save_idnet(path, IdNet.initialize(config, seed=0))
+    assert load_idnet(path).config == config
+
+
+@pytest.mark.parametrize(
+    "key,value,expected",
+    [("step", "x", "an integer"), ("step", None, "an integer"), ("step", [1], "an integer"),
+     ("step", True, "an integer"), ("beta1", "0.9", "a number"), ("eps", None, "a number")],
+)
+def test_a_mistyped_optimizer_header_value_is_a_checkpoint_error(tmp_path, key, value, expected):
+    path = _edited_sep_checkpoint(tmp_path / "sep.ckpt", "adam", key, value)
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header key 'adam.{key}' must be {expected}")):
+        load_sep_checkpoint(path)

@@ -103,12 +103,14 @@ def test_grad_check_fails_on_a_nan_gradient(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flags,message",
     [(["--trials", "0"], "trials must be >= 1, got 0"), (["--trials", "-2"], "trials must be >= 1, got -2"),
-     (["--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1")],
+     (["--trials", "1", "--seed", "-1"], "seed must be >= 0, got -1")]
+    + [(["--trials", "1", "--tol", tol], f"tolerance must be finite and > 0, got {float(tol)}")
+       for tol in ("nan", "0", "-1", "inf")],
 )
 def test_grad_check_that_checks_nothing_exits_2(capsys, flags, message):
     assert main(["grad-check", *flags]) == 2
     out, err = capsys.readouterr()
-    assert message in err and "PASS" not in out
+    assert message in err and out == ""  # refused before any kind ran
 
 
 @pytest.mark.parametrize(
@@ -218,6 +220,25 @@ def test_separate_corrupt_checkpoint_exits_2(cli_run, tmp_path, capsys):
         "separate", "--ckpt", str(bad), "--in", records[0].mix_path, "--out", str(tmp_path / "o"),
     ]) == 2
     assert "magic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["separate", "eval"])
+def test_a_mistyped_checkpoint_header_exits_2(tmp_path, capsys, command):
+    from tastas.checkpoint import load_container, save_container
+    from tastas.numerics.optim import AdamState
+    from tastas.pipeline.train import save_sep_checkpoint
+    from tastas.sepnet import ModelConfig, TasTasModel
+
+    model = TasTasModel.initialize(ModelConfig(stage_blocks=(1,), num_filters=4, chunk_len=4, hidden_size=4), seed=0)
+    path = tmp_path / "sep.ckpt"
+    save_sep_checkpoint(path, model, AdamState.for_params(model.params), {})
+    kind, header, blobs = load_container(path)
+    header["model"]["stage_blocks"] = 6
+    save_container(path, kind, header, blobs)
+    source = ["--in", str(tmp_path / "mix.wav")] if command == "separate" else ["--manifest", str(tmp_path / "t.tsv")]
+    assert main([command, "--ckpt", str(path), *source, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: header key 'model.stage_blocks' must be a list of integers, got 6" in err
 
 
 def test_resume_without_trainer_state_exits_2(cli_run, tmp_path, capsys):

@@ -217,6 +217,22 @@ def test_check_kind_rejects_no_trials_and_a_negative_seed(trials, seed, message)
         check_kind("log", trials=trials, seed=seed)
 
 
+@pytest.mark.parametrize("tolerance", [float("nan"), 0.0, -1.0, float("inf")])
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused_before_any_kind_runs(monkeypatch, tolerance):
+    from tastas.numerics import gradcheck
+    from tastas.verify import tiny_model_check
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a kind ran")
+
+    monkeypatch.setattr(gradcheck, "check_case", unreached)
+    monkeypatch.setattr("tastas.verify.check_case", unreached)
+    for check in (lambda: check_kind("log", tolerance=tolerance), lambda: run_suite(tolerance=tolerance),
+                  lambda: tiny_model_check(tolerance=tolerance)):
+        with pytest.raises(ConfigError, match=f"tolerance must be finite and > 0, got {tolerance}"):
+            check()
+
+
 def test_suite_report_carries_failures():
     reports = run_suite(kinds=["log"], trials=2, tolerance=1e-30)
     assert [r.kind for r in reports] == ["log"]

@@ -1,6 +1,10 @@
 """The forked helper that runs a BiLSTM half's right-to-left direction: the
 forward of every half, and the BPTT of a recorded one, whose weight grads
-it forms after its dx reply and hands over when the caller settles.
+it forms after its dx reply and hands over when the caller settles. A
+helper that dies leaves the job in flight to the caller, which runs it on
+the arena with the helper's own function; one that cannot be forked, or
+whose arena cannot grow, leaves the half serial. Either way the bits are
+the serial path's.
 
 Each test that uses the helper pins BLAS to one thread, which enables it,
 and asserts that a helper exists afterwards, so a helper that is silently
@@ -393,6 +397,84 @@ def test_a_helper_killed_before_its_weight_grads_leaves_them_to_the_caller_byte_
     pid, equal, owed, after = _run(KILL_BEFORE_WEIGHT_GRADS, str(halves))
     assert (equal, owed, after) == ("True", "True", "None")
     assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
+
+
+# -- fallbacks in this process: the caller runs the job, or the half, itself ------------
+
+
+def _forks(monkeypatch, fail=False):
+    """Counts this process's os.fork calls from now on; with fail, each raises."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        if fail:
+            raise OSError("fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def test_a_helper_killed_before_a_recorded_forward_leaves_it_to_the_caller_byte_equal(fresh):
+    if not os.path.exists(f"/proc/{os.getpid()}/stat"):
+        pytest.skip("no /proc to see the helper die in")
+    x, weights = _half_inputs(np.random.default_rng(50), np.float32)
+    serial = _recorded_half(x, weights, 2)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    _half(x, weights, 1)
+    pid = _helper_pid()
+    os.kill(pid, signal.SIGKILL)
+    deadline = time.monotonic() + 5.0
+    while (state := Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]) != "Z":
+        assert time.monotonic() < deadline, state
+        time.sleep(0.01)
+    forks, served, serve_run = _forks(fresh), [], sibling._serve_run
+
+    def watched(views, keep_cache):
+        served.append(keep_cache)
+        serve_run(views, keep_cache)
+
+    fresh.setattr(sibling, "_serve_run", watched)
+    shared = _recorded_half(x, weights, 2)
+    assert served == [True]  # the recorded forward the helper never took ran here, through its own function
+    assert [a.tobytes() for a in shared] == [a.tobytes() for a in serial]
+    assert sibling._helper.pid is None and forks == []
+    assert not os.path.exists(f"/proc/{pid}")  # reaped when the caller found it dead
+
+
+def test_an_arena_that_cannot_grow_leaves_the_half_serial_and_byte_equal(fresh):
+    rng = np.random.default_rng(51)
+    small, large = _half_inputs(rng, np.float32), _half_inputs(rng, np.float32, steps=30, chunks=20)
+    serial = _half(*small, 1), _recorded_half(*large, 1)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert _half(*small, 1).tobytes() == serial[0].tobytes()
+    pid, forks, tried = _helper_pid(), _forks(fresh), []
+
+    def refused(fd, size):
+        tried.append(size)
+        raise OSError("no room")
+
+    fresh.setattr(os, "ftruncate", refused)
+    shared = _recorded_half(*large, 1)
+    assert len(tried) == 1 and tried[0] > sibling._helper.size
+    assert [a.tobytes() for a in shared] == [a.tobytes() for a in serial[1]]
+    assert sibling._helper.pid is None and forks == []
+    assert not os.path.exists(f"/proc/{pid}")  # reaped when the arena could not grow
+
+
+def test_a_fork_that_fails_leaves_every_half_serial_and_no_descriptor_open(fresh):
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc to count descriptors in")
+    x, weights = _half_inputs(np.random.default_rng(52), np.float32)
+    serial = _recorded_half(x, weights, 1), _half(x, weights, 2)
+    fresh.setenv("OPENBLAS_NUM_THREADS", "1")
+    forks, before = _forks(fresh, fail=True), len(os.listdir("/proc/self/fd"))
+    shared = _recorded_half(x, weights, 1), _half(x, weights, 2)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert [a.tobytes() for a in shared[0]] == [a.tobytes() for a in serial[0]]
+    assert shared[1].tobytes() == serial[1].tobytes()
+    assert sibling._helper.pid is None and len(forks) == 1  # tried once, at the first half
 
 
 # -- training ---------------------------------------------------------------------------
